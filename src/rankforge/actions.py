@@ -98,14 +98,8 @@ class FiniteDiscreteAction(ActionSystem):
     def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
         return self._vx[x0][v0] <= self._vx[x1][v1]
 
-    def cc_table(self):
-        npoints, nbasis = self.size, len(self.basis_sets)
-        mask = np.zeros((npoints, nbasis), dtype=np.int64)
-        for x in range(npoints):
-            for v in range(nbasis):
-                for y in self._vx[x][v]:
-                    mask[x, v] |= 1 << y
-        return (mask[:, :, None, None] & ~mask[None, None, :, :]) == 0
+    def image_tensor(self) -> np.ndarray:
+        return _image_tensor(np.array(self.perms).T, self.basis_sets)
 
     def act(self, g: int, x: int) -> int:
         return self.perms[g][x]
@@ -125,6 +119,19 @@ class FiniteDiscreteAction(ActionSystem):
         """Same points and group (hence same cc semantics), another basis."""
         return FiniteDiscreteAction(self.size, list(zip(self.group, self.perms)),
                                     basis_sets)
+
+
+def _image_tensor(images: np.ndarray, basis_sets) -> np.ndarray:
+    """img[x, V, y] from images[x, g], the point g carries x to, and the
+    basis x group membership matrix."""
+    npoints, ngroup = images.shape
+    members = np.zeros((len(basis_sets), ngroup), dtype=bool)
+    for v, s in enumerate(basis_sets):
+        members[v, list(s)] = True
+    vs, gs = np.nonzero(members)
+    img = np.zeros((npoints, len(basis_sets), npoints), dtype=bool)
+    img[np.arange(npoints)[:, None], vs, images[:, gs]] = True
+    return img
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -259,9 +266,12 @@ class FiniteLogicAction(ActionSystem):
                 raise SchemaError(f"points must be structures on 0..{n - 1}")
             if m.signature != signature:
                 raise SchemaError("point signature mismatch")
-        self.structures = _orbit_close(structures, self.perms)
+        self.structures, images = _orbit_close(structures, self.perms)
         self.points = [f"M{i}" for i in range(len(self.structures))]
         self._point_index = {m: i for i, m in enumerate(self.structures)}
+        # _images[x][g]: the point perms[g] relabels structure x to
+        self._images = [[self._point_index[image] for image in images[m]]
+                        for m in self.structures]
 
         descriptors = _coset_descriptors(n, k)
         sets: dict[frozenset[int], str] = {}
@@ -275,24 +285,17 @@ class FiniteLogicAction(ActionSystem):
         self.basis = [sets[s] for s in self.basis_sets]
         self._basis_index = {s: i for i, s in enumerate(self.basis_sets)}
         self._label_index = {lab: i for i, lab in enumerate(self.basis)}
-        # image sets of (x, V) as bitmasks over point ids
-        self._img = [[0] * len(self.basis_sets) for _ in range(len(self.structures))]
-        for x, m in enumerate(self.structures):
-            relabeled = [self._point_index[_relabel(m, p)] for p in self.perms]
-            for v, s in enumerate(self.basis_sets):
-                mask = 0
-                for g in s:
-                    mask |= 1 << relabeled[g]
-                self._img[x][v] = mask
 
     def contains(self, w: int, v: int) -> bool:
         return self.basis_sets[w] <= self.basis_sets[v]
 
     def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
-        return self._img[x0][v0] & ~self._img[x1][v1] == 0
+        row0, row1 = self._images[x0], self._images[x1]
+        return ({row0[g] for g in self.basis_sets[v0]}
+                <= {row1[g] for g in self.basis_sets[v1]})
 
     def act(self, g: int, x: int) -> int:
-        return self._point_index[_relabel(self.structures[x], self.perms[g])]
+        return self._images[x][g]
 
     def basis_members(self, v: int) -> frozenset[int]:
         return self.basis_sets[v]
@@ -303,12 +306,10 @@ class FiniteLogicAction(ActionSystem):
                           for h in self.basis_sets[v])
         return self._basis_index[image]
 
-    def cc_table(self):
-        npoints = len(self.structures)
-        if npoints > 64:
-            return None
-        mask = np.array(self._img, dtype=np.uint64)
-        return (mask[:, :, None, None] & ~mask[None, None, :, :]) == 0
+    def image_tensor(self) -> np.ndarray:
+        images = np.array(self._images, dtype=np.intp)
+        return _image_tensor(images.reshape(len(self.structures), len(self.perms)),
+                             self.basis_sets)
 
     def basis_of(self, abar, bbar) -> int:
         """Basis index of the coset descriptor (a, b)."""
@@ -330,17 +331,20 @@ def _all_structures(signature: Signature, n: int) -> list[FinStructure]:
     return out
 
 
-def _orbit_close(structures: list[FinStructure], perms) -> list[FinStructure]:
+def _orbit_close(structures: list[FinStructure], perms):
+    """The orbit closure in discovery order, and every member's relabelings
+    (one per permutation, in order)."""
     seen = dict.fromkeys(structures)
+    images = {}
     queue = list(seen)
     while queue:
         m = queue.pop()
-        for p in perms:
-            image = _relabel(m, p)
+        images[m] = [_relabel(m, p) for p in perms]
+        for image in images[m]:
             if image not in seen:
                 seen[image] = None
                 queue.append(image)
-    return list(seen)
+    return list(seen), images
 
 
 def _relabel(struct: FinStructure, perm) -> FinStructure:

@@ -24,7 +24,6 @@ from .actions import (ALL_SUBSETS, SINGLETONS_PLUS_G, FiniteLogicAction,
                       SymbolicLogicAction, parse_action_file)
 from .common import (Budgets, BudgetError, InvalidBaseRelationError,
                      RankforgeError, UnsupportedOperationError)
-from .oracle import LeqOracle
 from .structures import (FinStructure, Signature, StructureError,
                          SuppStructure, parse_structures_file)
 
@@ -88,6 +87,18 @@ def _parse_sizes(text: str) -> dict[str, int]:
 def _sizes_str(sizes: dict[str, int]) -> str:
     return ",".join(f"{k}<={sizes[k]}" for k in ("g", "x", "n", "s", "k")
                     if k in sizes) or "-"
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _parse_rel(token: str) -> tuple[str, int]:
@@ -189,13 +200,11 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
     out.record(config.record())
     out.text(sysb.describe())
     try:
-        table = hj.leq_table(sysb, max_level=args.max_level)
+        table = hj.leq_table(sysb, max_level=args.max_level, budgets=budgets)
         sysb._leq_table = table
     except InvalidBaseRelationError as exc:
-        x0, v0, x1, v1 = exc.witness
-        witness = (f"(x0={sysb.points[x0]},V0={sysb.basis[v0]},"
-                   f"x1={sysb.points[x1]},V1={sysb.basis[v1]})")
-        out.both(hj.check_record("level_monotonicity", False, witness))
+        out.both(hj.check_record("level_monotonicity", False,
+                                 hj.quad_witness(sysb, *exc.witness)))
         out.flush()
         return EXIT_FAIL
 
@@ -219,28 +228,7 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
 
     failures = 0
     if args.oracle:
-        oracle = LeqOracle(sysb, depth_cap=table.stab + 2)
-        mismatch = None
-        for x0 in range(table.npoints):
-            for v0 in range(table.nbasis):
-                for x1 in range(table.npoints):
-                    for v1 in range(table.nbasis):
-                        for a in range(1, table.stab + 2):
-                            if oracle.query(x0, v0, x1, v1, a) != \
-                                    table.leq(x0, v0, x1, v1, a):
-                                mismatch = (f"(x0={sysb.points[x0]},"
-                                            f"V0={sysb.basis[v0]},"
-                                            f"x1={sysb.points[x1]},"
-                                            f"V1={sysb.basis[v1]})@level={a}")
-                                break
-                        if mismatch:
-                            break
-                    if mismatch:
-                        break
-                if mismatch:
-                    break
-            if mismatch:
-                break
+        mismatch, _ = vf.oracle_mismatch(sysb, table)
         out.both(hj.check_record("leq_oracle_equivalence", mismatch is None,
                                  mismatch))
         failures += mismatch is not None
@@ -347,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", help="report this point only")
     p.add_argument("--basis", choices=(ALL_SUBSETS, SINGLETONS_PLUS_G),
                    help="override the basis spec")
-    p.add_argument("--max-level", type=int, dest="max_level")
+    p.add_argument("--max-level", type=_int_at_least(1), dest="max_level")
     p.add_argument("--dump", action="store_true", help="emit LEQ records")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check every table entry against the naive oracle")
@@ -358,12 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", type=_parse_sizes, default=None,
                    help="caps like g<=8,x<=6,n<=3")
-    p.add_argument("--count", type=int, default=200, help="ensemble size")
+    p.add_argument("--count", type=_int_at_least(1), default=200,
+                   help="ensemble size")
     p.add_argument("--format", choices=("text", "records"), default="text")
 
     p = sub.add_parser("compare", help="back-and-forth vs table levels scan")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-tuple", type=int, default=2, dest="max_tuple")
+    p.add_argument("--n", type=_int_at_least(1), default=2)
+    p.add_argument("--max-tuple", type=_int_at_least(0), default=2, dest="max_tuple")
     p.add_argument("--rel", type=_parse_rel, action="append",
                    help="relation as name:arity (repeatable; default edge:2)")
     p.add_argument("--empty-signature", action="store_true",

@@ -1,10 +1,10 @@
 """The generic level-table engine over abstract action systems.
 
 An :class:`ActionSystem` supplies finitely many points, finitely many basis
-sets with a containment order, an optional closure-refined containment
-(``fine``), and the base relation ``cc`` comparing the closures of
-basis-translate sets.  From that the engine computes the stratified
-non-symmetric relation tables
+sets with a containment order, and the base relation ``cc`` comparing the
+closures of basis-translate sets.  Finite systems also supply an image
+tensor, from which T_1 is one subset test over all pairs.  From that the
+engine computes the stratified non-symmetric relation tables
 
     T_1 = cc
     T_{a+1}(x0,V0,x1,V1)  iff  for all W0 <= V0 there is W1 <= V1
@@ -29,18 +29,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .common import (STAB, BudgetError, InvalidBaseRelationError, RankforgeError,
-                     UnsupportedOperationError)
+from .common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
+                     RankforgeError, UnsupportedOperationError)
 
 
 class ActionSystem:
     """Abstract finite action: points, basis sets, containment and cc.
 
     Subclasses fill in ``points`` and ``basis`` (label lists), ``contains``
-    and ``cc``.  ``fine`` defaults to ``contains``: every shipped basis is
-    clopen, so the closure bar collapses.  Systems backed by an actual group
-    additionally expose ``group`` (labels), ``act``, ``basis_members`` and,
-    when the basis is translation-closed, ``translate``.
+    and ``cc``.  Every shipped basis is clopen, so the closure bar collapses
+    and basis containment is ``contains`` itself.  Systems backed by an
+    actual group additionally expose ``group`` (labels), ``act``,
+    ``basis_members``, ``image_tensor`` and, when the basis is
+    translation-closed, ``translate``.
     """
 
     points: Sequence[str]
@@ -49,9 +50,6 @@ class ActionSystem:
 
     def contains(self, w: int, v: int) -> bool:
         raise NotImplementedError
-
-    def fine(self, w: int, v: int) -> bool:
-        return self.contains(w, v)
 
     def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
         raise NotImplementedError
@@ -69,8 +67,11 @@ class ActionSystem:
     def has_action(self) -> bool:
         return self.group is not None
 
-    # Optional fast path: subclasses may return the full T_1 as a numpy array.
-    def cc_table(self):
+    def image_tensor(self) -> np.ndarray | None:
+        """Boolean ``img[x, V, y]``: basis set V carries point x to point y.
+        cc(x0,V0,x1,V1) is then the image of (x0,V0) inside that of
+        (x1,V1).  Systems without finite images return None and T_1 is
+        built one cc call per entry."""
         return None
 
     def describe(self) -> str:
@@ -102,7 +103,7 @@ class LevelTable:
     """
 
     def __init__(self, sys: ActionSystem, max_level: int | None = None,
-                 table_pairs_budget: int = 6000):
+                 table_pairs_budget: int = Budgets.table_pairs):
         npoints, nbasis = len(sys.points), len(sys.basis)
         if npoints * nbasis > table_pairs_budget:
             raise BudgetError(
@@ -118,8 +119,12 @@ class LevelTable:
         self.sub = sub
         self._subf = sub.astype(np.float32)
 
-        t1 = sys.cc_table()
-        if t1 is None:
+        img = sys.image_tensor()
+        if img is not None:
+            # (x0,V0) <= (x1,V1) iff no y is in the first image but not the second
+            f = img.reshape(npoints * nbasis, npoints).astype(np.float32)
+            t1 = ((f @ (1 - f).T) == 0).reshape(npoints, nbasis, npoints, nbasis)
+        else:
             t1 = np.zeros((npoints, nbasis, npoints, nbasis), dtype=bool)
             for x0 in range(npoints):
                 for v0 in range(nbasis):
@@ -128,6 +133,7 @@ class LevelTable:
                             t1[x0, v0, x1, v1] = sys.cc(x0, v0, x1, v1)
         self.levels: list[np.ndarray] = [t1]
         self.stab: int | None = None
+        self._equiv: dict[int, np.ndarray] = {}
 
         while max_level is None or len(self.levels) < max_level:
             nxt = self._sweep(self.levels[-1])
@@ -149,12 +155,14 @@ class LevelTable:
     def _sweep(self, prev: np.ndarray) -> np.ndarray:
         npoints, nbasis = self.npoints, self.nbasis
         subf = self._subf
+        # float32 operands are temporaries, freed as soon as each product is
+        # thresholded, so at most two of them are alive at once
         # exists[x1,x0,W0,V1]: some W1 <= V1 has prev(x1,W1,x0,W0)
-        per_w1 = prev.transpose(0, 2, 3, 1).reshape(-1, nbasis).astype(np.float32)
-        exists = (per_w1 @ subf).reshape(npoints, npoints, nbasis, nbasis) > 0
+        exists = (prev.transpose(0, 2, 3, 1).reshape(-1, nbasis).astype(np.float32)
+                  @ subf).reshape(npoints, npoints, nbasis, nbasis) > 0
         # fail[x1,x0,V1,V0]: some W0 <= V0 with no such W1
-        missing = (~exists).transpose(0, 1, 3, 2).reshape(-1, nbasis).astype(np.float32)
-        fail = (missing @ subf).reshape(npoints, npoints, nbasis, nbasis) > 0
+        fail = ((~exists).transpose(0, 1, 3, 2).reshape(-1, nbasis).astype(np.float32)
+                @ subf).reshape(npoints, npoints, nbasis, nbasis) > 0
         return (~fail).transpose(1, 3, 0, 2).copy()
 
     @property
@@ -164,18 +172,21 @@ class LevelTable:
     def max_level(self) -> int:
         return len(self.levels)
 
-    def _level_array(self, alpha) -> np.ndarray:
+    def _level_index(self, alpha) -> int:
         if alpha == STAB:
             if not self.stabilized:
                 raise RankforgeError("table not run to stabilization")
-            return self.levels[-1]
+            return len(self.levels) - 1
         if not isinstance(alpha, int) or alpha < 1:
             raise ValueError("levels start at 1 (or pass STAB)")
         if alpha > len(self.levels):
             if not self.stabilized:
                 raise RankforgeError(f"level {alpha} not computed (table truncated)")
-            return self.levels[-1]
-        return self.levels[alpha - 1]
+            return len(self.levels) - 1
+        return alpha - 1
+
+    def _level_array(self, alpha) -> np.ndarray:
+        return self.levels[self._level_index(alpha)]
 
     def leq(self, x0: int, v0: int, x1: int, v1: int, alpha) -> bool:
         for x in (x0, x1):
@@ -186,15 +197,29 @@ class LevelTable:
                 raise IndexError(f"unknown basis index {v}")
         return bool(self._level_array(alpha)[x0, v0, x1, v1])
 
+    def equiv_matrix(self, alpha) -> np.ndarray:
+        """Two-sided coverage of all point pairs at one level, computed once
+        per level: each basis set of one point is matched by some basis set
+        of the other."""
+        index = self._level_index(alpha)
+        eq = self._equiv.get(index)
+        if eq is None:
+            # cover[x0,x1]: every V1 has some V0 with T(x0,V0,x1,V1)
+            cover = self.levels[index].any(axis=1).all(axis=2)
+            eq = cover & cover.T
+            eq.setflags(write=False)
+            self._equiv[index] = eq
+        return eq
+
     def equiv(self, x: int, y: int, alpha) -> bool:
-        t = self._level_array(alpha)
-        return bool(np.all(t[y, :, x, :].any(axis=0))
-                    and np.all(t[x, :, y, :].any(axis=0)))
+        return bool(self.equiv_matrix(alpha)[x, y])
 
 
-def leq_table(sys: ActionSystem, max_level: int | None = None) -> LevelTable:
+def leq_table(sys: ActionSystem, max_level: int | None = None,
+              budgets: Budgets | None = None) -> LevelTable:
     """Compute the level tables to stabilization (or a level bound)."""
-    return LevelTable(sys, max_level=max_level)
+    return LevelTable(sys, max_level=max_level,
+                      table_pairs_budget=(budgets or Budgets()).table_pairs)
 
 
 def _table(sys: ActionSystem) -> LevelTable:
@@ -216,23 +241,15 @@ def equiv_alpha(sys: ActionSystem, x: int, y: int, alpha) -> bool:
     return _table(sys).equiv(x, y, alpha)
 
 
-def _fine_matrix(sys: ActionSystem, nbasis: int) -> np.ndarray:
-    fine = np.zeros((nbasis, nbasis), dtype=bool)
-    for w in range(nbasis):
-        for v in range(nbasis):
-            fine[w, v] = sys.fine(w, v)
-    return fine
-
-
-def _rank_condition(table: LevelTable, fine: np.ndarray, x: int, alpha: int) -> bool:
+def _rank_condition(table: LevelTable, x: int, alpha: int) -> bool:
     """Whether relation steps at x go up for free at level alpha:
     T_alpha(x,V0,x,V1) forces T_{alpha+1}(x,W0,x,W1) whenever W0 shrinks V0
-    and W1 expands V1 through the closure bar."""
+    and W1 expands V1."""
     cur = table._level_array(alpha)[x, :, x, :]
     nxt = table._level_array(alpha + 1)[x, :, x, :]
-    finef = fine.astype(np.float32)
-    reach = (finef @ cur.astype(np.float32)) > 0          # [W0,V1]: some V0
-    reach = (reach.astype(np.float32) @ finef) > 0        # [W0,W1]: some V1
+    subf = table._subf
+    reach = (subf @ cur.astype(np.float32)) > 0           # [W0,V1]: some V0
+    reach = (reach.astype(np.float32) @ subf) > 0         # [W0,W1]: some V1
     return not bool((reach & ~nxt).any())
 
 
@@ -241,9 +258,8 @@ def hjorth_rank(sys: ActionSystem, x: int) -> Rank:
     table = _table(sys)
     if not table.stabilized:
         raise RankforgeError("rank needs a table run to stabilization")
-    fine = _fine_cached(sys)
     for alpha in range(1, table.stab + 1):
-        if _rank_condition(table, fine, x, alpha):
+        if _rank_condition(table, x, alpha):
             return Rank(alpha, table.stab)
     raise RankforgeError(f"no rank level found for point {sys.points[x]} "
                          "(base relation violates set monotonicity)")
@@ -254,17 +270,8 @@ def rank_condition_profile(sys: ActionSystem, x: int) -> set[int]:
     table = _table(sys)
     if not table.stabilized:
         raise RankforgeError("profile needs a table run to stabilization")
-    fine = _fine_cached(sys)
     return {alpha for alpha in range(1, table.stab + 1)
-            if _rank_condition(table, fine, x, alpha)}
-
-
-def _fine_cached(sys: ActionSystem) -> np.ndarray:
-    cached = getattr(sys, "_fine_matrix", None)
-    if cached is None:
-        cached = _fine_matrix(sys, len(sys.basis))
-        sys._fine_matrix = cached
-    return cached
+            if _rank_condition(table, x, alpha)}
 
 
 def orbit_of(sys: ActionSystem, x: int) -> frozenset[int]:
@@ -304,8 +311,7 @@ def minimal_m(sys: ActionSystem, x: int) -> int:
     delta = hjorth_rank(sys, x).value
     orbit = orbit_of(sys, x)
     for m in range(table.stab - delta + 2):
-        cls = frozenset(y for y in range(len(sys.points))
-                        if equiv_alpha(sys, x, y, delta + m))
+        cls = frozenset(np.flatnonzero(table.equiv_matrix(delta + m)[x]).tolist())
         if cls == orbit:
             return m
     raise RankforgeError(f"no finite m for point {sys.points[x]}: stabilized "
@@ -448,6 +454,11 @@ def leq_record(level: int, x0: str, v0: str, x1: str, v1: str, val: bool) -> str
 def rank_record(point: str, delta: int, stab: int, m: int | str | None = None) -> str:
     base = f"RANK point={point} delta={delta} stab={stab}"
     return base if m is None else f"{base} m={m}"
+
+
+def quad_witness(sys: ActionSystem, x0: int, v0: int, x1: int, v1: int) -> str:
+    return (f"(x0={sys.points[x0]},V0={sys.basis[v0]},"
+            f"x1={sys.points[x1]},V1={sys.basis[v1]})")
 
 
 def check_record(name: str, passed: bool, witness: str | None = None) -> str:

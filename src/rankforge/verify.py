@@ -69,11 +69,6 @@ def _fmt_set(sys, points) -> str:
     return "{" + ",".join(sys.points[x] for x in sorted(points)) + "}"
 
 
-def _fmt_quad(sys, x0, v0, x1, v1) -> str:
-    return (f"(x0={sys.points[x0]},V0={sys.basis[v0]},"
-            f"x1={sys.points[x1]},V1={sys.basis[v1]})")
-
-
 # ---------------------------------------------------------------------------
 # Seeded generators
 
@@ -157,9 +152,6 @@ class CorruptedSystem(hj.ActionSystem):
     def contains(self, w, v):
         return self.base.contains(w, v)
 
-    def fine(self, w, v):
-        return self.base.fine(w, v)
-
     def cc(self, x0, v0, x1, v1):
         flip = (x0, v0, x1, v1) == self.quad
         return self.base.cc(x0, v0, x1, v1) != flip
@@ -229,9 +221,28 @@ def _table_or_failure(sys) -> tuple[hj.LevelTable | None, CheckResult | None]:
     try:
         return hj._table(sys), None
     except InvalidBaseRelationError as exc:
-        x0, v0, x1, v1 = exc.witness
         return None, CheckResult("level_monotonicity", False,
-                                 _fmt_quad(sys, x0, v0, x1, v1))
+                                 hj.quad_witness(sys, *exc.witness))
+
+
+def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
+    """First quadruple, in index order, where a stabilized table and the
+    literal recursion disagree at some level up to one past stabilization,
+    and the number of quadruples compared."""
+    levels = list(range(1, table.stab + 2))
+    oc = orc.LeqOracle(sys, depth_cap=table.stab + 2)
+    arrays = [table._level_array(a) for a in levels]
+    quads = 0
+    for x0 in range(table.npoints):
+        for v0 in range(table.nbasis):
+            for x1 in range(table.npoints):
+                for v1 in range(table.nbasis):
+                    quads += 1
+                    for a, arr in zip(levels, arrays):
+                        if oc.query(x0, v0, x1, v1, a) != arr[x0, v0, x1, v1]:
+                            witness = hj.quad_witness(sys, x0, v0, x1, v1)
+                            return f"{witness}@level={a}", quads
+    return None, quads
 
 
 def leq_oracle_check(systems) -> CheckResult:
@@ -243,30 +254,10 @@ def leq_oracle_check(systems) -> CheckResult:
         table, failure = _table_or_failure(sys)
         if failure is not None:
             return failure
-        levels = list(range(1, table.stab + 2))
-        oc = orc.LeqOracle(sys, depth_cap=table.stab + 2)
-        arrays = [np.asarray(table._level_array(a)) for a in levels]
-        npoints, nbasis = table.npoints, table.nbasis
-        for x0 in range(npoints):
-            for v0 in range(nbasis):
-                for x1 in range(npoints):
-                    for v1 in range(nbasis):
-                        quads += 1
-                        for a, arr in zip(levels, arrays):
-                            if oc.query(x0, v0, x1, v1, a) != arr[x0, v0, x1, v1]:
-                                oracle_bad = (f"sys{si}:" +
-                                              _fmt_quad(sys, x0, v0, x1, v1) +
-                                              f"@level={a}")
-                                break
-                        if oracle_bad:
-                            break
-                    if oracle_bad:
-                        break
-                if oracle_bad:
-                    break
-            if oracle_bad:
-                break
-        if oracle_bad:
+        mismatch, compared = oracle_mismatch(sys, table)
+        quads += compared
+        if mismatch:
+            oracle_bad = f"sys{si}:{mismatch}"
             break
     return CheckResult("leq_oracle_equivalence", oracle_bad is None, oracle_bad,
                        {"quadruples": quads})
@@ -333,10 +324,7 @@ def run_lemmas(systems, with_oracle: bool = True) -> VerificationReport:
 
         if equiv_bad is None:
             for a in levels:
-                eq = np.zeros((npoints, npoints), dtype=bool)
-                for x in range(npoints):
-                    for y in range(npoints):
-                        eq[x, y] = table.equiv(x, y, a)
+                eq = table.equiv_matrix(a)
                 if not eq.diagonal().all() or (eq != eq.T).any():
                     equiv_bad = f"sys{si}:level={a}:not reflexive/symmetric"
                     break

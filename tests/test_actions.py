@@ -157,7 +157,6 @@ def test_symbolic_contains_is_graph_extension():
     big = sysb.basis_of((0,), (0,))
     assert sysb.contains(small, big)
     assert not sysb.contains(big, small)
-    assert sysb.fine(small, big) == sysb.contains(small, big)
 
 
 def test_symbolic_budget_and_validation():

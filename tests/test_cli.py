@@ -197,3 +197,26 @@ def test_records_deterministic_across_processes():
     second = run_cli(args, {"PYTHONHASHSEED": "77"})
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_hjorth_table_pairs_budget_env(action_path):
+    # sys1 has 3 points x 3 basis sets = 9 pairs
+    proc = run_cli(["hjorth", action_path, "--format", "records"],
+                   {"RANKFORGE_BUDGET": "table_pairs=2"})
+    assert proc.returncode == 3
+    assert "table budget of 2" in proc.stderr
+    assert "RANK" not in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--max-tuple", "-1"],
+    ["compare", "--n", "0"],
+    ["verify", "lemmas", "--count", "0"],
+    ["verify", "lemmas", "--count", "-3"],
+    ["hjorth", "--max-level", "0"],
+], ids=["max-tuple", "n", "count-zero", "count-negative", "max-level"])
+def test_numeric_flag_out_of_range_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
