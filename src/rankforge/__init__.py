@@ -18,15 +18,14 @@ from .structures import (FinStructure, ParseError, QfType, RangeError,
 from .scott import (ScottRank, ScottTable, distinguishing_level, scott_equiv,
                     scott_iso_check, scott_rank, scott_table)
 from .hjorth import (ActionSystem, LevelTable, Rank, basis_shift_check,
-                     compare_ranks, equiv_alpha, fixed_point_set, hjorth_rank,
-                     leq, leq_table, minimal_m, orbit_check_via_rank,
-                     partition_by_rank, rank_condition_profile,
-                     star_orbit_equivalence_check, vaught_delta, vaught_star)
+                     compare_ranks, fixed_point_set, hjorth_rank, leq_table,
+                     minimal_m, orbit_check_via_rank, partition_by_rank,
+                     rank_condition_profile, star_orbit_equivalence_check,
+                     vaught_delta, vaught_star)
 from .actions import (ALL_SUBSETS, SINGLETONS_PLUS_G, FiniteDiscreteAction,
                       FiniteLogicAction, SymbolicLogicAction,
-                      build_finite_discrete, build_finite_logic,
-                      build_symbolic_logic, encode_action_trace,
-                      parse_action_file, scott_hjorth_comparison)
+                      encode_action_trace, parse_action_file,
+                      scott_hjorth_comparison)
 from .oracle import (LeqOracle, OrbitPartition, ScottOracle, invariant_sets,
                      naive_leq, naive_scott, orbit_partition)
 

@@ -30,12 +30,15 @@ Action file format (line oriented, ``#`` comments)::
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .common import STAB, BudgetError, Budgets, UnsupportedOperationError
-from .hjorth import ActionSystem, leq
+from .hjorth import ActionSystem, LevelTable
 from .scott import scott_equiv
 from .structures import (FinStructure, ParseError, SchemaError, Signature,
                          SuppStructure, thsigma_contains)
@@ -232,9 +235,6 @@ def parse_action_file(text: str, budgets: Budgets | None = None) -> FiniteDiscre
     return FiniteDiscreteAction(size, elements, basis)
 
 
-build_finite_discrete = parse_action_file
-
-
 class FiniteLogicAction(ActionSystem):
     """S_n relabeling structures on universe 0..n-1; basis of materialized
     coset sets for injective tuple pairs up to a length cap."""
@@ -250,9 +250,9 @@ class FiniteLogicAction(ActionSystem):
         self.signature = signature
         self.n = n
         self.k = k
-        self.perms = [tuple(p) for p in itertools.permutations(range(n))]
-        self.group = ["".join(map(str, p)) for p in self.perms]
-        self._perm_index = {p: i for i, p in enumerate(self.perms)}
+        cosets = self._cosets = _coset_basis(n, k)
+        self.perms, self.group = cosets.perms, cosets.group
+        self.basis_sets, self.basis = cosets.sets, cosets.labels
 
         if structures is None:
             total = sum(n ** arity for _, arity in signature.relations)
@@ -273,19 +273,6 @@ class FiniteLogicAction(ActionSystem):
         self._images = [[self._point_index[image] for image in images[m]]
                         for m in self.structures]
 
-        descriptors = _coset_descriptors(n, k)
-        sets: dict[frozenset[int], str] = {}
-        for abar, bbar in descriptors:
-            members = frozenset(i for i, p in enumerate(self.perms)
-                                if all(p[a] == b for a, b in zip(abar, bbar)))
-            label = _coset_label(abar, bbar)
-            if members not in sets:  # extensional dedupe, first descriptor names it
-                sets[members] = label
-        self.basis_sets = list(sets)
-        self.basis = [sets[s] for s in self.basis_sets]
-        self._basis_index = {s: i for i, s in enumerate(self.basis_sets)}
-        self._label_index = {lab: i for i, lab in enumerate(self.basis)}
-
     def contains(self, w: int, v: int) -> bool:
         return self.basis_sets[w] <= self.basis_sets[v]
 
@@ -302,9 +289,9 @@ class FiniteLogicAction(ActionSystem):
 
     def translate(self, v: int, g: int) -> int:
         ginv = _inverse(self.perms[g])
-        image = frozenset(self._perm_index[_compose(self.perms[h], ginv)]
+        image = frozenset(self._cosets.perm_index[_compose(self.perms[h], ginv)]
                           for h in self.basis_sets[v])
-        return self._basis_index[image]
+        return self._cosets.set_index[image]
 
     def image_tensor(self) -> np.ndarray:
         images = np.array(self._images, dtype=np.intp)
@@ -312,10 +299,9 @@ class FiniteLogicAction(ActionSystem):
                              self.basis_sets)
 
     def basis_of(self, abar, bbar) -> int:
-        """Basis index of the coset descriptor (a, b)."""
-        members = frozenset(i for i, p in enumerate(self.perms)
-                            if all(p[a] == b for a, b in zip(abar, bbar)))
-        return self._basis_index[members]
+        """Basis index of the coset descriptor (a, b), of any length; KeyError
+        when its coset set is not in the basis."""
+        return self._cosets.pair_index[frozenset(zip(abar, bbar))]
 
     def point_of(self, struct: FinStructure) -> int:
         return self._point_index[struct]
@@ -363,6 +349,45 @@ def _coset_descriptors(n: int, k: int):
 
 def _coset_label(abar, bbar) -> str:
     return "V[{}->{}]".format("".join(map(str, abar)), "".join(map(str, bbar)))
+
+
+class _CosetBasis(NamedTuple):
+    perms: tuple[tuple[int, ...], ...]
+    group: tuple[str, ...]
+    perm_index: Mapping[tuple[int, ...], int]
+    sets: tuple[frozenset[int], ...]
+    labels: tuple[str, ...]
+    set_index: Mapping[frozenset[int], int]
+    pair_index: Mapping[frozenset[tuple[int, int]], int]
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_basis(n: int, k: int) -> _CosetBasis:
+    """S_n and its coset sets for injective tuple pairs up to length k,
+    computed once per (n, k) and shared read-only by every relabeling
+    system: equal sets are merged and the first descriptor names each.
+    Each set is also indexed by the pairs its descriptors fix; n - 1 pairs
+    force the last one, so the completed pairs are indexed too."""
+    perms = tuple(itertools.permutations(range(n)))
+    set_index: dict[frozenset[int], int] = {}
+    labels: list[str] = []
+    pair_index = {}
+    for abar, bbar in _coset_descriptors(n, k):
+        members = frozenset(i for i, p in enumerate(perms)
+                            if all(p[a] == b for a, b in zip(abar, bbar)))
+        if members not in set_index:
+            set_index[members] = len(labels)
+            labels.append(_coset_label(abar, bbar))
+        pairs = frozenset(zip(abar, bbar))
+        pair_index[pairs] = set_index[members]
+        if len(pairs) == n - 1:
+            (a,) = set(range(n)).difference(abar)
+            (b,) = set(range(n)).difference(bbar)
+            pair_index[pairs | {(a, b)}] = set_index[members]
+    return _CosetBasis(perms, tuple("".join(map(str, p)) for p in perms),
+                       MappingProxyType({p: i for i, p in enumerate(perms)}),
+                       tuple(set_index), tuple(labels),
+                       MappingProxyType(set_index), MappingProxyType(pair_index))
 
 
 class SymbolicLogicAction(ActionSystem):
@@ -458,22 +483,11 @@ def _preimage_classes(m: SuppStructure, abar, bbar, target):
         yield tuple(cbar)
 
 
-def build_finite_logic(signature: Signature, n: int, k: int,
-                       structures: list[FinStructure] | None = None,
-                       budgets: Budgets | None = None) -> FiniteLogicAction:
-    return FiniteLogicAction(signature, n, k, structures, budgets)
-
-
-def build_symbolic_logic(signature: Signature, s: int, k: int,
-                         points: list[SuppStructure],
-                         budgets: Budgets | None = None) -> SymbolicLogicAction:
-    return SymbolicLogicAction(signature, s, k, points, budgets)
-
-
-def scott_hjorth_comparison(sys, m_struct, abar, n_struct, a2bar, bbar) -> bool:
+def scott_hjorth_comparison(table: LevelTable, m_struct, abar, n_struct, a2bar,
+                            bbar) -> bool:
     """Whether the implication 'stabilized back-and-forth equivalence of the
     tuples forces the stabilized table relation between the matching coset
-    pairs' holds on this instance."""
+    pairs' holds on this instance of the table's relabeling system."""
     abar, a2bar, bbar = tuple(abar), tuple(a2bar), tuple(bbar)
     if not (len(abar) == len(a2bar) == len(bbar)):
         raise ValueError("tuple lengths must agree")
@@ -484,8 +498,9 @@ def scott_hjorth_comparison(sys, m_struct, abar, n_struct, a2bar, bbar) -> bool:
             "back-and-forth equivalence is computed on finite structures only")
     if not scott_equiv(m_struct, abar, n_struct, a2bar, STAB):
         return True
-    return leq(sys, sys.point_of(m_struct), sys.basis_of(abar, bbar),
-               sys.point_of(n_struct), sys.basis_of(a2bar, bbar), STAB)
+    sys = table.sys
+    return table.leq(sys.point_of(m_struct), sys.basis_of(abar, bbar),
+                     sys.point_of(n_struct), sys.basis_of(a2bar, bbar), STAB)
 
 
 def encode_action_trace(sys: ActionSystem, x: int) -> tuple[int, ...]:

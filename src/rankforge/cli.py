@@ -109,26 +109,22 @@ def _parse_rel(token: str) -> tuple[str, int]:
 
 
 class Output:
-    """Buffered report writer; everything is emitted once, at the end."""
+    """Report writer: each line is printed as it is produced, so a failure
+    late in a run keeps everything reported before it."""
 
     def __init__(self, fmt: str):
         self.fmt = fmt
-        self.lines: list[str] = []
 
     def record(self, line: str):
         if self.fmt == "records":
-            self.lines.append(line)
+            print(line)
 
     def text(self, line: str):
         if self.fmt == "text":
-            self.lines.append(line)
+            print(line)
 
     def both(self, line: str):
-        self.lines.append(line)
-
-    def flush(self):
-        for line in self.lines:
-            print(line)
+        print(line)
 
 
 def cmd_scott_rank(args, budgets: Budgets) -> int:
@@ -147,7 +143,6 @@ def cmd_scott_rank(args, budgets: Budgets) -> int:
         out.record(hj.rank_record(ident, rank.value, rank.stabilized_at))
         out.text(f"{ident}: rank {rank.value} (levels stabilize at "
                  f"{rank.stabilized_at})")
-    out.flush()
     return EXIT_PASS
 
 
@@ -191,6 +186,10 @@ def _build_system(args, budgets: Budgets):
 def cmd_hjorth(args, budgets: Budgets) -> int:
     out = Output(args.format)
     sysb, ids = _build_system(args, budgets)
+    point_ids = ids or list(sysb.points)
+    if args.point is not None and args.point not in point_ids:
+        print(f"error: unknown point {args.point}", file=sys.stderr)
+        return EXIT_USAGE
     config = RunConfig(command="hjorth", input=args.file or args.structures,
                        logic=args.logic, symbolic=args.symbolic,
                        n=args.n, k=args.k, support=args.support,
@@ -201,16 +200,14 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
     out.text(sysb.describe())
     try:
         table = hj.leq_table(sysb, max_level=args.max_level, budgets=budgets)
-        sysb._leq_table = table
     except InvalidBaseRelationError as exc:
         out.both(hj.check_record("level_monotonicity", False,
                                  hj.quad_witness(sysb, *exc.witness)))
-        out.flush()
         return EXIT_FAIL
 
     if args.dump:
         for level in range(1, table.max_level() + 1):
-            arr = table._level_array(level)
+            arr = table.level(level)
             for x0 in range(table.npoints):
                 for v0 in range(table.nbasis):
                     for x1 in range(table.npoints):
@@ -223,7 +220,6 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
     if not table.stabilized:
         out.both(hj.check_record("stabilization", False,
                                  f"truncated@{table.max_level()}"))
-        out.flush()
         return EXIT_FAIL
 
     failures = 0
@@ -233,24 +229,27 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
                                  mismatch))
         failures += mismatch is not None
 
-    point_ids = ids or list(sysb.points)
-    wanted = range(len(sysb.points))
-    if args.point is not None:
-        if args.point not in point_ids:
-            print(f"error: unknown point {args.point}", file=sys.stderr)
-            return EXIT_USAGE
-        wanted = [point_ids.index(args.point)]
+    wanted = (range(len(sysb.points)) if args.point is None
+              else [point_ids.index(args.point)])
+    no_m = None
     for x in wanted:
-        rank = hj.hjorth_rank(sysb, x)
-        m = hj.minimal_m(sysb, x) if sysb.has_action else "NA"
+        rank = hj.hjorth_rank(table, x)
+        m = "NA"
+        if sysb.has_action:
+            try:
+                m = hj.minimal_m(table, x)
+            except RankforgeError:  # the family is not a basis
+                no_m = no_m or point_ids[x]
         out.record(hj.rank_record(point_ids[x], rank.value, rank.stabilized_at, m))
         out.text(f"point {point_ids[x]}: rank {rank.value}, stab "
                  f"{rank.stabilized_at}, m {m}")
-    for value, block in hj.partition_by_rank(sysb):
+    if no_m is not None:
+        out.both(hj.check_record("minimal_m_finite", False, no_m))
+        failures += 1
+    for value, block in hj.partition_by_rank(table):
         names = ";".join(point_ids[x] for x in sorted(block))
         out.record(f"PART rank={value} points={names}")
         out.text(f"rank {value}: {names}")
-    out.flush()
     return EXIT_FAIL if failures else EXIT_PASS
 
 
@@ -277,7 +276,6 @@ def cmd_verify(args, budgets: Budgets) -> int:
             failed += not check.passed
     out.text(f"{'PASS' if not failed else 'FAIL'} "
              f"({sum(len(r.checks) for r in reports)} checks, {failed} failed)")
-    out.flush()
     return EXIT_FAIL if failed else EXIT_PASS
 
 
@@ -306,7 +304,6 @@ def cmd_compare(args, budgets: Budgets) -> int:
     for (s_level, h_level) in sorted(profile):
         out.record(f"PROFILE {s_level} {h_level} count={profile[(s_level, h_level)]}")
         out.text(f"  {s_level:<12} {h_level:<12} {profile[(s_level, h_level)]}")
-    out.flush()
     return EXIT_FAIL if counterexamples else EXIT_PASS
 
 

@@ -18,8 +18,10 @@ derived from a continuity the supplied cc may lack.
 
 Everything downstream -- the two-sided equivalences, the rank (least level
 where the relation at a point steps up for free modulo shrinking/expanding
-the basis sets), Vaught transforms at finite-discrete scale, fixed-point
-characterizations, rank partitions -- is computed from these tables.
+the basis sets), fixed-point characterizations, rank partitions -- is
+computed from these tables: those functions take the caller's
+:class:`LevelTable` first, and its system is ``table.sys``.  Vaught
+transforms at finite-discrete scale read the action alone.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ class LevelTable:
             return len(self.levels) - 1
         return alpha - 1
 
-    def _level_array(self, alpha) -> np.ndarray:
+    def level(self, alpha) -> np.ndarray:
+        """The table at one level; past stabilization, the stabilized one."""
         return self.levels[self._level_index(alpha)]
 
     def leq(self, x0: int, v0: int, x1: int, v1: int, alpha) -> bool:
@@ -195,7 +198,7 @@ class LevelTable:
         for v in (v0, v1):
             if not 0 <= v < self.nbasis:
                 raise IndexError(f"unknown basis index {v}")
-        return bool(self._level_array(alpha)[x0, v0, x1, v1])
+        return bool(self.level(alpha)[x0, v0, x1, v1])
 
     def equiv_matrix(self, alpha) -> np.ndarray:
         """Two-sided coverage of all point pairs at one level, computed once
@@ -222,52 +225,31 @@ def leq_table(sys: ActionSystem, max_level: int | None = None,
                       table_pairs_budget=(budgets or Budgets()).table_pairs)
 
 
-def _table(sys: ActionSystem) -> LevelTable:
-    cached = getattr(sys, "_leq_table", None)
-    if cached is None:
-        cached = LevelTable(sys)
-        sys._leq_table = cached
-    return cached
-
-
-def leq(sys: ActionSystem, x0: int, v0: int, x1: int, v1: int, alpha) -> bool:
-    """Table lookup; levels past stabilization return the stabilized value."""
-    return _table(sys).leq(x0, v0, x1, v1, alpha)
-
-
-def equiv_alpha(sys: ActionSystem, x: int, y: int, alpha) -> bool:
-    """Two-sided coverage: each basis set of one point is matched by some
-    basis set of the other, at the given level."""
-    return _table(sys).equiv(x, y, alpha)
-
-
 def _rank_condition(table: LevelTable, x: int, alpha: int) -> bool:
     """Whether relation steps at x go up for free at level alpha:
     T_alpha(x,V0,x,V1) forces T_{alpha+1}(x,W0,x,W1) whenever W0 shrinks V0
     and W1 expands V1."""
-    cur = table._level_array(alpha)[x, :, x, :]
-    nxt = table._level_array(alpha + 1)[x, :, x, :]
+    cur = table.level(alpha)[x, :, x, :]
+    nxt = table.level(alpha + 1)[x, :, x, :]
     subf = table._subf
     reach = (subf @ cur.astype(np.float32)) > 0           # [W0,V1]: some V0
     reach = (reach.astype(np.float32) @ subf) > 0         # [W0,W1]: some V1
     return not bool((reach & ~nxt).any())
 
 
-def hjorth_rank(sys: ActionSystem, x: int) -> Rank:
+def hjorth_rank(table: LevelTable, x: int) -> Rank:
     """Least level >= 1 satisfying the step-up condition at x."""
-    table = _table(sys)
     if not table.stabilized:
         raise RankforgeError("rank needs a table run to stabilization")
     for alpha in range(1, table.stab + 1):
         if _rank_condition(table, x, alpha):
             return Rank(alpha, table.stab)
-    raise RankforgeError(f"no rank level found for point {sys.points[x]} "
+    raise RankforgeError(f"no rank level found for point {table.sys.points[x]} "
                          "(base relation violates set monotonicity)")
 
 
-def rank_condition_profile(sys: ActionSystem, x: int) -> set[int]:
+def rank_condition_profile(table: LevelTable, x: int) -> set[int]:
     """All levels <= stab at which the rank condition holds at x."""
-    table = _table(sys)
     if not table.stabilized:
         raise RankforgeError("profile needs a table run to stabilization")
     return {alpha for alpha in range(1, table.stab + 1)
@@ -290,12 +272,13 @@ def orbit_of(sys: ActionSystem, x: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def orbit_check_via_rank(sys: ActionSystem, x: int, y: int,
+def orbit_check_via_rank(table: LevelTable, x: int, y: int,
                          cross_check: bool = False) -> bool:
     """Orbit equivalence decided through the rank: equivalence one level past
     the larger of the two ranks."""
-    delta = max(hjorth_rank(sys, x).value, hjorth_rank(sys, y).value)
-    verdict = equiv_alpha(sys, x, y, delta + 1)
+    sys = table.sys
+    delta = max(hjorth_rank(table, x).value, hjorth_rank(table, y).value)
+    verdict = table.equiv(x, y, delta + 1)
     if cross_check and sys.has_action:
         truth = y in orbit_of(sys, x)
         if truth != verdict:
@@ -305,16 +288,15 @@ def orbit_check_via_rank(sys: ActionSystem, x: int, y: int,
     return verdict
 
 
-def minimal_m(sys: ActionSystem, x: int) -> int:
+def minimal_m(table: LevelTable, x: int) -> int:
     """Least m >= 0 with the level-(rank+m) class of x equal to its orbit."""
-    table = _table(sys)
-    delta = hjorth_rank(sys, x).value
-    orbit = orbit_of(sys, x)
+    delta = hjorth_rank(table, x).value
+    orbit = orbit_of(table.sys, x)
     for m in range(table.stab - delta + 2):
         cls = frozenset(np.flatnonzero(table.equiv_matrix(delta + m)[x]).tolist())
         if cls == orbit:
             return m
-    raise RankforgeError(f"no finite m for point {sys.points[x]}: stabilized "
+    raise RankforgeError(f"no finite m for point {table.sys.points[x]}: stabilized "
                          "equivalence never reaches the orbit")
 
 
@@ -341,13 +323,14 @@ def vaught_delta(sys: ActionSystem, points: Iterable[int], u: int) -> frozenset[
                      if any(sys.act(g, x) in a for g in members))
 
 
-def star_orbit_equivalence_check(sys: ActionSystem, y: int, w: int,
+def star_orbit_equivalence_check(table: LevelTable, y: int, w: int,
                                  x: int, v: int) -> tuple[bool, bool]:
     """Membership of y in the star transform of the V-translate set of x,
     next to the stabilized table value; the two agree on shipped systems."""
+    sys = table.sys
     target = frozenset(sys.act(g, x) for g in _members(sys, v))
     direct = all(sys.act(g, y) in target for g in _members(sys, w))
-    return direct, leq(sys, y, w, x, v, STAB)
+    return direct, table.leq(y, w, x, v, STAB)
 
 
 @dataclass(frozen=True)
@@ -363,7 +346,7 @@ class FixedPointSets:
         return self.direct == self.via_table
 
 
-def fixed_point_set(sys: ActionSystem, u: int) -> FixedPointSets:
+def fixed_point_set(table: LevelTable, u: int) -> FixedPointSets:
     """Points fixed by some element of U, two ways: by direct enumeration and
     as the points carrying a stabilized pair (V, W) with W^-1 V inside U.
 
@@ -371,6 +354,7 @@ def fixed_point_set(sys: ActionSystem, u: int) -> FixedPointSets:
     singleton in the basis it always applies, otherwise the result is marked
     not applicable (the direct set is still exact).
     """
+    sys = table.sys
     if not sys.has_action:
         raise UnsupportedOperationError("fixed points need an exposed action")
     members = _members(sys, u)
@@ -396,7 +380,7 @@ def fixed_point_set(sys: ActionSystem, u: int) -> FixedPointSets:
             if comp[inv[g]][h] not in members:
                 bad |= np.outer(member_of[:, h], member_of[:, g])
     good = ~bad
-    t = _table(sys)._level_array(STAB)
+    t = table.level(STAB)
     via = frozenset(x for x in range(npoints)
                     if bool((t[x, :, x, :] & good).any()))
     return FixedPointSets(direct, via, applicable)
@@ -420,27 +404,27 @@ def _group_tables(sys: ActionSystem):
     return perms, inv, comp
 
 
-def partition_by_rank(sys: ActionSystem) -> list[tuple[int, frozenset[int]]]:
+def partition_by_rank(table: LevelTable) -> list[tuple[int, frozenset[int]]]:
     """Points grouped by rank value, ascending."""
     groups: dict[int, set[int]] = {}
-    for x in range(len(sys.points)):
-        groups.setdefault(hjorth_rank(sys, x).value, set()).add(x)
+    for x in range(table.npoints):
+        groups.setdefault(hjorth_rank(table, x).value, set()).add(x)
     return [(value, frozenset(groups[value])) for value in sorted(groups)]
 
 
-def compare_ranks(sys: ActionSystem, x: int, y: int) -> str:
+def compare_ranks(table: LevelTable, x: int, y: int) -> str:
     """Order comparison of two rank values: '<', '=' or '>'."""
-    dx, dy = hjorth_rank(sys, x).value, hjorth_rank(sys, y).value
+    dx, dy = hjorth_rank(table, x).value, hjorth_rank(table, y).value
     return "<" if dx < dy else (">" if dx > dy else "=")
 
 
-def basis_shift_check(sys: ActionSystem, alt: ActionSystem) -> dict[int, int]:
-    """Per-point absolute rank difference across two bases over the same
-    points and cc semantics."""
-    if list(alt.points) != list(sys.points):
+def basis_shift_check(table: LevelTable, alt: LevelTable) -> dict[int, int]:
+    """Per-point absolute rank difference across the tables of two bases over
+    the same points and cc semantics."""
+    if list(alt.sys.points) != list(table.sys.points):
         raise ValueError("alternate basis must present the same points")
-    return {x: abs(hjorth_rank(sys, x).value - hjorth_rank(alt, x).value)
-            for x in range(len(sys.points))}
+    return {x: abs(hjorth_rank(table, x).value - hjorth_rank(alt, x).value)
+            for x in range(table.npoints)}
 
 
 # ---------------------------------------------------------------------------

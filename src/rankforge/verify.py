@@ -217,12 +217,17 @@ def canonical_edge_representatives(n: int) -> list[FinStructure]:
 # ---------------------------------------------------------------------------
 # Lemma suite
 
-def _table_or_failure(sys) -> tuple[hj.LevelTable | None, CheckResult | None]:
-    try:
-        return hj._table(sys), None
-    except InvalidBaseRelationError as exc:
-        return None, CheckResult("level_monotonicity", False,
-                                 hj.quad_witness(sys, *exc.witness))
+def _build_tables(systems) -> tuple[list[hj.LevelTable], CheckResult | None]:
+    """One table per system, or the failing check of the first system whose
+    base relation makes a level grow."""
+    tables = []
+    for sys in systems:
+        try:
+            tables.append(hj.leq_table(sys))
+        except InvalidBaseRelationError as exc:
+            return tables, CheckResult("level_monotonicity", False,
+                                       hj.quad_witness(sys, *exc.witness))
+    return tables, None
 
 
 def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
@@ -231,7 +236,7 @@ def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
     and the number of quadruples compared."""
     levels = list(range(1, table.stab + 2))
     oc = orc.LeqOracle(sys, depth_cap=table.stab + 2)
-    arrays = [table._level_array(a) for a in levels]
+    arrays = [table.level(a) for a in levels]
     quads = 0
     for x0 in range(table.npoints):
         for v0 in range(table.nbasis):
@@ -245,15 +250,12 @@ def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
     return None, quads
 
 
-def leq_oracle_check(systems) -> CheckResult:
+def leq_oracle_check(systems, tables) -> CheckResult:
     """Engine tables against the literal recursion: every system, every
     quadruple, every level up to one past stabilization.  Exact match."""
     oracle_bad = None
     quads = 0
-    for si, sys in enumerate(systems):
-        table, failure = _table_or_failure(sys)
-        if failure is not None:
-            return failure
+    for si, (sys, table) in enumerate(zip(systems, tables, strict=True)):
         mismatch, compared = oracle_mismatch(sys, table)
         quads += compared
         if mismatch:
@@ -272,34 +274,30 @@ def run_lemmas(systems, with_oracle: bool = True) -> VerificationReport:
     equiv_bad = None
     invsets_bad = None
     invsets_checked = 0
+    tables, failure = _build_tables(systems)
+    if failure is not None:
+        return VerificationReport("lemmas", [failure])
     if with_oracle:
-        oracle_check = leq_oracle_check(systems)
-        if oracle_check.name != "leq_oracle_equivalence":
-            return VerificationReport("lemmas", [oracle_check])
-        checks.append(oracle_check)
-    for si, sys in enumerate(systems):
-        table, failure = _table_or_failure(sys)
-        if failure is not None:
-            checks.append(failure)
-            return VerificationReport("lemmas", checks)
+        checks.append(leq_oracle_check(systems, tables))
+    for si, (sys, table) in enumerate(zip(systems, tables)):
         npoints, nbasis = table.npoints, table.nbasis
         levels = list(range(1, table.stab + 2))
 
         nq = npoints * nbasis
         for a in levels:
-            t = table._level_array(a).reshape(nq, nq)
+            t = table.level(a).reshape(nq, nq)
             tf = t.astype(np.float32)
             viol = ((tf @ tf) > 0) & ~t
             if trans_bad is None and viol.any():
                 i, j = (int(v) for v in np.argwhere(viol)[0])
                 trans_bad = f"sys{si}:level={a}:q0={i},q2={j}"
         for a in range(1, table.stab + 1):
-            nxt = table._level_array(a + 1)
-            if (nxt & ~table._level_array(a)).any():
+            nxt = table.level(a + 1)
+            if (nxt & ~table.level(a)).any():
                 mono_ok = False
         kron = np.kron(np.eye(npoints, dtype=np.float32), table.sub.astype(np.float32))
         for a in levels:
-            t = table._level_array(a).reshape(nq, nq)
+            t = table.level(a).reshape(nq, nq)
             image = ((kron @ t.astype(np.float32) @ kron) > 0) & ~t
             if setmono_bad is None and image.any():
                 i, j = (int(v) for v in np.argwhere(image)[0])
@@ -381,23 +379,22 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
     rankinv_bad = None
     part_bad = None
     cmp_bad = None
-    for si, sys in enumerate(systems):
-        table, failure = _table_or_failure(sys)
-        if failure is not None:
-            checks.append(failure)
-            return VerificationReport("iso", checks)
+    tables, failure = _build_tables(systems)
+    if failure is not None:
+        return VerificationReport("iso", [failure])
+    for si, (sys, table) in enumerate(zip(systems, tables)):
         parts = orc.orbit_partition(sys)
         npoints = len(sys.points)
-        ranks = [hj.hjorth_rank(sys, x).value for x in range(npoints)]
+        ranks = [hj.hjorth_rank(table, x).value for x in range(npoints)]
         for x in range(npoints):
             for y in range(npoints):
                 want = parts.same_orbit(x, y)
-                got = hj.equiv_alpha(sys, x, y, max(ranks[x], ranks[y]) + 1)
+                got = table.equiv(x, y, max(ranks[x], ranks[y]) + 1)
                 if iso_bad is None and want != got:
                     iso_bad = f"sys{si}:({sys.points[x]},{sys.points[y]})"
             if m_bad is None:
                 try:
-                    hj.minimal_m(sys, x)
+                    hj.minimal_m(table, x)
                 except Exception:
                     m_bad = f"sys{si}:{sys.points[x]}"
         if collapse_bad is None:
@@ -406,7 +403,7 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
             else:
                 for x in range(npoints):
                     for y in range(npoints):
-                        if hj.equiv_alpha(sys, x, y, 2) != parts.same_orbit(x, y):
+                        if table.equiv(x, y, 2) != parts.same_orbit(x, y):
                             collapse_bad = f"sys{si}:({sys.points[x]},{sys.points[y]})"
                             break
                     if collapse_bad:
@@ -420,7 +417,7 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
                 if rankinv_bad:
                     break
         if part_bad is None:
-            rank_parts = hj.partition_by_rank(sys)
+            rank_parts = hj.partition_by_rank(table)
             union = frozenset().union(*(p for _, p in rank_parts)) if rank_parts else frozenset()
             if union != frozenset(range(npoints)):
                 part_bad = f"sys{si}:union"
@@ -435,7 +432,7 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
         if cmp_bad is None:
             for x in range(npoints):
                 for y in range(npoints):
-                    c, c2 = hj.compare_ranks(sys, x, y), hj.compare_ranks(sys, y, x)
+                    c, c2 = hj.compare_ranks(table, x, y), hj.compare_ranks(table, y, x)
                     flip = {"<": ">", ">": "<", "=": "="}
                     if c2 != flip[c] or (parts.same_orbit(x, y) and c != "="):
                         cmp_bad = f"sys{si}:({sys.points[x]},{sys.points[y]})"
@@ -614,11 +611,10 @@ def run_vaught(systems, seed: int = 0, draws: int = 200) -> VerificationReport:
              "vaught_complexity_collapse", "vaught_basis_intersection",
              "star_orbit_equivalence", "fixed_point_characterization"]
     bad: dict[str, str | None] = {name: None for name in names}
-    for si, sys in enumerate(systems):
-        _, failure = _table_or_failure(sys)
-        if failure is not None:
-            checks.append(failure)
-            return VerificationReport("vaught", checks)
+    tables, failure = _build_tables(systems)
+    if failure is not None:
+        return VerificationReport("vaught", [failure])
+    for si, (sys, table) in enumerate(zip(systems, tables)):
         rng = random.Random(f"vaught:{seed}:{si}")
         npoints, nbasis = len(sys.points), len(sys.basis)
         whole = frozenset(range(npoints))
@@ -680,7 +676,7 @@ def run_vaught(systems, seed: int = 0, draws: int = 200) -> VerificationReport:
             if bad["star_orbit_equivalence"] is None:
                 y, x = rng.randrange(npoints), rng.randrange(npoints)
                 w, v = rng.randrange(nbasis), rng.randrange(nbasis)
-                direct, via = hj.star_orbit_equivalence_check(sys, y, w, x, v)
+                direct, via = hj.star_orbit_equivalence_check(table, y, w, x, v)
                 if direct != via:
                     bad["star_orbit_equivalence"] = (
                         f"sys{si}:(y={sys.points[y]},W={sys.basis[w]},"
@@ -689,7 +685,7 @@ def run_vaught(systems, seed: int = 0, draws: int = 200) -> VerificationReport:
         if bad["fixed_point_characterization"] is None:
             picks = sorted(rng.sample(range(nbasis), min(4, nbasis)))
             for u in picks:
-                result = hj.fixed_point_set(sys, u)
+                result = hj.fixed_point_set(table, u)
                 if result.applicable and not result.agree:
                     bad["fixed_point_characterization"] = (
                         f"sys{si}:U={sys.basis[u]}:direct={_fmt_set(sys, result.direct)}"
@@ -749,7 +745,7 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
         for (i, j) in sorted(set(by_ij) | set(prof_by_ij)):
             sysp = FiniteLogicAction(signature, n, n,
                                      [structures[i], structures[j]])
-            ptab = hj._table(sysp)
+            ptab = hj.leq_table(sysp)
             pi, pj = sysp.point_of(structures[i]), sysp.point_of(structures[j])
             for t, u in by_ij.get((i, j), ()):
                 for bbar in itertools.permutations(range(n), len(t)):
@@ -860,11 +856,10 @@ def run_basis(systems, seed: int = 0) -> VerificationReport:
     checks = []
     shift_bad = None
     subgroup_bad = None
-    for si, sys in enumerate(systems):
-        _, failure = _table_or_failure(sys)
-        if failure is not None:
-            checks.append(failure)
-            return VerificationReport("basis", checks)
+    tables, failure = _build_tables(systems)
+    if failure is not None:
+        return VerificationReport("basis", [failure])
+    for si, (sys, table) in enumerate(zip(systems, tables)):
         rng = random.Random(f"basis:{seed}:{si}")
         ngroup = len(sys.group)
         singles = [frozenset([g]) for g in range(ngroup)]
@@ -879,7 +874,7 @@ def run_basis(systems, seed: int = 0) -> VerificationReport:
             alt_sets.append(whole)
         alt = sys.with_basis(alt_sets)
         if shift_bad is None:
-            shifts = hj.basis_shift_check(sys, alt)
+            shifts = hj.basis_shift_check(table, hj.leq_table(alt))
             for x, d in shifts.items():
                 if d > 1:
                     shift_bad = f"sys{si}:x={sys.points[x]}:shift={d}"
@@ -892,8 +887,9 @@ def run_basis(systems, seed: int = 0) -> VerificationReport:
             labels = [sys.group[sys.perms.index(p)] for p in sub]
             subsystem = FiniteDiscreteAction(sys.size, list(zip(labels, sub)),
                                              ALL_SUBSETS)
-            max_g = max(hj.hjorth_rank(sys, x).value for x in range(sys.size))
-            max_o = max(hj.hjorth_rank(subsystem, x).value for x in range(sys.size))
+            sub_table = hj.leq_table(subsystem)
+            max_g = max(hj.hjorth_rank(table, x).value for x in range(sys.size))
+            max_o = max(hj.hjorth_rank(sub_table, x).value for x in range(sys.size))
             if max_o > max_g + 1:
                 subgroup_bad = f"sys{si}:O={{{','.join(labels)}}}:{max_o}>{max_g}+1"
     checks.append(CheckResult("basis_shift_bound", shift_bad is None, shift_bad))

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from rankforge import hjorth as hj
 from rankforge import verify as vf
 from rankforge.scott import scott_rank
 
@@ -38,7 +39,7 @@ def systems():
 @pytest.fixture(scope="module")
 def oracle_result(systems):
     start = time.monotonic()
-    check = vf.leq_oracle_check(systems)
+    check = vf.leq_oracle_check(systems, [hj.leq_table(s) for s in systems])
     return check, time.monotonic() - start
 
 

@@ -60,7 +60,7 @@ def test_trivial_group_every_rank_one():
     table = hj.leq_table(trivial)
     assert table.stab == 1
     for x in range(4):
-        assert hj.hjorth_rank(trivial, x).value == 1
+        assert hj.hjorth_rank(table, x).value == 1
     # the single basis set relates exactly equal points
     assert table.leq(0, 0, 0, 0, STAB)
     assert not table.leq(0, 0, 1, 0, STAB)
@@ -83,6 +83,38 @@ def test_finite_logic_action_small():
     vfull = sys3.basis_of((), ())
     x = sys3.point_of(m)
     assert sys3.cc(x, vfull, x, vfull)
+
+
+def test_basis_of_longer_descriptors():
+    empty = [FinStructure(EDGE_SIG, 3)]
+    sys2 = FiniteLogicAction(EDGE_SIG, 3, 2, empty)
+    assert sys2.basis_of((0, 1, 2), (1, 0, 2)) == sys2.basis_of((0, 1), (1, 0))
+    sys1 = FiniteLogicAction(EDGE_SIG, 3, 1, empty)
+    longer = [(a, b) for ln in (2, 3)
+              for a in itertools.permutations(range(3), ln)
+              for b in itertools.permutations(range(3), ln)]
+    assert len(longer) == 72
+    for abar, bbar in longer:
+        with pytest.raises(KeyError):
+            sys1.basis_of(abar, bbar)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in range(n + 1)])
+def test_basis_of_matches_coset_members(n, k):
+    # every injective descriptor on 0..n-1, of every length, against the
+    # permutations it describes
+    sysb = FiniteLogicAction(EDGE_SIG, n, k, [FinStructure(EDGE_SIG, n)])
+    for ln in range(n + 1):
+        for abar in itertools.permutations(range(n), ln):
+            for bbar in itertools.permutations(range(n), ln):
+                members = frozenset(
+                    i for i, p in enumerate(sysb.perms)
+                    if all(p[a] == b for a, b in zip(abar, bbar)))
+                if members in sysb.basis_sets:
+                    assert sysb.basis_sets[sysb.basis_of(abar, bbar)] == members
+                else:
+                    with pytest.raises(KeyError):
+                        sysb.basis_of(abar, bbar)
 
 
 def test_finite_logic_orbit_is_isomorphism():
@@ -170,22 +202,22 @@ def test_symbolic_budget_and_validation():
 
 def test_scott_hjorth_comparison_instances():
     l2 = chain(2)
-    sysl = FiniteLogicAction(ORDER_SIG, 2, 2, [l2])
-    assert scott_hjorth_comparison(sysl, l2, (0,), l2, (0,), (1,))
+    tabl = hj.leq_table(FiniteLogicAction(ORDER_SIG, 2, 2, [l2]))
+    assert scott_hjorth_comparison(tabl, l2, (0,), l2, (0,), (1,))
     # hypothesis false at finite scale: vacuously true
-    sys3 = FiniteLogicAction(ORDER_SIG, 3, 3, [chain(3)])
-    assert scott_hjorth_comparison(sys3, chain(3), (0,), chain(3), (2,), (0,))
+    tab3 = hj.leq_table(FiniteLogicAction(ORDER_SIG, 3, 3, [chain(3)]))
+    assert scott_hjorth_comparison(tab3, chain(3), (0,), chain(3), (2,), (0,))
     with pytest.raises(ValueError):
-        scott_hjorth_comparison(sysl, l2, (0,), l2, (0,), (1, 0))
+        scott_hjorth_comparison(tabl, l2, (0,), l2, (0,), (1, 0))
     with pytest.raises(ValueError):
-        scott_hjorth_comparison(sysl, l2, (0, 1), l2, (0, 1), (1, 1))
+        scott_hjorth_comparison(tabl, l2, (0, 1), l2, (0, 1), (1, 1))
 
 
 def test_scott_hjorth_comparison_rejects_supported_points():
     m1 = SuppStructure(EDGE_SIG, 1)
-    sysb = SymbolicLogicAction(EDGE_SIG, 2, 1, [m1])
+    table = hj.leq_table(SymbolicLogicAction(EDGE_SIG, 2, 1, [m1]), max_level=1)
     with pytest.raises(UnsupportedOperationError):
-        scott_hjorth_comparison(sysb, m1, (), m1, (), ())
+        scott_hjorth_comparison(table, m1, (), m1, (), ())
 
 
 def test_encode_action_trace(sys1):
@@ -212,6 +244,6 @@ def test_trace_needs_action():
 def test_clopen_subgroup_rank_bound(sys1):
     # subgroup {e}: all-subsets basis over the trivial group
     sub = FiniteDiscreteAction(3, [("e", (0, 1, 2))], ALL_SUBSETS)
-    max_g = max(hj.hjorth_rank(sys1, x).value for x in range(3))
-    max_o = max(hj.hjorth_rank(sub, x).value for x in range(3))
+    max_g = max(hj.hjorth_rank(hj.leq_table(sys1), x).value for x in range(3))
+    max_o = max(hj.hjorth_rank(hj.leq_table(sub), x).value for x in range(3))
     assert max_o <= max_g + 1

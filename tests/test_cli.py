@@ -95,6 +95,43 @@ def test_hjorth_dump_and_point(action_path, capsys):
     assert sum(1 for l in out if l.startswith("RANK ")) == 1
 
 
+def test_hjorth_unknown_point_exits_before_any_output(action_path):
+    proc = run_cli(["hjorth", action_path, "--point", "9", "--format", "records"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unknown point 9" in proc.stderr
+
+
+def test_hjorth_non_basis_family_fails_minimal_m(tmp_path, capsys):
+    # {e,r} n {e,r2} = {e} is no union of members: not a basis, so the level
+    # classes never reach the orbit and no point has a finite m
+    p = tmp_path / "c3.act"
+    p.write_text("space size 3\ngroup\nelem e : 0 1 2\nelem r : 1 2 0\n"
+                 "elem r2 : 2 0 1\nend\nbasis sets: {e,r} {e,r2} {e,r,r2}\n")
+    code = main(["hjorth", str(p), "--format", "records"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [l for l in out if l.startswith("RANK ")] == [
+        f"RANK point={x} delta=1 stab=2 m=NA" for x in range(3)]
+    assert "CHECK name=minimal_m_finite verdict=fail witness=0" in out
+    assert out[-1] == "PART rank=1 points=0;1;2"
+
+
+def test_hjorth_logic_records_deterministic_across_processes(tmp_path):
+    p = tmp_path / "structs.txt"
+    p.write_text("signature\nrel edge 2\nend\n"
+                 "structure A size 3\nedge 0 1\nedge 1 2\nend\n"
+                 "structure B size 3\nedge 0 0\nedge 2 1\nend\n"
+                 "structure C size 3\nend\n")
+    args = ["hjorth", "--logic", "--structures", str(p), "--n", "3", "--k", "2",
+            "--oracle", "--format", "records"]
+    first = run_cli(args, {"PYTHONHASHSEED": "1"})
+    second = run_cli(args, {"PYTHONHASHSEED": "77"})
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    assert first.stdout.count("RANK ") == 13  # orbits of sizes 6, 6 and 1
+
+
 def test_hjorth_oracle_flag(action_path, capsys):
     code = main(["hjorth", action_path, "--format", "records", "--oracle"])
     out = capsys.readouterr().out
@@ -206,6 +243,8 @@ def test_hjorth_table_pairs_budget_env(action_path):
     assert proc.returncode == 3
     assert "table budget of 2" in proc.stderr
     assert "RANK" not in proc.stdout
+    # records stream: the CONFIG record printed before the failure stays
+    assert proc.stdout.startswith("CONFIG command=hjorth ")
 
 
 @pytest.mark.parametrize("args", [

@@ -3,16 +3,17 @@ import random
 import numpy as np
 import pytest
 
-from rankforge.actions import ALL_SUBSETS, FiniteDiscreteAction
+from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,
+                               FiniteLogicAction, scott_hjorth_comparison)
 from rankforge.common import (STAB, BudgetError, InvalidBaseRelationError,
                               RankforgeError, UnsupportedOperationError)
 from rankforge import hjorth as hj
 from rankforge.verify import CorruptedSystem
 
-from conftest import make_sys1
+from conftest import EDGE_SIG, make_sys1
 
 
-def test_leq_table_base_level(sys1, basis_index):
+def test_level_table_base_level(sys1, basis_index):
     table = hj.leq_table(sys1)
     bi = basis_index
     assert table.leq(0, bi["{s}"], 1, bi["{e}"], 1)          # {s.0} in {1}
@@ -64,35 +65,38 @@ def test_leq_transitivity_spot(sys1):
 
 
 def test_equiv_alpha(sys1):
+    table = hj.leq_table(sys1)
     for alpha in (1, 2, 3, STAB):
-        assert hj.equiv_alpha(sys1, 0, 1, alpha)
-        assert hj.equiv_alpha(sys1, 2, 2, alpha)
-    assert not hj.equiv_alpha(sys1, 0, 2, 2)
+        assert table.equiv(0, 1, alpha)
+        assert table.equiv(2, 2, alpha)
+    assert not table.equiv(0, 2, 2)
 
 
 def test_hjorth_rank_and_profile(sys1):
+    table = hj.leq_table(sys1)
     for x in range(3):
-        rank = hj.hjorth_rank(sys1, x)
+        rank = hj.hjorth_rank(table, x)
         assert rank.value == 1 and rank.stabilized_at == 1
-    assert hj.rank_condition_profile(sys1, 0) == {1}
-    single = FiniteDiscreteAction(1, [("e", (0,))], ALL_SUBSETS)
+    assert hj.rank_condition_profile(table, 0) == {1}
+    single = hj.leq_table(FiniteDiscreteAction(1, [("e", (0,))], ALL_SUBSETS))
     assert hj.hjorth_rank(single, 0).value == 1
     assert hj.rank_condition_profile(single, 0) == {1}
 
 
 def test_profile_contains_stab(sys1):
-    table = hj._table(sys1)
+    table = hj.leq_table(sys1)
     for x in range(3):
-        assert table.stab in hj.rank_condition_profile(sys1, x)
+        assert table.stab in hj.rank_condition_profile(table, x)
 
 
 def test_orbit_check_and_minimal_m(sys1):
-    assert hj.orbit_check_via_rank(sys1, 0, 1, cross_check=True)
-    assert not hj.orbit_check_via_rank(sys1, 0, 2, cross_check=True)
-    assert hj.orbit_check_via_rank(sys1, 2, 2)
-    assert hj.minimal_m(sys1, 2) in (0, 1)
-    transitive = FiniteDiscreteAction(2, [("e", (0, 1)), ("s", (1, 0))],
-                                      ALL_SUBSETS)
+    table = hj.leq_table(sys1)
+    assert hj.orbit_check_via_rank(table, 0, 1, cross_check=True)
+    assert not hj.orbit_check_via_rank(table, 0, 2, cross_check=True)
+    assert hj.orbit_check_via_rank(table, 2, 2)
+    assert hj.minimal_m(table, 2) in (0, 1)
+    transitive = hj.leq_table(FiniteDiscreteAction(
+        2, [("e", (0, 1)), ("s", (1, 0))], ALL_SUBSETS))
     assert all(hj.minimal_m(transitive, x) == 0 for x in range(2))
 
 
@@ -127,33 +131,38 @@ def test_vaught_needs_action():
 
 def test_star_orbit_equivalence(sys1, basis_index):
     bi = basis_index
-    assert hj.star_orbit_equivalence_check(sys1, 1, bi["{e}"], 0, bi["{s}"]) == \
+    table = hj.leq_table(sys1)
+    assert hj.star_orbit_equivalence_check(table, 1, bi["{e}"], 0, bi["{s}"]) == \
         (True, True)
-    assert hj.star_orbit_equivalence_check(sys1, 2, bi["{e}"], 0, bi["{e,s}"]) == \
+    assert hj.star_orbit_equivalence_check(table, 2, bi["{e}"], 0, bi["{e,s}"]) == \
         (False, False)
-    assert hj.star_orbit_equivalence_check(sys1, 0, bi["{e,s}"], 0, bi["{e,s}"]) == \
+    assert hj.star_orbit_equivalence_check(table, 0, bi["{e,s}"], 0, bi["{e,s}"]) == \
         (True, True)
 
 
 def test_fixed_point_set(sys1, basis_index):
     bi = basis_index
-    result = hj.fixed_point_set(sys1, bi["{s}"])
+    table = hj.leq_table(sys1)
+    result = hj.fixed_point_set(table, bi["{s}"])
     assert result.direct == frozenset({2})
     assert result.applicable and result.agree
-    assert hj.fixed_point_set(sys1, bi["{e}"]).direct == frozenset({0, 1, 2})
+    assert hj.fixed_point_set(table, bi["{e}"]).direct == frozenset({0, 1, 2})
 
 
 def test_partition_and_compare(sys1):
-    assert hj.partition_by_rank(sys1) == [(1, frozenset({0, 1, 2}))]
-    assert hj.compare_ranks(sys1, 0, 2) == "="
-    assert hj.compare_ranks(sys1, 1, 1) == "="
+    table = hj.leq_table(sys1)
+    assert hj.partition_by_rank(table) == [(1, frozenset({0, 1, 2}))]
+    assert hj.compare_ranks(table, 0, 2) == "="
+    assert hj.compare_ranks(table, 1, 1) == "="
 
 
 def test_basis_shift_identical_and_alt(sys1):
-    same = sys1.with_basis(sys1.basis_sets)
-    assert set(hj.basis_shift_check(sys1, same).values()) == {0}
-    alt = sys1.with_basis([frozenset([0]), frozenset([1]), frozenset([0, 1])])
-    assert all(d <= 1 for d in hj.basis_shift_check(sys1, alt).values())
+    table = hj.leq_table(sys1)
+    same = hj.leq_table(sys1.with_basis(sys1.basis_sets))
+    assert set(hj.basis_shift_check(table, same).values()) == {0}
+    alt = hj.leq_table(sys1.with_basis([frozenset([0]), frozenset([1]),
+                                        frozenset([0, 1])]))
+    assert all(d <= 1 for d in hj.basis_shift_check(table, alt).values())
 
 
 def test_invalid_base_relation_aborts(sys1):
@@ -182,21 +191,46 @@ def test_deep_stabilization_on_non_basis_family():
                     for a in range(1, table.stab + 2):
                         assert oracle.query(x0, v0, x1, v1, a) == \
                             table.leq(x0, v0, x1, v1, a)
-    assert [hj.hjorth_rank(sysb, x).value for x in range(3)] == [1, 1, 1]
-    assert hj.rank_condition_profile(sysb, 0) == {1, 2}
+    assert [hj.hjorth_rank(table, x).value for x in range(3)] == [1, 1, 1]
+    assert hj.rank_condition_profile(table, 0) == {1, 2}
     # the transitive orbit is never recovered by the level equivalences here
     with pytest.raises(RankforgeError):
-        hj.minimal_m(sysb, 0)
+        hj.minimal_m(table, 0)
 
 
 def test_rank_requires_stabilized_table():
-    sys = make_sys1()
-    sys._leq_table = hj.leq_table(sys, max_level=1)  # truncated before a sweep
-    assert not sys._leq_table.stabilized
+    truncated = hj.leq_table(make_sys1(), max_level=1)  # before a sweep
+    assert not truncated.stabilized
     with pytest.raises(RankforgeError):
-        hj.hjorth_rank(sys, 0)
+        hj.hjorth_rank(truncated, 0)
     with pytest.raises(RankforgeError):
-        hj.rank_condition_profile(sys, 0)
+        hj.rank_condition_profile(truncated, 0)
+
+
+@pytest.mark.parametrize("make", [
+    make_sys1,
+    lambda: FiniteLogicAction(EDGE_SIG, 2, 2),
+], ids=["sys1", "logic"])
+def test_table_functions_store_nothing_on_the_system(make):
+    sys = make()
+    before = dict(vars(sys))
+    table = hj.leq_table(sys)
+    npoints, nbasis = len(sys.points), len(sys.basis)
+    for x in range(npoints):
+        hj.hjorth_rank(table, x)
+        hj.rank_condition_profile(table, x)
+        hj.minimal_m(table, x)
+        hj.orbit_check_via_rank(table, x, 0, cross_check=True)
+        hj.compare_ranks(table, x, 0)
+        hj.star_orbit_equivalence_check(table, x, 0, 0, nbasis - 1)
+    hj.partition_by_rank(table)
+    hj.basis_shift_check(table, hj.leq_table(make()))
+    for u in range(nbasis):
+        hj.fixed_point_set(table, u)
+    if isinstance(sys, FiniteLogicAction):
+        m = sys.structures[0]
+        scott_hjorth_comparison(table, m, (0,), m, (0,), (1,))
+    assert vars(sys) == before
 
 
 def test_table_budget():
@@ -216,7 +250,7 @@ def test_records_format():
 
 
 def test_translation_invariance_all_levels(sys1):
-    table = hj._table(sys1)
+    table = hj.leq_table(sys1)
     for alpha in (1, 2, STAB):
         for g in range(2):
             for x in range(3):
@@ -226,7 +260,7 @@ def test_translation_invariance_all_levels(sys1):
 
 
 def test_level_arrays_monotone(sys1):
-    table = hj._table(sys1)
+    table = hj.leq_table(sys1)
     for k in range(len(table.levels) - 1):
         assert not (table.levels[k + 1] & ~table.levels[k]).any()
     assert isinstance(table.levels[0], np.ndarray)

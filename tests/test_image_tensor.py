@@ -30,7 +30,7 @@ def per_entry_t1(sys) -> np.ndarray:
 
 
 def pairwise_equiv(table: hj.LevelTable, alpha) -> np.ndarray:
-    t = table._level_array(alpha)
+    t = table.level(alpha)
     eq = np.zeros((table.npoints, table.npoints), dtype=bool)
     for x, y in itertools.product(range(table.npoints), repeat=2):
         eq[x, y] = (t[y, :, x, :].any(axis=0).all()
@@ -88,7 +88,7 @@ def test_equiv_matrix_every_level(sysb):
         assert np.array_equal(eq, pairwise_equiv(table, alpha))
         assert table.equiv_matrix(alpha) is eq  # computed once per level
         for x, y in itertools.product(range(table.npoints), repeat=2):
-            assert hj.equiv_alpha(sysb, x, y, alpha) == eq[x, y]
+            assert table.equiv(x, y, alpha) == eq[x, y]
 
 
 def test_equiv_matrix_one_sided_cover():
