@@ -131,11 +131,15 @@ def cmd_scott_rank(args, budgets: Budgets) -> int:
     out = Output(args.format)
     with open(args.file, encoding="utf-8") as handle:
         _, structures = parse_structures_file(handle.read())
+    if not structures:
+        raise RankforgeError("structure file holds no structures")
+    if args.structure is not None:
+        if args.structure not in structures:
+            raise RankforgeError(f"no structure {args.structure} in {args.file}")
+        structures = {args.structure: structures[args.structure]}
     config = RunConfig(command="scott-rank", input=args.file, format=args.format)
     out.record(config.record())
     for ident, struct in structures.items():
-        if args.structure and ident != args.structure:
-            continue
         if not isinstance(struct, FinStructure):
             print(f"error: {ident} is not a finite structure", file=sys.stderr)
             return EXIT_USAGE

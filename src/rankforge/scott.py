@@ -15,12 +15,15 @@ level and is addressed by the STAB sentinel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .common import STAB
-from .structures import FinStructure, RangeError, _qf_key
+from .structures import FinStructure, RangeError
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,13 @@ def _reduce(tup: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class ScottTable:
-    """Stratified partitions of (structure, tuple) pairs for one family."""
+    """Stratified partitions of (structure, tuple) pairs for one family.
+
+    Items are the injective tuples of each structure in family order, each
+    structure's tuples in ``injective_tuples`` order.  Level alpha is an int
+    array over the items; colours are numbered by first occurrence in item
+    order, so ``blocks`` lists classes in the order their first item appears.
+    """
 
     def __init__(self, family: Sequence[FinStructure]):
         family = tuple(family)
@@ -64,31 +73,36 @@ class ScottTable:
         if any(m.signature != signature for m in family):
             raise ValueError("family mixes signatures")
         self.family = family
-        self._items: list[tuple[int, tuple[int, ...]]] = []
-        for i, struct in enumerate(family):
-            self._items.extend((i, t) for t in _injective_tuples(struct.size))
+        width = max(m.size for m in family)
+        self._offsets: list[int] = []
+        keys, children = [], []
+        offset = 0
+        for struct in family:
+            carrier = _carrier(struct.size)
+            self._offsets.append(offset)
+            keys.append(_qf_rows(struct, width))
+            kids = np.where(carrier.children < 0, -1, carrier.children + offset)
+            pad = np.repeat(kids[:, :1], width - struct.size, axis=1)
+            children.append(np.hstack((kids, pad)))
+            offset += len(carrier.tuples)
+        children = np.vstack(children)
 
-        # Level-0 colors are quantifier-free type keys, hash-consed to ints.
-        colors: dict[tuple[int, tuple[int, ...]], int] = {}
-        table: dict[tuple, int] = {}
-        for i, t in self._items:
-            key = _qf_key(family[i], t)
-            colors[(i, t)] = table.setdefault(key, len(table))
+        # Level 0: the quantifier-free type row [length, atom truths...].
+        colors, count = _number(np.vstack(keys))
         self._levels = [colors]
-
         while True:
-            prev = self._levels[-1]
-            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-            table = {}
-            for i, t in self._items:
-                used = set(t)
-                sig = frozenset(prev[(i, t + (e,))]
-                                for e in range(family[i].size) if e not in used)
-                key = (prev[(i, t)], sig)
-                nxt[(i, t)] = table.setdefault(key, len(table))
-            if len(table) == len(set(prev.values())):
+            # Level alpha + 1: own colour plus the *set* of child colours.
+            # Sorting, turning repeats into the row's first value and sorting
+            # again gives one row per set; -1 marks "no extension".
+            sig = np.append(colors, -1)[children]
+            sig.sort(axis=1)
+            sig[:, 1:] = np.where(sig[:, 1:] == sig[:, :-1], sig[:, :1], sig[:, 1:])
+            sig.sort(axis=1)
+            nxt, new_count = _number(np.column_stack((colors, sig)))
+            if new_count == count:
                 break  # refinement added nothing: previous level is stable
             self._levels.append(nxt)
+            colors, count = nxt, new_count
 
         self.stab = len(self._levels) - 1
 
@@ -97,6 +111,13 @@ class ScottTable:
         """Number of stored levels (0 .. stab)."""
         return len(self._levels)
 
+    def _level(self, alpha) -> np.ndarray:
+        if alpha == STAB:
+            return self._levels[self.stab]
+        if alpha < 0:
+            raise ValueError("levels start at 0")
+        return self._levels[min(alpha, self.stab)]
+
     def class_of(self, i: int, tup: Sequence[int], alpha) -> tuple:
         """Class token of a tuple at a level; tokens compare across the family."""
         tup = tuple(tup)
@@ -104,12 +125,9 @@ class ScottTable:
         for e in tup:
             if not 0 <= e < size:
                 raise RangeError(f"element {e} outside universe of size {size}")
-        if alpha == STAB:
-            alpha = self.stab
-        elif alpha < 0:
-            raise ValueError("levels start at 0")
+        colors = self._level(alpha)
         pattern, core = _reduce(tup)
-        return (pattern, self._levels[min(alpha, self.stab)][(i, core)])
+        return (pattern, int(colors[self._offsets[i] + _carrier(size).index[core]]))
 
     def equivalent(self, i: int, t: Sequence[int], j: int, u: Sequence[int],
                    alpha) -> bool:
@@ -120,28 +138,88 @@ class ScottTable:
 
     def blocks(self, alpha) -> list[list[tuple[int, tuple[int, ...]]]]:
         """Partition of the injective carrier at a level, canonically ordered."""
-        if alpha == STAB:
-            alpha = self.stab
-        colors = self._levels[min(alpha, self.stab)]
-        out: dict[int, list] = {}
-        for item in self._items:
-            out.setdefault(colors[item], []).append(item)
-        return [out[c] for c in sorted(out)]
+        colors = self._level(alpha).tolist()
+        out: list[list] = [[] for _ in range(max(colors) + 1)]
+        items = ((i, t) for i, m in enumerate(self.family)
+                 for t in injective_tuples(m.size))
+        for item, color in zip(items, colors):
+            out[color].append(item)
+        return out
 
 
-def _injective_tuples(size: int) -> list[tuple[int, ...]]:
-    tuples = [()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            used = set(t)
-            for e in range(size):
-                if e not in used:
-                    nxt.append(t + (e,))
-        tuples.extend(nxt)
-        frontier = nxt
-    return tuples
+def _number(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Colour each row by the first occurrence of an equal row."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    ids: dict[bytes, int] = {}
+    colors = [ids.setdefault(row, len(ids)) for row in rows.tolist()]
+    return np.array(colors, dtype=np.int32), len(ids)
+
+
+@lru_cache(maxsize=None)
+def injective_tuples(size: int) -> tuple[tuple[int, ...], ...]:
+    """Injective tuples over 0..size-1, by length, then lexicographically."""
+    return tuple(t for length in range(size + 1)
+                 for t in itertools.permutations(range(size), length))
+
+
+class _Carrier:
+    """The injective tuples of one universe size, shared by every table.
+
+    ``children[k]`` holds the indices of the one-element extensions of tuple
+    k, padded with its first child; full-length tuples have a row of -1.
+    """
+
+    __slots__ = ("tuples", "index", "lengths", "children")
+
+    def __init__(self, size: int):
+        self.tuples = injective_tuples(size)
+        self.index = {t: k for k, t in enumerate(self.tuples)}
+        self.lengths = np.array([len(t) for t in self.tuples], dtype=np.int8)
+        self.children = np.full((len(self.tuples), size), -1, dtype=np.int32)
+        for k, t in enumerate(self.tuples):
+            kids = [self.index[t + (e,)] for e in range(size) if e not in t]
+            if kids:
+                self.children[k] = kids + kids[:1] * (size - len(kids))
+
+
+_carrier = lru_cache(maxsize=None)(_Carrier)
+
+
+@lru_cache(maxsize=None)
+def _positions(size: int, arity: int) -> np.ndarray:
+    """items x size**arity: flat index into a size**arity relation array of
+    the item's entries at each position vector over its own length, in
+    lexicographic position order; later columns hold the index size**arity."""
+    carrier = _carrier(size)
+    out = np.full((len(carrier.tuples), size ** arity), size ** arity, dtype=np.int32)
+    strides = size ** np.arange(arity - 1, -1, -1)
+    for length in range(1, size + 1):
+        rows = np.flatnonzero(carrier.lengths == length)
+        entries = np.array([carrier.tuples[k] for k in rows])
+        vectors = np.array(list(itertools.product(range(length), repeat=arity)))
+        out[rows, :length ** arity] = entries[:, vectors] @ strides
+    return out
+
+
+def _qf_rows(struct: FinStructure, width: int) -> np.ndarray:
+    """Level-0 key rows of a structure's items: [length, atom truths...].
+
+    Each relation of arity r takes width**r columns (width is the largest
+    universe in the family), so equal types give equal rows across sizes.
+    """
+    size = struct.size
+    columns = [_carrier(size).lengths[:, None]]
+    for name, arity in struct.signature.relations:
+        truth = np.zeros(size ** arity + 1, dtype=np.int8)
+        args = [a for rel, a in struct.facts if rel == name]
+        if args:
+            truth[np.ravel_multi_index(tuple(np.array(args).T), (size,) * arity)] = 1
+        pos = _positions(size, arity)
+        pad = np.full((len(pos), width ** arity - size ** arity), size ** arity,
+                      dtype=np.int32)
+        columns.append(truth[np.hstack((pos, pad))])
+    return np.hstack(columns)
 
 
 @lru_cache(maxsize=64)

@@ -366,31 +366,30 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 def parse_structures_file(text: str) -> tuple[Signature, dict[str, Structure]]:
     """Parse a structure file: one signature block, then structure blocks."""
-    tokens = list(_tokenize(text))
-    pos = 0
-    if pos >= len(tokens) or tokens[pos][1] != ["signature"]:
-        lineno = tokens[pos][0] if pos < len(tokens) else 1
-        raise ParseError("expected 'signature'", lineno)
-    pos += 1
+    # Lines are consumed as they are tokenized: a list of every token would be
+    # the largest object of a parse, several times the parsed structures.
+    tokens = _tokenize(text)
+    first, words = next(tokens, (1, None))
+    if words != ["signature"]:
+        raise ParseError("expected 'signature'", first)
     relations: list[tuple[str, int]] = []
-    while pos < len(tokens) and tokens[pos][1] != ["end"]:
-        lineno, words = tokens[pos]
+    lineno = first
+    for lineno, words in tokens:
+        if words == ["end"]:
+            break
         if words[0] != "rel" or len(words) != 3:
             raise ParseError("expected 'rel <name> <arity>' or 'end'", lineno)
         arity = _parse_int(words[2], lineno, "arity")
         relations.append((words[1], arity))
-        pos += 1
-    if pos >= len(tokens):
-        raise ParseError("unterminated signature block", tokens[-1][0])
-    pos += 1
+    else:
+        raise ParseError("unterminated signature block", lineno)
     try:
         signature = Signature(tuple(relations))
     except SchemaError as exc:
-        raise SchemaError(str(exc), tokens[0][0]) from None
+        raise SchemaError(str(exc), first) from None
 
     structures: dict[str, Structure] = {}
-    while pos < len(tokens):
-        lineno, words = tokens[pos]
+    for lineno, words in tokens:
         if len(words) == 4 and words[0] in ("structure", "supported"):
             kind, ident, sizeword, bound_tok = words
             expect = "size" if kind == "structure" else "support"
@@ -401,10 +400,10 @@ def parse_structures_file(text: str) -> tuple[Signature, dict[str, Structure]]:
             raise ParseError("expected a structure or supported header", lineno)
         if ident in structures:
             raise ParseError(f"duplicate structure id {ident}", lineno)
-        pos += 1
         facts: set[Fact] = set()
-        while pos < len(tokens) and tokens[pos][1] != ["end"]:
-            flineno, fwords = tokens[pos]
+        for flineno, fwords in tokens:
+            if fwords == ["end"]:
+                break
             name, args = fwords[0], fwords[1:]
             try:
                 arity = signature.arity(name)
@@ -418,10 +417,8 @@ def parse_structures_file(text: str) -> tuple[Signature, dict[str, Structure]]:
                 if not 0 <= e < bound:
                     raise RangeError(f"element {e} outside 0..{bound - 1}", flineno)
             facts.add((name, entries))
-            pos += 1
-        if pos >= len(tokens):
+        else:
             raise ParseError("unterminated structure block", lineno)
-        pos += 1
         if kind == "structure":
             structures[ident] = FinStructure(signature, bound, frozenset(facts))
         else:

@@ -466,7 +466,7 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
     bad = None
     small = [m for n in (1, 2) for m in all_edge_structures(n)]
     table = sc.scott_table(small)
-    items = [(i, t) for i, m in enumerate(small) for t in sc._injective_tuples(m.size)]
+    items = [(i, t) for i, m in enumerate(small) for t in sc.injective_tuples(m.size)]
     oracles = {}
     for (i, t), (j, u) in itertools.combinations(items, 2):
         if len(t) != len(u):
@@ -495,7 +495,7 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
     samples = []
     by_len: dict[int, list] = {}
     for i, m in enumerate(family):
-        for t in sc._injective_tuples(m.size):
+        for t in sc.injective_tuples(m.size):
             by_len.setdefault(len(t), []).append((i, t))
     for _ in range(400):
         bucket = by_len[rng.choice(sorted(by_len))]

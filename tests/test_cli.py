@@ -76,6 +76,27 @@ def test_scott_rank_malformed_exits_2(tmp_path, capsys):
     assert "RANK" not in out
 
 
+def test_scott_rank_without_structures_exits_2(tmp_path, capsys):
+    p = tmp_path / "empty.txt"
+    p.write_text("signature\nrel edge 2\nend\n")
+    code = main(["scott-rank", str(p), "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no structures" in captured.err
+
+
+def test_scott_rank_unknown_structure_exits_2(struct_path, capsys):
+    code = main(["scott-rank", struct_path, "--structure", "L9", "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "L9" in captured.err
+    assert main(["scott-rank", struct_path, "--structure", "L2",
+                 "--format", "records"]) == 0
+    assert "RANK point=L2 delta=1 stab=1" in capsys.readouterr().out
+
+
 def test_hjorth_records(action_path, capsys):
     code = main(["hjorth", action_path, "--format", "records"])
     out = capsys.readouterr().out
