@@ -1,6 +1,9 @@
 """Concrete action systems.
 
-Three instantiations of the abstract interface:
+Three instantiations of the abstract interface.  The two finite ones are
+instances of one finite permutation action, :class:`_PermutationAction`,
+which holds the image table, containment, cc, the image tensor, the group
+law and translation; each adds only how its points and basis are built.
 
 * :class:`FiniteDiscreteAction` -- a finite permutation group acting on a
   finite set, both discrete.  Closures are identities, so the base relation
@@ -33,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,13 +44,90 @@ from .common import STAB, BudgetError, Budgets, UnsupportedOperationError
 from .hjorth import ActionSystem, LevelTable
 from .scott import scott_equiv
 from .structures import (FinStructure, ParseError, SchemaError, Signature,
-                         SuppStructure, thsigma_contains)
+                         SuppStructure, permute_structure, thsigma_contains)
 
 ALL_SUBSETS = "all-subsets"
 SINGLETONS_PLUS_G = "singletons+G"
 
 
-class FiniteDiscreteAction(ActionSystem):
+class _PermutationAction(ActionSystem):
+    """A finite group acting on finitely many points by permutations, with a
+    basis of subsets of the group: every fact of such an action, once.
+
+    Subclasses set ``points``, ``group`` (labels), ``perms`` (a faithful
+    representation by permutations of 0..m-1), ``basis_sets``, ``basis``
+    (labels) and ``_images[x][g]``, the point perms[g] carries x to.  The
+    translate sets behind ``cc`` and the translate table are built on first
+    use: most systems are built for their image tensor alone.
+    """
+
+    perms: Sequence[tuple[int, ...]]
+    basis_sets: Sequence[frozenset[int]]
+    _images: Sequence[Sequence[int]]
+
+    def contains(self, w: int, v: int) -> bool:
+        return self.basis_sets[w] <= self.basis_sets[v]
+
+    def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
+        return self._vx[x0][v0] <= self._vx[x1][v1]
+
+    @functools.cached_property
+    def _vx(self) -> list[list[frozenset[int]]]:
+        # translate-set of (x, V): which points V carries x to
+        return [[frozenset(row[g] for g in s) for s in self.basis_sets]
+                for row in self._images]
+
+    def act(self, g: int, x: int) -> int:
+        return self._images[x][g]
+
+    def basis_members(self, v: int) -> frozenset[int]:
+        return self.basis_sets[v]
+
+    def image_tensor(self) -> np.ndarray:
+        """One scatter from the image table and the basis x group membership
+        matrix."""
+        npoints, ngroup = len(self._images), len(self.perms)
+        images = np.array(self._images, dtype=np.intp).reshape(npoints, ngroup)
+        members = np.zeros((len(self.basis_sets), ngroup), dtype=bool)
+        for v, s in enumerate(self.basis_sets):
+            members[v, list(s)] = True
+        vs, gs = np.nonzero(members)
+        img = np.zeros((npoints, len(self.basis_sets), npoints), dtype=bool)
+        img[np.arange(npoints)[:, None], vs, images[:, gs]] = True
+        return img
+
+    def group_law(self) -> tuple[list[int], list[list[int]]]:
+        index = {p: i for i, p in enumerate(self.perms)}
+        inverse = [index[_inverse(p)] for p in self.perms]
+        compose = [[index[_compose(p, q)] for q in self.perms] for p in self.perms]
+        return inverse, compose
+
+    @functools.cached_property
+    def _translates(self) -> list[list[int]] | None:
+        # _translates[v][g]: the basis index of V g^-1; None when some
+        # translate leaves the basis
+        inverse, compose = self.group_law()
+        index = {s: v for v, s in enumerate(self.basis_sets)}
+        table = []
+        for s in self.basis_sets:
+            row = [index.get(frozenset(compose[h][ginv] for h in s))
+                   for ginv in inverse]
+            if None in row:
+                return None
+            table.append(row)
+        return table
+
+    @property
+    def translation_closed(self) -> bool:
+        return self._translates is not None
+
+    def translate(self, v: int, g: int) -> int:
+        if self._translates is None:
+            raise UnsupportedOperationError("basis is not closed under translation")
+        return self._translates[v][g]
+
+
+class FiniteDiscreteAction(_PermutationAction):
     """A faithful finite permutation action with an explicit basis of subsets."""
 
     def __init__(self, size: int, elements: list[tuple[str, tuple[int, ...]]],
@@ -58,7 +138,7 @@ class FiniteDiscreteAction(ActionSystem):
         self.group = labels
         self.perms = [perm for _, perm in elements]
         _validate_group(size, labels, self.perms)
-        self._perm_index = {perm: i for i, perm in enumerate(self.perms)}
+        self._images = list(zip(*self.perms))
 
         if basis_sets == ALL_SUBSETS:
             masks = sorted(range(1, 1 << len(self.perms)),
@@ -79,62 +159,11 @@ class FiniteDiscreteAction(ActionSystem):
         self.basis_sets = sets
         self.basis = ["{" + ",".join(labels[i] for i in sorted(s)) + "}"
                       for s in sets]
-        self._basis_index = {s: i for i, s in enumerate(sets)}
-        # translate-set of (x, V): which points V carries x to
-        self._vx = [[frozenset(self.perms[g][x] for g in s) for s in sets]
-                    for x in range(size)]
-        self._translation_closed = self._check_translation_closed()
-
-    def _check_translation_closed(self) -> bool:
-        for s in self.basis_sets:
-            for g in range(len(self.perms)):
-                ginv = _inverse(self.perms[g])
-                image = frozenset(self._perm_index[_compose(self.perms[h], ginv)]
-                                  for h in s)
-                if image not in self._basis_index:
-                    return False
-        return True
-
-    def contains(self, w: int, v: int) -> bool:
-        return self.basis_sets[w] <= self.basis_sets[v]
-
-    def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
-        return self._vx[x0][v0] <= self._vx[x1][v1]
-
-    def image_tensor(self) -> np.ndarray:
-        return _image_tensor(np.array(self.perms).T, self.basis_sets)
-
-    def act(self, g: int, x: int) -> int:
-        return self.perms[g][x]
-
-    def basis_members(self, v: int) -> frozenset[int]:
-        return self.basis_sets[v]
-
-    def translate(self, v: int, g: int) -> int:
-        if not self._translation_closed:
-            raise UnsupportedOperationError("basis is not closed under translation")
-        ginv = _inverse(self.perms[g])
-        image = frozenset(self._perm_index[_compose(self.perms[h], ginv)]
-                          for h in self.basis_sets[v])
-        return self._basis_index[image]
 
     def with_basis(self, basis_sets) -> "FiniteDiscreteAction":
         """Same points and group (hence same cc semantics), another basis."""
         return FiniteDiscreteAction(self.size, list(zip(self.group, self.perms)),
                                     basis_sets)
-
-
-def _image_tensor(images: np.ndarray, basis_sets) -> np.ndarray:
-    """img[x, V, y] from images[x, g], the point g carries x to, and the
-    basis x group membership matrix."""
-    npoints, ngroup = images.shape
-    members = np.zeros((len(basis_sets), ngroup), dtype=bool)
-    for v, s in enumerate(basis_sets):
-        members[v, list(s)] = True
-    vs, gs = np.nonzero(members)
-    img = np.zeros((npoints, len(basis_sets), npoints), dtype=bool)
-    img[np.arange(npoints)[:, None], vs, images[:, gs]] = True
-    return img
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -235,7 +264,7 @@ def parse_action_file(text: str, budgets: Budgets | None = None) -> FiniteDiscre
     return FiniteDiscreteAction(size, elements, basis)
 
 
-class FiniteLogicAction(ActionSystem):
+class FiniteLogicAction(_PermutationAction):
     """S_n relabeling structures on universe 0..n-1; basis of materialized
     coset sets for injective tuple pairs up to a length cap."""
 
@@ -273,31 +302,6 @@ class FiniteLogicAction(ActionSystem):
         self._images = [[self._point_index[image] for image in images[m]]
                         for m in self.structures]
 
-    def contains(self, w: int, v: int) -> bool:
-        return self.basis_sets[w] <= self.basis_sets[v]
-
-    def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
-        row0, row1 = self._images[x0], self._images[x1]
-        return ({row0[g] for g in self.basis_sets[v0]}
-                <= {row1[g] for g in self.basis_sets[v1]})
-
-    def act(self, g: int, x: int) -> int:
-        return self._images[x][g]
-
-    def basis_members(self, v: int) -> frozenset[int]:
-        return self.basis_sets[v]
-
-    def translate(self, v: int, g: int) -> int:
-        ginv = _inverse(self.perms[g])
-        image = frozenset(self._cosets.perm_index[_compose(self.perms[h], ginv)]
-                          for h in self.basis_sets[v])
-        return self._cosets.set_index[image]
-
-    def image_tensor(self) -> np.ndarray:
-        images = np.array(self._images, dtype=np.intp)
-        return _image_tensor(images.reshape(len(self.structures), len(self.perms)),
-                             self.basis_sets)
-
     def basis_of(self, abar, bbar) -> int:
         """Basis index of the coset descriptor (a, b), of any length; KeyError
         when its coset set is not in the basis."""
@@ -325,18 +329,12 @@ def _orbit_close(structures: list[FinStructure], perms):
     queue = list(seen)
     while queue:
         m = queue.pop()
-        images[m] = [_relabel(m, p) for p in perms]
+        images[m] = [permute_structure(m, p) for p in perms]
         for image in images[m]:
             if image not in seen:
                 seen[image] = None
                 queue.append(image)
     return list(seen), images
-
-
-def _relabel(struct: FinStructure, perm) -> FinStructure:
-    facts = frozenset((name, tuple(perm[e] for e in args))
-                      for name, args in struct.facts)
-    return FinStructure(struct.signature, struct.size, facts)
 
 
 def _coset_descriptors(n: int, k: int):
@@ -354,10 +352,8 @@ def _coset_label(abar, bbar) -> str:
 class _CosetBasis(NamedTuple):
     perms: tuple[tuple[int, ...], ...]
     group: tuple[str, ...]
-    perm_index: Mapping[tuple[int, ...], int]
     sets: tuple[frozenset[int], ...]
     labels: tuple[str, ...]
-    set_index: Mapping[frozenset[int], int]
     pair_index: Mapping[frozenset[tuple[int, int]], int]
 
 
@@ -385,9 +381,7 @@ def _coset_basis(n: int, k: int) -> _CosetBasis:
             (b,) = set(range(n)).difference(bbar)
             pair_index[pairs | {(a, b)}] = set_index[members]
     return _CosetBasis(perms, tuple("".join(map(str, p)) for p in perms),
-                       MappingProxyType({p: i for i, p in enumerate(perms)}),
-                       tuple(set_index), tuple(labels),
-                       MappingProxyType(set_index), MappingProxyType(pair_index))
+                       tuple(set_index), tuple(labels), MappingProxyType(pair_index))
 
 
 class SymbolicLogicAction(ActionSystem):

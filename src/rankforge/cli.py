@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import hjorth as hj
 from . import scott as sc
@@ -29,9 +29,9 @@ from .structures import (FinStructure, Signature, StructureError,
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
-_CONFIG_KEYS = ("command", "input", "suite", "seed", "sizes", "count", "logic",
-                "symbolic", "n", "k", "support", "max_tuple", "rels", "basis",
-                "max_level", "dump", "oracle", "format")
+# least value of each --sizes cap: a group holds its identity, and the
+# ensemble draws spaces of at least two points
+_SIZE_MIN = {"g": 1, "x": 2, "n": 1, "s": 0, "k": 0}
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class RunConfig:
 
     def record(self) -> str:
         parts = []
-        for key in _CONFIG_KEYS:
-            value = getattr(self, key)
+        for field in fields(self):
+            key, value = field.name, getattr(self, field.name)
             if value is None:
                 continue
             if isinstance(value, bool):
@@ -77,16 +77,18 @@ def _parse_sizes(text: str) -> dict[str, int]:
     for token in text.split(","):
         token = token.strip().replace("≤", "<=")
         key, sep, value = token.partition("<=")
-        if not sep or key.strip() not in ("g", "x", "n", "s", "k") \
-                or not value.strip().isdigit():
+        key = key.strip()
+        if not sep or key not in _SIZE_MIN or not value.strip().isdigit():
             raise argparse.ArgumentTypeError(f"bad sizes token {token!r}")
-        sizes[key.strip()] = int(value)
+        if int(value) < _SIZE_MIN[key]:
+            raise argparse.ArgumentTypeError(
+                f"{key} must be at least {_SIZE_MIN[key]}, got {int(value)}")
+        sizes[key] = int(value)
     return sizes
 
 
 def _sizes_str(sizes: dict[str, int]) -> str:
-    return ",".join(f"{k}<={sizes[k]}" for k in ("g", "x", "n", "s", "k")
-                    if k in sizes) or "-"
+    return ",".join(f"{k}<={sizes[k]}" for k in _SIZE_MIN if k in sizes) or "-"
 
 
 def _int_at_least(low: int):
@@ -299,11 +301,8 @@ def cmd_compare(args, budgets: Budgets) -> int:
     counterexamples, profile, scanned = vf.comparison_scan(
         max_n=args.n, max_tuple=args.max_tuple, seed=args.seed,
         signature=signature)
-    witness = None
-    if counterexamples:
-        n, i, t, j, u, b = counterexamples[0]
-        witness = f"n={n}:M{i}{t}~M{j}{u}->b={b}"
-    out.both(hj.check_record("scott_implies_hjorth", not counterexamples, witness))
+    out.both(hj.check_record("scott_implies_hjorth", not counterexamples,
+                             vf.comparison_witness(counterexamples)))
     out.text(f"scanned {scanned} instances, {len(counterexamples)} counterexamples")
     for (s_level, h_level) in sorted(profile):
         out.record(f"PROFILE {s_level} {h_level} count={profile[(s_level, h_level)]}")
@@ -330,9 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true",
                    help="windowed full-group action")
     p.add_argument("--structures", help="structure file for logic systems")
-    p.add_argument("--n", type=int, help="universe size (logic)")
-    p.add_argument("--support", type=int, help="support window (symbolic)")
-    p.add_argument("--k", type=int, help="tuple-length cap for coset bases")
+    p.add_argument("--n", type=_int_at_least(1), help="universe size (logic)")
+    p.add_argument("--support", type=_int_at_least(0),
+                   help="support window (symbolic)")
+    p.add_argument("--k", type=_int_at_least(0),
+                   help="tuple-length cap for coset bases")
     p.add_argument("--point", help="report this point only")
     p.add_argument("--basis", choices=(ALL_SUBSETS, SINGLETONS_PLUS_G),
                    help="override the basis spec")

@@ -42,13 +42,16 @@ class ActionSystem:
     and ``cc``.  Every shipped basis is clopen, so the closure bar collapses
     and basis containment is ``contains`` itself.  Systems backed by an
     actual group additionally expose ``group`` (labels), ``act``,
-    ``basis_members``, ``image_tensor`` and, when the basis is
-    translation-closed, ``translate``.
+    ``basis_members``, ``image_tensor``, ``group_law`` and, when
+    ``translation_closed`` holds, ``translate``.  Both finite systems get
+    all of these from one finite permutation action in
+    :mod:`rankforge.actions`.
     """
 
     points: Sequence[str]
     basis: Sequence[str]
     group: Sequence[str] | None = None
+    translation_closed: bool = False
 
     def contains(self, w: int, v: int) -> bool:
         raise NotImplementedError
@@ -63,7 +66,13 @@ class ActionSystem:
         raise UnsupportedOperationError("system does not expose basis membership")
 
     def translate(self, v: int, g: int) -> int:
+        """Basis index of the right translate V g^-1."""
         raise UnsupportedOperationError("system does not expose translation")
+
+    def group_law(self) -> tuple[list[int], list[list[int]]]:
+        """``inverse[g]`` and ``compose[g][h]``, the index of g h (h acts
+        first), computed on each call."""
+        raise UnsupportedOperationError("system does not expose a group law")
 
     @property
     def has_action(self) -> bool:
@@ -363,7 +372,7 @@ def fixed_point_set(table: LevelTable, u: int) -> FixedPointSets:
                        if any(sys.act(g, x) == x for g in members))
 
     ngroup = len(sys.group)
-    _, inv, comp = _group_tables(sys)
+    inv, comp = sys.group_law()
     nbasis = len(sys.basis)
     basis_sets = [sys.basis_members(v) for v in range(nbasis)]
     singles = {frozenset([g]) for g in range(ngroup)}
@@ -384,24 +393,6 @@ def fixed_point_set(table: LevelTable, u: int) -> FixedPointSets:
     via = frozenset(x for x in range(npoints)
                     if bool((t[x, :, x, :] & good).any()))
     return FixedPointSets(direct, via, applicable)
-
-
-def _group_tables(sys: ActionSystem):
-    """Composition and inverse from the faithful permutation representation."""
-    perms = getattr(sys, "perms", None)
-    if perms is None:
-        raise UnsupportedOperationError("system lacks a permutation representation")
-    index = {p: i for i, p in enumerate(perms)}
-    ngroup = len(perms)
-    comp = [[0] * ngroup for _ in range(ngroup)]
-    inv = [0] * ngroup
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            composed = tuple(pa[pb[i]] for i in range(len(pa)))
-            comp[a][b] = index[composed]
-        inverse = tuple(sorted(range(len(pa)), key=lambda i: pa[i]))
-        inv[a] = index[inverse]
-    return perms, inv, comp
 
 
 def partition_by_rank(table: LevelTable) -> list[tuple[int, frozenset[int]]]:

@@ -17,8 +17,8 @@ import numpy as np
 from . import hjorth as hj
 from . import oracle as orc
 from . import scott as sc
-from .actions import (ALL_SUBSETS, FiniteDiscreteAction, SymbolicLogicAction,
-                      _coset_descriptors)
+from .actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction,
+                      SymbolicLogicAction, _all_structures, _coset_descriptors)
 from .common import STAB, BudgetError, Budgets, InvalidBaseRelationError
 from .structures import (FinStructure, Signature, SuppStructure,
                          brute_isomorphic, permute_structure)
@@ -78,6 +78,8 @@ def mulclose(perms: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]] | 
     els = {identity}
     frontier = [p for p in perms if p not in els]
     els.update(frontier)
+    if len(els) > cap:
+        return None
     while frontier:
         new = []
         for a in sorted(els):
@@ -108,7 +110,7 @@ def random_finite_discrete(rng: random.Random, max_g: int = 8, max_x: int = 6,
         gens = [tuple(rng.sample(range(n), n)) for _ in range(ngens)]
         els = mulclose(gens, gcap)
         if els is None:
-            gcap = max(2, gcap - 1) if rng.random() < 0.5 else gcap
+            gcap = max(min(2, max_g), gcap - 1) if rng.random() < 0.5 else gcap
             continue
         if cost_cap is not None and _oracle_cost(n, len(els)) > cost_cap:
             gcap = max(1, min(gcap, len(els)) - 1)
@@ -147,7 +149,6 @@ class CorruptedSystem(hj.ActionSystem):
         self.points = base.points
         self.basis = base.basis
         self.group = base.group
-        self.perms = getattr(base, "perms", None)
 
     def contains(self, w, v):
         return self.base.contains(w, v)
@@ -181,13 +182,6 @@ def chain(m: int) -> FinStructure:
     return FinStructure(ORDER_SIG, m,
                         frozenset(("lt", (i, j)) for i in range(m)
                                   for j in range(m) if i < j))
-
-
-def all_edge_structures(n: int) -> list[FinStructure]:
-    atoms = [("edge", (i, j)) for i in range(n) for j in range(n)]
-    return [FinStructure(EDGE_SIG, n,
-                         frozenset(a for i, a in enumerate(atoms) if bits >> i & 1))
-            for bits in range(1 << len(atoms))]
 
 
 def canonical_edge_representatives(n: int) -> list[FinStructure]:
@@ -303,7 +297,7 @@ def run_lemmas(systems, with_oracle: bool = True) -> VerificationReport:
                 i, j = (int(v) for v in np.argwhere(image)[0])
                 setmono_bad = f"sys{si}:level={a}:q0={i},q1={j}"
 
-        if getattr(sys, "_translation_closed", False) and transl_bad is None:
+        if sys.translation_closed and transl_bad is None:
             for a in levels:
                 for g in range(len(sys.group)):
                     for x in range(npoints):
@@ -464,7 +458,7 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
 
     # Oracle equivalence, exhaustive at tiny sizes.
     bad = None
-    small = [m for n in (1, 2) for m in all_edge_structures(n)]
+    small = [m for n in (1, 2) for m in _all_structures(EDGE_SIG, n)]
     table = sc.scott_table(small)
     items = [(i, t) for i, m in enumerate(small) for t in sc.injective_tuples(m.size)]
     oracles = {}
@@ -709,8 +703,6 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
     (back-and-forth level reached, table level reached) over a seeded sample
     of tuple pairs; pair systems are built one structure pair at a time.
     """
-    from .actions import FiniteLogicAction, _all_structures
-
     rng = random.Random(f"compare:{seed}")
     counterexamples = []
     profile: dict[tuple[str, str], int] = {}
@@ -771,14 +763,19 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
     return counterexamples, profile, scanned
 
 
+def comparison_witness(counterexamples) -> str | None:
+    """The first counterexample of a comparison scan, or None."""
+    if not counterexamples:
+        return None
+    n, i, t, j, u, b = counterexamples[0]
+    return f"n={n}:M{i}{t}~M{j}{u}->b={b}"
+
+
 def run_comparison(seed: int = 0, max_n: int = 3, cases: int = 100) -> VerificationReport:
     checks = []
     counterexamples, profile, scanned = comparison_scan(max_n=max_n, seed=seed)
-    witness = None
-    if counterexamples:
-        n, i, t, j, u, b = counterexamples[0]
-        witness = f"n={n}:M{i}{t}~M{j}{u}->b={b}"
-    checks.append(CheckResult("scott_implies_hjorth", not counterexamples, witness,
+    checks.append(CheckResult("scott_implies_hjorth", not counterexamples,
+                              comparison_witness(counterexamples),
                               {"scanned": scanned}))
 
     # Cross-validation against the truncated group is evidence, not a law:
@@ -830,8 +827,8 @@ def run_comparison(seed: int = 0, max_n: int = 3, cases: int = 100) -> Verificat
         big = SymbolicLogicAction(EDGE_SIG, s + 1, k + 1, pts, Budgets(s=8, k=8))
         for v0 in range(len(small.basis)):
             for v1 in range(len(small.basis)):
-                bv0 = big._label_index[small.basis[v0]]
-                bv1 = big._label_index[small.basis[v1]]
+                bv0 = big.basis_of(*small.descriptors[v0])
+                bv1 = big.basis_of(*small.descriptors[v1])
                 for x0 in range(2):
                     for x1 in range(2):
                         if small.cc(x0, v0, x1, v1) != big.cc(x0, bv0, x1, bv1):

@@ -69,7 +69,7 @@ def test_trivial_group_every_rank_one():
 def test_singletons_plus_g_basis():
     sysb = parse_action_file(SYS1_FILE.replace("all-subsets", "singletons+G"))
     assert sysb.basis == ["{e}", "{s}", "{e,s}"]
-    assert sysb._translation_closed
+    assert sysb.translation_closed
 
 
 def test_finite_logic_action_small():
@@ -165,6 +165,37 @@ def test_finite_logic_translate_and_act():
     v = sys2.basis_of((0,), (0,))
     image = sys2.basis_sets[sys2.translate(v, g)]
     assert image == sys2.basis_sets[sys2.basis_of((1,), (0,))]
+
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in range(n + 1)])
+def test_finite_logic_translate_is_coset_of_moved_tuple(n, k):
+    # V[a->b] g^-1 is the coset V[g(a)->b]
+    sysb = FiniteLogicAction(EDGE_SIG, n, k, [FinStructure(EDGE_SIG, n)])
+    assert sysb.translation_closed
+    for ln in range(k + 1):
+        for abar in itertools.permutations(range(n), ln):
+            for bbar in itertools.permutations(range(n), ln):
+                v = sysb.basis_of(abar, bbar)
+                for g, perm in enumerate(sysb.perms):
+                    moved = tuple(perm[a] for a in abar)
+                    assert sysb.translate(v, g) == sysb.basis_of(moved, bbar)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_coset_basis_is_translation_closed(n):
+    for k in range(n + 1):
+        assert FiniteLogicAction(EDGE_SIG, n, k,
+                                 [FinStructure(EDGE_SIG, n)]).translation_closed
+
+
+def test_translation_closed_on_explicit_families():
+    c3 = [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))]
+    assert FiniteDiscreteAction(3, c3, ALL_SUBSETS).translation_closed
+    single = FiniteDiscreteAction(3, c3, [frozenset({0}), frozenset({0, 1, 2})])
+    assert not single.translation_closed
+    with pytest.raises(UnsupportedOperationError):
+        single.translate(0, 1)
 
 
 def test_symbolic_cc_examples():

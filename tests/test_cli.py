@@ -280,3 +280,31 @@ def test_numeric_flag_out_of_range_usage_error(args, capsys):
         main(args)
     assert err.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ("x<=1", "x must be at least 2"),
+    ("n<=0", "n must be at least 1"),
+    ("g<=0", "g must be at least 1"),
+], ids=["x", "n", "g"])
+def test_verify_sizes_out_of_range_usage_error(sizes, message):
+    suite = "iso" if sizes.startswith("n") else "lemmas"
+    proc = run_cli(["verify", suite, "--sizes", sizes, "--count", "2"])
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--logic", "--n", "2", "--k", "-1"],
+    ["--logic", "--n", "0"],
+    ["--symbolic", "--support", "-1"],
+], ids=["k", "n", "support"])
+def test_hjorth_size_flags_out_of_range_usage_error(tmp_path, args):
+    p = tmp_path / "structs.txt"
+    p.write_text("signature\nrel edge 2\nend\nstructure A size 2\nedge 0 1\nend\n")
+    proc = run_cli(["hjorth", "--structures", str(p), *args])
+    assert proc.returncode == 2
+    assert "must be at least" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankforge.actions import _all_structures
 from rankforge.common import STAB
 from rankforge.oracle import ScottOracle
 from rankforge.scott import (ScottRank, distinguishing_level, scott_equiv,
                              scott_iso_check, scott_rank, scott_table)
 from rankforge.structures import (FinStructure, Signature, brute_isomorphic,
                                   permute_structure)
-from rankforge.verify import all_edge_structures
 
 from conftest import EDGE_SIG, chain
 
@@ -47,7 +47,7 @@ def test_scott_table_blocks():
 
 
 def test_scott_table_levels_are_equivalences():
-    structs = all_edge_structures(2)
+    structs = _all_structures(EDGE_SIG, 2)
     tab = scott_table(structs)
     items = [(i, t) for i in range(len(structs))
              for ln in range(3) for t in itertools.permutations(range(2), ln)]
@@ -66,7 +66,7 @@ def test_scott_table_levels_are_equivalences():
 
 def test_scott_monotone_in_level():
     rng = random.Random(2)
-    structs = all_edge_structures(2)
+    structs = _all_structures(EDGE_SIG, 2)
     tab = scott_table(structs)
     for _ in range(300):
         i, j = rng.randrange(len(structs)), rng.randrange(len(structs))
@@ -92,7 +92,7 @@ def test_scott_rank_examples():
 
 
 def test_stab_bounded_by_item_count():
-    for structs in ([chain(4)], all_edge_structures(2)):
+    for structs in ([chain(4)], _all_structures(EDGE_SIG, 2)):
         tab = scott_table(structs)
         items = sum(len(list(itertools.permutations(range(m.size), ln)))
                     for m in structs for ln in range(m.size + 1))
@@ -110,7 +110,7 @@ def test_scott_iso_check_examples():
 
 
 def test_scott_iso_matches_brute_force_size3():
-    structs = all_edge_structures(2) + [chain(3), chain(2)]
+    structs = _all_structures(EDGE_SIG, 2) + [chain(3), chain(2)]
     for m, n in itertools.product(structs, repeat=2):
         if m.signature != n.signature:
             continue
@@ -120,7 +120,7 @@ def test_scott_iso_matches_brute_force_size3():
 def test_repeated_tuples_reduce_correctly():
     # longer tuples with repeats must agree with the literal game recursion,
     # including length universe+1
-    structs = all_edge_structures(2)[:6] + [chain(2)]
+    structs = _all_structures(EDGE_SIG, 2)[:6] + [chain(2)]
     tuples = [t for ln in range(4) for t in itertools.product(range(2), repeat=ln)]
     oracles = {}
     for i, j in itertools.combinations_with_replacement(range(len(structs)), 2):

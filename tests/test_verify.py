@@ -1,8 +1,9 @@
 import pytest
 
 from rankforge import verify as vf
+from rankforge.actions import FiniteLogicAction
 
-from conftest import make_sys1
+from conftest import EDGE_SIG, make_sys1
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,30 @@ def test_lemma_suite_catches_corruption():
     assert not report.all_passed
     failing = [c for c in report.checks if not c.passed]
     assert failing and all(c.witness for c in failing)
+
+
+
+class _IdentityTranslate(FiniteLogicAction):
+    """A relabeling system whose translate always answers the identity coset."""
+
+    def translate(self, v, g):
+        return self.basis_of((0, 1), (0, 1))
+
+
+def test_lemma_suite_checks_translation_on_a_logic_action():
+    assert vf.run_lemmas([FiniteLogicAction(EDGE_SIG, 2, 2)]).all_passed
+    report = vf.run_lemmas([_IdentityTranslate(EDGE_SIG, 2, 2)], with_oracle=False)
+    failing = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failing] == ["translation_invariance"]
+    assert failing[0].witness.startswith("sys0:level=1:")
+
+
+def test_mulclose_checks_generators_against_cap():
+    assert vf.mulclose([(1, 0)], cap=1) is None
+    assert vf.mulclose([(1, 2, 0), (2, 0, 1)], cap=2) is None
+    assert vf.mulclose([(1, 2, 0), (2, 0, 1)], cap=3) == [(0, 1, 2), (1, 2, 0),
+                                                          (2, 0, 1)]
+    assert all(len(sys.group) == 1 for sys in vf.ensemble(0, 10, max_g=1))
 
 
 def test_iso_suite_passes(small_ensemble):
