@@ -15,9 +15,9 @@ from .structures import (FinStructure, ParseError, QfType, RangeError,
                          parse_structure, parse_structures_file,
                          permute_structure, qf_type, serialize_structures,
                          thsigma_contains)
-from .scott import (ScottRank, ScottTable, distinguishing_level, scott_equiv,
+from .scott import (ScottTable, distinguishing_level, scott_equiv,
                     scott_iso_check, scott_rank, scott_table)
-from .hjorth import (ActionSystem, LevelTable, Rank, basis_shift_check,
+from .hjorth import (ActionSystem, LevelTable, basis_shift_check,
                      compare_ranks, fixed_point_set, hjorth_rank, leq_table,
                      minimal_m, orbit_check_via_rank, partition_by_rank,
                      rank_condition_profile, star_orbit_equivalence_check,
@@ -27,6 +27,6 @@ from .actions import (ALL_SUBSETS, SINGLETONS_PLUS_G, FiniteDiscreteAction,
                       encode_action_trace, parse_action_file,
                       scott_hjorth_comparison)
 from .oracle import (LeqOracle, OrbitPartition, ScottOracle, invariant_sets,
-                     naive_leq, naive_scott, orbit_partition)
+                     orbit_partition)
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 # least value of each --sizes cap: a group holds its identity, and the
 # ensemble draws spaces of at least two points
-_SIZE_MIN = {"g": 1, "x": 2, "n": 1, "s": 0, "k": 0}
+_SIZE_MIN = {"g": 1, "x": 2, "n": 1}
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,8 @@ def cmd_scott_rank(args, budgets: Budgets) -> int:
             print(f"error: {ident} is not a finite structure", file=sys.stderr)
             return EXIT_USAGE
         rank = sc.scott_rank(struct)
-        out.record(hj.rank_record(ident, rank.value, rank.stabilized_at))
-        out.text(f"{ident}: rank {rank.value} (levels stabilize at "
-                 f"{rank.stabilized_at})")
+        out.record(hj.rank_record(ident, rank, rank))
+        out.text(f"{ident}: rank {rank} (levels stabilize at {rank})")
     return EXIT_PASS
 
 
@@ -246,9 +245,8 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
                 m = hj.minimal_m(table, x)
             except RankforgeError:  # the family is not a basis
                 no_m = no_m or point_ids[x]
-        out.record(hj.rank_record(point_ids[x], rank.value, rank.stabilized_at, m))
-        out.text(f"point {point_ids[x]}: rank {rank.value}, stab "
-                 f"{rank.stabilized_at}, m {m}")
+        out.record(hj.rank_record(point_ids[x], rank, table.stab, m))
+        out.text(f"point {point_ids[x]}: rank {rank}, stab {table.stab}, m {m}")
     if no_m is not None:
         out.both(hj.check_record("minimal_m_finite", False, no_m))
         failures += 1
@@ -262,6 +260,10 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
 def cmd_verify(args, budgets: Budgets) -> int:
     out = Output(args.format)
     sizes = dict(args.sizes or {})
+    for key, cap in sizes.items():
+        budget = getattr(budgets, key)
+        if cap > budget:
+            raise BudgetError(f"--sizes {key}<={cap} exceeds budget {key}={budget}")
     sizes.setdefault("g", min(8, budgets.g))
     sizes.setdefault("x", min(6, budgets.x))
     sizes.setdefault("n", min(3, budgets.n))

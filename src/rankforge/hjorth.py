@@ -89,22 +89,6 @@ class ActionSystem:
         return f"{type(self).__name__}(points={len(self.points)}, basis={len(self.basis)})"
 
 
-@dataclass(frozen=True)
-class Rank:
-    """A finite level plus the table's stabilization index.
-
-    value 0 is reserved for degenerate single-point systems and is never
-    produced by the engine (the defining condition starts at level 1).
-    """
-
-    value: int
-    stabilized_at: int
-
-    def __post_init__(self):
-        if self.value > self.stabilized_at:
-            raise ValueError("rank exceeds stabilization index")
-
-
 class LevelTable:
     """The stratified tables T_1, T_2, ... for one system, as bit tables.
 
@@ -246,13 +230,14 @@ def _rank_condition(table: LevelTable, x: int, alpha: int) -> bool:
     return not bool((reach & ~nxt).any())
 
 
-def hjorth_rank(table: LevelTable, x: int) -> Rank:
-    """Least level >= 1 satisfying the step-up condition at x."""
+def hjorth_rank(table: LevelTable, x: int) -> int:
+    """Least level >= 1 satisfying the step-up condition at x, at most
+    ``table.stab``."""
     if not table.stabilized:
         raise RankforgeError("rank needs a table run to stabilization")
     for alpha in range(1, table.stab + 1):
         if _rank_condition(table, x, alpha):
-            return Rank(alpha, table.stab)
+            return alpha
     raise RankforgeError(f"no rank level found for point {table.sys.points[x]} "
                          "(base relation violates set monotonicity)")
 
@@ -286,7 +271,7 @@ def orbit_check_via_rank(table: LevelTable, x: int, y: int,
     """Orbit equivalence decided through the rank: equivalence one level past
     the larger of the two ranks."""
     sys = table.sys
-    delta = max(hjorth_rank(table, x).value, hjorth_rank(table, y).value)
+    delta = max(hjorth_rank(table, x), hjorth_rank(table, y))
     verdict = table.equiv(x, y, delta + 1)
     if cross_check and sys.has_action:
         truth = y in orbit_of(sys, x)
@@ -299,7 +284,7 @@ def orbit_check_via_rank(table: LevelTable, x: int, y: int,
 
 def minimal_m(table: LevelTable, x: int) -> int:
     """Least m >= 0 with the level-(rank+m) class of x equal to its orbit."""
-    delta = hjorth_rank(table, x).value
+    delta = hjorth_rank(table, x)
     orbit = orbit_of(table.sys, x)
     for m in range(table.stab - delta + 2):
         cls = frozenset(np.flatnonzero(table.equiv_matrix(delta + m)[x]).tolist())
@@ -399,13 +384,13 @@ def partition_by_rank(table: LevelTable) -> list[tuple[int, frozenset[int]]]:
     """Points grouped by rank value, ascending."""
     groups: dict[int, set[int]] = {}
     for x in range(table.npoints):
-        groups.setdefault(hjorth_rank(table, x).value, set()).add(x)
+        groups.setdefault(hjorth_rank(table, x), set()).add(x)
     return [(value, frozenset(groups[value])) for value in sorted(groups)]
 
 
 def compare_ranks(table: LevelTable, x: int, y: int) -> str:
     """Order comparison of two rank values: '<', '=' or '>'."""
-    dx, dy = hjorth_rank(table, x).value, hjorth_rank(table, y).value
+    dx, dy = hjorth_rank(table, x), hjorth_rank(table, y)
     return "<" if dx < dy else (">" if dx > dy else "=")
 
 
@@ -414,7 +399,7 @@ def basis_shift_check(table: LevelTable, alt: LevelTable) -> dict[int, int]:
     the same points and cc semantics."""
     if list(alt.sys.points) != list(table.sys.points):
         raise ValueError("alternate basis must present the same points")
-    return {x: abs(hjorth_rank(table, x).value - hjorth_rank(alt, x).value)
+    return {x: abs(hjorth_rank(table, x) - hjorth_rank(alt, x))
             for x in range(table.npoints)}
 
 

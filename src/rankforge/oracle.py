@@ -63,12 +63,6 @@ class ScottOracle:
         return out
 
 
-def naive_scott(m_struct: FinStructure, abar, n_struct: FinStructure, bbar,
-                alpha: int) -> bool:
-    """One-shot level-alpha game recursion (fresh memo context)."""
-    return ScottOracle(m_struct, n_struct).equiv(abar, bbar, alpha)
-
-
 class LeqOracle:
     """Literal recursion of the level relation on one action system.
 
@@ -90,38 +84,28 @@ class LeqOracle:
             raise ValueError("levels start at 1")
         if alpha > self.depth_cap:
             raise OracleDepthError(f"level {alpha} exceeds depth cap {self.depth_cap}")
-        memo = self._memo
-        subs = self._subs
-        cc = self.sys.cc
+        return self._rec(x0, v0, x1, v1, alpha)
 
-        def rec(a, va, b, vb, level):
-            key = (a, va, b, vb, level)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if level == 1:
-                out = cc(a, va, b, vb)
-            else:
-                out = True
-                for w0 in subs[va]:
-                    found = False
-                    for w1 in subs[vb]:
-                        if rec(b, w1, a, w0, level - 1):
-                            found = True
-                            break
-                    if not found:
-                        out = False
+    def _rec(self, a, va, b, vb, level):
+        key = (a, va, b, vb, level)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if level == 1:
+            out = self.sys.cc(a, va, b, vb)
+        else:
+            out = True
+            for w0 in self._subs[va]:
+                found = False
+                for w1 in self._subs[vb]:
+                    if self._rec(b, w1, a, w0, level - 1):
+                        found = True
                         break
-            memo[key] = out
-            return out
-
-        return rec(x0, v0, x1, v1, alpha)
-
-
-def naive_leq(sys, x0: int, v0: int, x1: int, v1: int, alpha: int,
-              depth_cap: int = 64) -> bool:
-    """One-shot literal evaluation (fresh memo context)."""
-    return LeqOracle(sys, depth_cap).query(x0, v0, x1, v1, alpha)
+                if not found:
+                    out = False
+                    break
+        self._memo[key] = out
+        return out
 
 
 @dataclass(frozen=True)

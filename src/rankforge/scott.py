@@ -16,7 +16,6 @@ level and is addressed by the STAB sentinel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,18 +23,6 @@ import numpy as np
 
 from .common import STAB
 from .structures import FinStructure, RangeError
-
-
-@dataclass(frozen=True)
-class ScottRank:
-    """Least level at which within-structure equivalence stops refining."""
-
-    value: int
-    stabilized_at: int
-
-    def __post_init__(self):
-        if self.value > self.stabilized_at:
-            raise ValueError("rank exceeds stabilization index")
 
 
 def _reduce(tup: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -245,14 +232,13 @@ def scott_equiv(m_struct: FinStructure, abar: Sequence[int],
     return table.equivalent(i, tuple(abar), j, tuple(bbar), alpha)
 
 
-def scott_rank(struct: FinStructure) -> ScottRank:
+def scott_rank(struct: FinStructure) -> int:
     """Least level where within-structure equivalence implies the next level.
 
     For a single structure the refinement is a function of the current
     partition, so this is exactly the table's stabilization index.
     """
-    table = _cached_table((struct,))
-    return ScottRank(table.stab, table.stab)
+    return _cached_table((struct,)).stab
 
 
 def scott_iso_check(m_struct: FinStructure, n_struct: FinStructure) -> bool:

@@ -379,7 +379,7 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
     for si, (sys, table) in enumerate(zip(systems, tables)):
         parts = orc.orbit_partition(sys)
         npoints = len(sys.points)
-        ranks = [hj.hjorth_rank(table, x).value for x in range(npoints)]
+        ranks = [hj.hjorth_rank(table, x) for x in range(npoints)]
         for x in range(npoints):
             for y in range(npoints):
                 want = parts.same_orbit(x, y)
@@ -441,15 +441,29 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
     checks.append(CheckResult("rank_partition", part_bad is None, part_bad))
     checks.append(CheckResult("rank_comparison_consistency", cmp_bad is None, cmp_bad))
     if include_scott:
-        checks.extend(scott_checks(seed, scott_family_size, scott_max_n, exhaustive_n,
-                                   ladder_max))
+        checks.extend(scott_oracle_checks(seed, scott_family_size, scott_max_n))
+        checks.extend(scott_structure_checks(seed, exhaustive_n, ladder_max,
+                                             scott_max_n))
     return VerificationReport("iso", checks)
 
 
-def scott_checks(seed: int, family_size: int, max_n: int, exhaustive_n: int,
-                 ladder_max: int) -> list[CheckResult]:
-    return (scott_oracle_checks(seed, family_size, max_n)
-            + scott_structure_checks(seed, exhaustive_n, ladder_max, max_n))
+def _scott_oracle_mismatch(family, table, pairs, tag: str) -> tuple[str | None, int]:
+    """Compare the game oracle with the table at levels 0..stab+1 on each
+    same-length pair of items, one oracle per structure pair, up to the first
+    mismatch: (witness or None, oracle queries)."""
+    oracles = {}
+    queried = 0
+    for (i, t), (j, u) in pairs:
+        if len(t) != len(u):
+            continue
+        oracle = oracles.get((i, j))
+        if oracle is None:
+            oracle = oracles[i, j] = orc.ScottOracle(family[i], family[j])
+        for a in range(table.stab + 2):
+            queried += 1
+            if oracle.equiv(t, u, a) != table.equivalent(i, t, j, u, a):
+                return f"{tag}:({i},{t})~({j},{u})@{a}", queried
+    return None, queried
 
 
 def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckResult]:
@@ -457,23 +471,10 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
     rng = random.Random(f"scott:{seed}")
 
     # Oracle equivalence, exhaustive at tiny sizes.
-    bad = None
     small = [m for n in (1, 2) for m in _all_structures(EDGE_SIG, n)]
-    table = sc.scott_table(small)
     items = [(i, t) for i, m in enumerate(small) for t in sc.injective_tuples(m.size)]
-    oracles = {}
-    for (i, t), (j, u) in itertools.combinations(items, 2):
-        if len(t) != len(u):
-            continue
-        key = (i, j)
-        if key not in oracles:
-            oracles[key] = orc.ScottOracle(small[i], small[j])
-        for a in range(table.stab + 2):
-            if oracles[key].equiv(t, u, a) != table.equivalent(i, t, j, u, a):
-                bad = f"exhaustive:({i},{t})~({j},{u})@{a}"
-                break
-        if bad:
-            break
+    bad, _ = _scott_oracle_mismatch(small, sc.scott_table(small),
+                                    itertools.combinations(items, 2), "exhaustive")
     checks.append(CheckResult("scott_oracle_exhaustive_small", bad is None, bad))
 
     # Oracle equivalence over a seeded family, sampled positives and negatives.
@@ -485,7 +486,6 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
             seen.add(m)
             family.append(m)
     ftab = sc.scott_table(family)
-    bad = None
     samples = []
     by_len: dict[int, list] = {}
     for i, m in enumerate(family):
@@ -499,21 +499,7 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
             if len(block) >= 2:
                 samples.append((block[0], block[1]))
                 break
-    queried = 0
-    ctxs = {}
-    for (i, t), (j, u) in samples:
-        if len(t) != len(u):
-            continue
-        key = (i, j)
-        if key not in ctxs:
-            ctxs[key] = orc.ScottOracle(family[i], family[j])
-        for a in range(ftab.stab + 2):
-            queried += 1
-            if ctxs[key].equiv(t, u, a) != ftab.equivalent(i, t, j, u, a):
-                bad = f"family:({i},{t})~({j},{u})@{a}"
-                break
-        if bad:
-            break
+    bad, queried = _scott_oracle_mismatch(family, ftab, samples, "family")
     checks.append(CheckResult("scott_oracle_family", bad is None, bad,
                               {"family": len(family), "queries": queried}))
     return checks
@@ -564,7 +550,7 @@ def scott_structure_checks(seed: int, exhaustive_n: int, ladder_max: int,
 
     # Rank ladder on linear orders.
     bad = None
-    if sc.scott_rank(chain(2)).value != 1:
+    if sc.scott_rank(chain(2)) != 1:
         bad = "rank(L2) != 1"
     else:
         prev = 0
@@ -885,8 +871,8 @@ def run_basis(systems, seed: int = 0) -> VerificationReport:
             subsystem = FiniteDiscreteAction(sys.size, list(zip(labels, sub)),
                                              ALL_SUBSETS)
             sub_table = hj.leq_table(subsystem)
-            max_g = max(hj.hjorth_rank(table, x).value for x in range(sys.size))
-            max_o = max(hj.hjorth_rank(sub_table, x).value for x in range(sys.size))
+            max_g = max(hj.hjorth_rank(table, x) for x in range(sys.size))
+            max_o = max(hj.hjorth_rank(sub_table, x) for x in range(sys.size))
             if max_o > max_g + 1:
                 subgroup_bad = f"sys{si}:O={{{','.join(labels)}}}:{max_o}>{max_g}+1"
     checks.append(CheckResult("basis_shift_bound", shift_bad is None, shift_bad))

@@ -134,7 +134,7 @@ def test_criterion_06_scott_isomorphism_finite(scott_structure_result):
 
 def test_criterion_07_scott_rank_ladder(scott_structure_result):
     ladder = by_name(scott_structure_result)["scott_rank_ladder"]
-    ok = ladder.passed and scott_rank(chain(2)).value == 1
+    ok = ladder.passed and scott_rank(chain(2)) == 1
     assert verdict(7, "rank(L2)=1; chain distinguishing levels nondecreasing, "
                    "oracle-exact", ok, ladder.witness or "m<=6")
 

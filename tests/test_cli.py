@@ -296,6 +296,30 @@ def test_verify_sizes_out_of_range_usage_error(sizes, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("sizes,budget,message", [
+    ("g<=8,x<=6", "x=3,g=2", "--sizes g<=8 exceeds budget g=2"),
+    ("x<=6", "x=3", "--sizes x<=6 exceeds budget x=3"),
+    ("n<=3", "n=2", "--sizes n<=3 exceeds budget n=2"),
+], ids=["g", "x", "n"])
+def test_verify_sizes_above_budget_exit_3(sizes, budget, message, monkeypatch,
+                                          capsys):
+    monkeypatch.setenv("RANKFORGE_BUDGET", budget)
+    code = main(["verify", "basis", "--sizes", sizes, "--count", "2",
+                 "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sizes", ["s<=0,k<=0", "k<=2"])
+def test_verify_sizes_rejects_keys_the_suites_ignore(sizes, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "basis", "--sizes", sizes, "--count", "2", "--seed", "0"])
+    assert err.value.code == 2
+    assert "bad sizes token" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["--logic", "--n", "2", "--k", "-1"],
     ["--logic", "--n", "0"],

@@ -74,13 +74,23 @@ def test_equiv_alpha(sys1):
 
 def test_hjorth_rank_and_profile(sys1):
     table = hj.leq_table(sys1)
+    assert table.stab == 1
     for x in range(3):
         rank = hj.hjorth_rank(table, x)
-        assert rank.value == 1 and rank.stabilized_at == 1
+        assert type(rank) is int and rank == 1
     assert hj.rank_condition_profile(table, 0) == {1}
     single = hj.leq_table(FiniteDiscreteAction(1, [("e", (0,))], ALL_SUBSETS))
-    assert hj.hjorth_rank(single, 0).value == 1
+    assert hj.hjorth_rank(single, 0) == 1
     assert hj.rank_condition_profile(single, 0) == {1}
+    # a rank never passes the stabilization index of its table
+    c3 = FiniteDiscreteAction(
+        3, [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))],
+        [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})])
+    for other in (table, single, hj.leq_table(c3),
+                  hj.leq_table(FiniteLogicAction(EDGE_SIG, 2, 2))):
+        for x in range(other.npoints):
+            rank = hj.hjorth_rank(other, x)
+            assert type(rank) is int and 1 <= rank <= other.stab
 
 
 def test_profile_contains_stab(sys1):
@@ -191,7 +201,7 @@ def test_deep_stabilization_on_non_basis_family():
                     for a in range(1, table.stab + 2):
                         assert oracle.query(x0, v0, x1, v1, a) == \
                             table.leq(x0, v0, x1, v1, a)
-    assert [hj.hjorth_rank(table, x).value for x in range(3)] == [1, 1, 1]
+    assert [hj.hjorth_rank(table, x) for x in range(3)] == [1, 1, 1]
     assert hj.rank_condition_profile(table, 0) == {1, 2}
     # the transitive orbit is never recovered by the level equivalences here
     with pytest.raises(RankforgeError):

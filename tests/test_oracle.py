@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 
 from rankforge.common import BudgetError, OracleDepthError
 from rankforge.hjorth import leq_table
-from rankforge.oracle import (LeqOracle, invariant_sets, naive_leq,
-                              naive_scott, orbit_partition)
+from rankforge.oracle import (LeqOracle, ScottOracle, invariant_sets,
+                              orbit_partition)
 from rankforge.structures import permute_structure
 
 from conftest import chain
@@ -14,7 +16,7 @@ def test_naive_leq_level1_is_cc(sys1):
         for v0 in range(3):
             for x1 in range(3):
                 for v1 in range(3):
-                    assert naive_leq(sys1, x0, v0, x1, v1, 1) == \
+                    assert LeqOracle(sys1).query(x0, v0, x1, v1, 1) == \
                         sys1.cc(x0, v0, x1, v1)
 
 
@@ -36,21 +38,40 @@ def test_naive_leq_reflexive_and_agrees_with_engine(sys1):
 
 def test_naive_leq_depth_cap(sys1):
     with pytest.raises(OracleDepthError):
-        naive_leq(sys1, 0, 0, 0, 0, 99, depth_cap=10)
+        LeqOracle(sys1, 10).query(0, 0, 0, 0, 99)
     with pytest.raises(ValueError):
-        naive_leq(sys1, 0, 0, 0, 0, 0)
+        LeqOracle(sys1).query(0, 0, 0, 0, 0)
+
+
+def test_leq_oracle_queries_leave_no_cycles(sys1):
+    # the memo is freed with its oracle, not when the cyclic collector runs
+    LeqOracle(sys1).query(0, 0, 1, 1, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        oracle = LeqOracle(sys1)
+        for alpha in (1, 2, 3):
+            for x0 in range(3):
+                for v0 in range(3):
+                    for x1 in range(3):
+                        for v1 in range(3):
+                            oracle.query(x0, v0, x1, v1, alpha)
+        del oracle
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_naive_scott_examples():
     l2, l3 = chain(2), chain(3)
-    assert naive_scott(l2, (), l3, (), 1)
-    assert not naive_scott(l2, (), l3, (), 2)
-    assert naive_scott(l3, (0, 2), l3, (0, 2), 4)
+    assert ScottOracle(l2, l3).equiv((), (), 1)
+    assert not ScottOracle(l2, l3).equiv((), (), 2)
+    assert ScottOracle(l3, l3).equiv((0, 2), (0, 2), 4)
     perm = (2, 0, 1)
     image = permute_structure(l3, perm)
-    assert naive_scott(l3, (0, 1), image, (perm[0], perm[1]), 3)
+    assert ScottOracle(l3, image).equiv((0, 1), (perm[0], perm[1]), 3)
     with pytest.raises(ValueError):
-        naive_scott(l2, (0,), l2, (), 1)
+        ScottOracle(l2, l2).equiv((0,), (), 1)
 
 
 def test_orbit_partition(sys1):

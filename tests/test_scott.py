@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rankforge.actions import _all_structures
 from rankforge.common import STAB
 from rankforge.oracle import ScottOracle
-from rankforge.scott import (ScottRank, distinguishing_level, scott_equiv,
+from rankforge.scott import (distinguishing_level, scott_equiv,
                              scott_iso_check, scott_rank, scott_table)
 from rankforge.structures import (FinStructure, Signature, brute_isomorphic,
                                   permute_structure)
@@ -79,8 +79,9 @@ def test_scott_monotone_in_level():
 
 
 def test_scott_rank_examples():
-    assert scott_rank(FinStructure(Signature(()), 1)) == ScottRank(0, 0)
-    assert scott_rank(chain(2)) == ScottRank(1, 1)
+    for m, want in ((FinStructure(Signature(()), 1), 0), (chain(2), 1)):
+        rank = scott_rank(m)
+        assert type(rank) is int and rank == want == scott_table([m]).stab
     rng = random.Random(9)
     for _ in range(20):
         n = rng.randint(1, 4)
