@@ -269,9 +269,7 @@ class FiniteLogicAction(_PermutationAction):
     coset sets for injective tuple pairs up to a length cap."""
 
     def __init__(self, signature: Signature, n: int, k: int,
-                 structures: list[FinStructure] | None = None,
-                 budgets: Budgets | None = None):
-        budgets = budgets or Budgets()
+                 structures: list[FinStructure] | None = None):
         if n > 6:
             raise BudgetError(f"S_n enumeration is capped at n=6, got n={n}")
         if k > n:

@@ -23,7 +23,7 @@ from . import verify as vf
 from .actions import (ALL_SUBSETS, SINGLETONS_PLUS_G, FiniteLogicAction,
                       SymbolicLogicAction, parse_action_file)
 from .common import (Budgets, BudgetError, InvalidBaseRelationError,
-                     RankforgeError, UnsupportedOperationError)
+                     RankforgeError)
 from .structures import (FinStructure, Signature, StructureError,
                          SuppStructure, parse_structures_file)
 
@@ -171,10 +171,12 @@ def _build_system(args, budgets: Budgets):
         if n > budgets.n:
             raise BudgetError(f"n={n} exceeds budget n={budgets.n}")
         k = args.k if args.k is not None else min(n, budgets.k)
+        if k > budgets.k:
+            raise BudgetError(f"k={k} exceeds budget k={budgets.k}")
         points = list(structures.values())
         if not all(isinstance(m, FinStructure) and m.size == n for m in points):
             raise RankforgeError(f"--logic needs finite structures of size {n}")
-        sysb = FiniteLogicAction(sig, n, k, points, budgets)
+        sysb = FiniteLogicAction(sig, n, k, points)
         by_struct = {m: ident for ident, m in structures.items()}
         ids = [by_struct.get(m, sysb.points[i])
                for i, m in enumerate(sysb.structures)]
@@ -381,10 +383,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (StructureError, UnsupportedOperationError, RankforgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (StructureError, RankforgeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -48,9 +48,10 @@ class ScottOracle:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if alpha == 0:
-            out = _same_atoms(left, abar, right, bbar)
-        else:
+        # level alpha implies level 0 on non-empty structures, so the atoms
+        # are compared at every level and prune the losing branches early
+        out = _same_atoms(left, abar, right, bbar)
+        if out and alpha > 0:
             out = all(any(self.equiv(abar + (c,), bbar + (d,), alpha - 1, flip)
                           for d in range(right.size))
                       for c in range(left.size))

@@ -687,7 +687,9 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
     constrains), the matching coset pairs must be stabilized-related.
     Returns (counterexamples, profile, scanned); the profile tabulates
     (back-and-forth level reached, table level reached) over a seeded sample
-    of tuple pairs; pair systems are built one structure pair at a time.
+    of tuple pairs. Stab-equivalent tuples of finite structures lie in one
+    S_n-orbit, so the scan builds one system per orbit (keyed by its root
+    class) and one per profile draw, each dropped before the next is built.
     """
     rng = random.Random(f"compare:{seed}")
     counterexamples = []
@@ -707,45 +709,40 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
         by_class: dict[tuple, list] = {}
         for i, t in items:
             by_class.setdefault(table.class_of(i, t, STAB), []).append((i, t))
-        # group hypothesis-true tuple pairs by ordered structure pair
-        by_ij: dict[tuple[int, int], list] = {}
+        by_orbit: dict[tuple, list] = {}
         for members in by_class.values():
-            for (i, t), (j, u) in itertools.product(members, repeat=2):
-                by_ij.setdefault((i, j), []).append((t, u))
-        # seeded profile draws, grouped the same way
-        prof_by_ij: dict[tuple[int, int], list] = {}
+            orbit = table.class_of(members[0][0], (), STAB)
+            by_orbit.setdefault(orbit, []).append(members)
+        for classes in by_orbit.values():
+            sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0][0]]])
+            ptab = hj.leq_table(sysp)
+            for members in classes:
+                for (i, t), (j, u) in itertools.product(members, repeat=2):
+                    pi, pj = sysp.point_of(structures[i]), sysp.point_of(structures[j])
+                    for bbar in itertools.permutations(range(n), len(t)):
+                        scanned += 1
+                        if not ptab.leq(pi, sysp.basis_of(t, bbar),
+                                        pj, sysp.basis_of(u, bbar), STAB):
+                            counterexamples.append((n, i, t, j, u, bbar))
+            del sysp, ptab
         for _ in range(profile_sample):
             i, t = items[rng.randrange(len(items))]
             j, u = items[rng.randrange(len(items))]
-            if len(t) == len(u):
-                prof_by_ij.setdefault((i, j), []).append((t, u))
-
-        for (i, j) in sorted(set(by_ij) | set(prof_by_ij)):
-            sysp = FiniteLogicAction(signature, n, n,
-                                     [structures[i], structures[j]])
+            if len(t) != len(u):
+                continue
+            sysp = FiniteLogicAction(signature, n, n, [structures[i], structures[j]])
             ptab = hj.leq_table(sysp)
             pi, pj = sysp.point_of(structures[i]), sysp.point_of(structures[j])
-            for t, u in by_ij.get((i, j), ()):
-                for bbar in itertools.permutations(range(n), len(t)):
-                    scanned += 1
-                    if not ptab.leq(pi, sysp.basis_of(t, bbar),
-                                    pj, sysp.basis_of(u, bbar), STAB):
-                        counterexamples.append((n, i, t, j, u, bbar))
-            for t, u in prof_by_ij.get((i, j), ()):
-                s_level = 0
-                while s_level <= table.stab and table.equivalent(i, t, j, u, s_level):
-                    s_level += 1
-                bbar = tuple(range(len(t)))
-                h_level = 0
-                for a in range(1, ptab.stab + 1):
-                    if ptab.leq(pi, sysp.basis_of(t, bbar),
-                                pj, sysp.basis_of(u, bbar), a):
-                        h_level = a
-                    else:
-                        break
-                key = (f"scott={'stab' if s_level > table.stab else s_level}",
-                       f"hjorth={'stab' if h_level >= ptab.stab else h_level}")
-                profile[key] = profile.get(key, 0) + 1
+            v, w = sysp.basis_of(t, range(len(t))), sysp.basis_of(u, range(len(u)))
+            s_level = h_level = 0
+            while s_level <= table.stab and table.equivalent(i, t, j, u, s_level):
+                s_level += 1
+            while h_level < ptab.stab and ptab.leq(pi, v, pj, w, h_level + 1):
+                h_level += 1
+            key = (f"scott={'stab' if s_level > table.stab else s_level}",
+                   f"hjorth={'stab' if h_level >= ptab.stab else h_level}")
+            profile[key] = profile.get(key, 0) + 1
+            del sysp, ptab
     return counterexamples, profile, scanned
 
 

@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +335,45 @@ def test_hjorth_size_flags_out_of_range_usage_error(tmp_path, args):
     assert proc.returncode == 2
     assert "must be at least" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_hjorth_logic_k_over_budget_exit_3(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "structs.txt"
+    p.write_text("signature\nrel edge 2\nend\nstructure A size 2\nend\n")
+    monkeypatch.setenv("RANKFORGE_BUDGET", "k=1")
+    code = main(["hjorth", "--logic", "--structures", str(p), "--n", "2",
+                 "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "k=2 exceeds budget k=1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["scott-rank", "{path}"],
+    ["hjorth", "{path}"],
+    ["hjorth", "--logic", "--structures", "{path}", "--n", "2"],
+], ids=["scott-rank", "hjorth", "structures"])
+def test_non_utf8_input_usage_error(tmp_path, args):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(STRUCT_FILE.encode("utf-8").replace(b"L2", b"L\xff"))
+    proc = run_cli([a.format(path=p) for a in args])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "utf-8" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_compare_scan_records_match_benchmark_digest(capsys):
+    # the digest perfbench pins for its compare-scan workload on seed 0
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_check", root / "perfbench" / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    meta = json.loads((root / "perfbench" / "meta.json").read_text())
+    expected = meta["expected"]["workloads"]["compare-scan"]["records_sha256"]
+    code = main(["compare", "--n", "3", "--rel", "edge:2", "--seed", "0",
+                 "--format", "records"])
+    assert code == 0
+    assert check.records_digest(capsys.readouterr().out) == expected

@@ -1,12 +1,15 @@
 import gc
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankforge.common import BudgetError, OracleDepthError
 from rankforge.hjorth import leq_table
-from rankforge.oracle import (LeqOracle, ScottOracle, invariant_sets,
-                              orbit_partition)
-from rankforge.structures import permute_structure
+from rankforge.oracle import (LeqOracle, ScottOracle, _same_atoms,
+                              invariant_sets, orbit_partition)
+from rankforge.structures import FinStructure, Signature, permute_structure
 
 from conftest import chain
 
@@ -72,6 +75,57 @@ def test_naive_scott_examples():
     assert ScottOracle(l3, image).equiv((0, 1), (perm[0], perm[1]), 3)
     with pytest.raises(ValueError):
         ScottOracle(l2, l2).equiv((0,), (), 1)
+
+
+def unpruned_equiv(m, n, abar, bbar, alpha, memo):
+    """The literal game recursion, atoms compared at level 0 only."""
+    key = (m, n, abar, bbar, alpha)
+    if key not in memo:
+        if alpha == 0:
+            memo[key] = _same_atoms(m, abar, n, bbar)
+        else:
+            step = alpha - 1
+            memo[key] = (
+                all(any(unpruned_equiv(m, n, abar + (c,), bbar + (d,), step, memo)
+                        for d in range(n.size)) for c in range(m.size))
+                and all(any(unpruned_equiv(n, m, bbar + (d,), abar + (c,), step, memo)
+                            for c in range(m.size)) for d in range(n.size)))
+    return memo[key]
+
+
+GAME_SIGS = [Signature((("red", 1), ("edge", 2))), Signature(()),
+             Signature((("tri", 3),))]
+
+
+@st.composite
+def game_query(draw):
+    sig = draw(st.sampled_from(GAME_SIGS))
+    pair = []
+    for _ in range(2):
+        size = draw(st.integers(1, 3))
+        atoms = [(name, args) for name, arity in sig.relations
+                 for args in itertools.product(range(size), repeat=arity)]
+        facts = draw(st.sets(st.sampled_from(atoms), max_size=8)) if atoms else set()
+        pair.append(FinStructure(sig, size, frozenset(facts)))
+    m, n = pair
+    length = draw(st.integers(0, 2))
+    abar = tuple(draw(st.lists(st.integers(0, m.size - 1),
+                               min_size=length, max_size=length)))
+    bbar = tuple(draw(st.lists(st.integers(0, n.size - 1),
+                               min_size=length, max_size=length)))
+    return m, n, abar, bbar, draw(st.integers(0, 4 - length))
+
+
+@given(game_query())
+@settings(max_examples=60, deadline=None)
+def test_pruned_scott_oracle_matches_unpruned_recursion(query):
+    m, n, abar, bbar, alpha = query
+    oracle, memo = ScottOracle(m, n), {}
+    for level in range(alpha + 1):
+        assert oracle.equiv(abar, bbar, level) == \
+            unpruned_equiv(m, n, abar, bbar, level, memo), level
+        assert oracle.equiv(bbar, abar, level, flip=True) == \
+            unpruned_equiv(n, m, bbar, abar, level, memo), level
 
 
 def test_orbit_partition(sys1):

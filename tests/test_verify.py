@@ -1,7 +1,10 @@
 import pytest
 
 from rankforge import verify as vf
-from rankforge.actions import FiniteLogicAction
+from rankforge.actions import FiniteLogicAction, _all_structures
+from rankforge.common import STAB
+from rankforge.hjorth import LevelTable
+from rankforge.structures import FinStructure
 
 from conftest import EDGE_SIG, make_sys1
 
@@ -136,3 +139,46 @@ def test_run_suite_dispatch():
     assert len(reports) == 1 and reports[0].suite == "basis"
     with pytest.raises(ValueError):
         vf.run_suite("nope", seed=0, sizes={})
+
+
+def test_comparison_scan_builds_one_system_per_orbit(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args[1])
+        return FiniteLogicAction(*args)
+
+    monkeypatch.setattr(vf, "FiniteLogicAction", counting)
+    counterexamples, _, scanned = vf.comparison_scan(
+        max_n=3, max_tuple=2, profile_sample=0, seed=0)
+    assert not counterexamples
+    assert scanned == 140448
+    # S_n-orbits of binary relations on 1, 2 and 3 elements
+    assert [built.count(n) for n in (1, 2, 3)] == [2, 10, 104]
+
+
+def test_comparison_scan_reports_an_injected_failure(monkeypatch):
+    # (M, 0) and (N, 2) are stab-equivalent: the relabeling 0->2, 1->0, 2->1
+    # carries M to N; fail the stabilized query of one of their coset pairs
+    structures = _all_structures(EDGE_SIG, 3)
+    m = FinStructure(EDGE_SIG, 3, frozenset({("edge", (0, 1))}))
+    n = FinStructure(EDGE_SIG, 3, frozenset({("edge", (2, 0))}))
+    target = (3, structures.index(m), (0,), structures.index(n), (2,), (1,))
+    leq = LevelTable.leq
+
+    def faulty(self, x0, v0, x1, v1, alpha):
+        sysb = self.sys
+        if (alpha is STAB and sysb.structures[x0] == m
+                and sysb.structures[x1] == n
+                and (v0, v1) == (sysb.basis_of((0,), (1,)),
+                                 sysb.basis_of((2,), (1,)))):
+            return False
+        return leq(self, x0, v0, x1, v1, alpha)
+
+    monkeypatch.setattr(LevelTable, "leq", faulty)
+    counterexamples, _, scanned = vf.comparison_scan(
+        max_n=3, max_tuple=2, profile_sample=0, seed=0)
+    assert counterexamples == [target]
+    assert vf.comparison_witness(counterexamples) == \
+        f"n=3:M{target[1]}(0,)~M{target[3]}(2,)->b=(1,)"
+    assert scanned == 140448
