@@ -16,7 +16,7 @@ from .structures import (FinStructure, ParseError, QfType, RangeError,
                          permute_structure, qf_type, serialize_structures,
                          thsigma_contains)
 from .scott import (ScottTable, distinguishing_level, scott_equiv,
-                    scott_iso_check, scott_rank, scott_table)
+                    scott_iso_check, scott_rank)
 from .hjorth import (ActionSystem, LevelTable, basis_shift_check,
                      compare_ranks, fixed_point_set, hjorth_rank, leq_table,
                      minimal_m, orbit_check_via_rank, partition_by_rank,

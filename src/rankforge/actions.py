@@ -405,7 +405,6 @@ class SymbolicLogicAction(ActionSystem):
         self.descriptors = _coset_descriptors(s, self.k)
         self.basis = [_coset_label(a, b) for a, b in self.descriptors]
         self._label_index = {lab: i for i, lab in enumerate(self.basis)}
-        self._cc_cache: dict = {}
 
     def contains(self, w: int, v: int) -> bool:
         # smaller coset <-> larger graph
@@ -414,14 +413,6 @@ class SymbolicLogicAction(ActionSystem):
         return set(zip(av, bv)) <= set(zip(aw, bw))
 
     def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
-        key = (x0, v0, x1, v1)
-        hit = self._cc_cache.get(key)
-        if hit is None:
-            hit = self._cc(x0, v0, x1, v1)
-            self._cc_cache[key] = hit
-        return hit
-
-    def _cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
         m, n = self.structures[x0], self.structures[x1]
         abar, bbar = self.descriptors[v0]
         a2, b2 = self.descriptors[v1]

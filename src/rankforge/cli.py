@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 
 from . import hjorth as hj
 from . import scott as sc
@@ -34,40 +33,13 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 _SIZE_MIN = {"g": 1, "x": 2, "n": 1}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation, fully pinned: the seed determines every generated
-    instance, and every report embeds these fields as its first record."""
-
-    command: str
-    input: str | None = None
-    suite: str | None = None
-    seed: int | None = None
-    sizes: str | None = None
-    count: int | None = None
-    logic: bool | None = None
-    symbolic: bool | None = None
-    n: int | None = None
-    k: int | None = None
-    support: int | None = None
-    max_tuple: int | None = None
-    rels: str | None = None
-    basis: str | None = None
-    max_level: int | None = None
-    dump: bool | None = None
-    oracle: bool | None = None
-    format: str = "text"
-
-    def record(self) -> str:
-        parts = []
-        for field in fields(self):
-            key, value = field.name, getattr(self, field.name)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = int(value)
-            parts.append(f"{key}={value}")
-        return "CONFIG " + " ".join(parts)
+def config_record(**fields) -> str:
+    """The CONFIG record that opens every report: the invocation's non-None
+    fields in the order given, bools as 0/1.  The seed determines every
+    generated instance, so these fields pin the run."""
+    return "CONFIG " + " ".join(
+        f"{key}={int(value) if isinstance(value, bool) else value}"
+        for key, value in fields.items() if value is not None)
 
 
 def _parse_sizes(text: str) -> dict[str, int]:
@@ -139,8 +111,8 @@ def cmd_scott_rank(args, budgets: Budgets) -> int:
         if args.structure not in structures:
             raise RankforgeError(f"no structure {args.structure} in {args.file}")
         structures = {args.structure: structures[args.structure]}
-    config = RunConfig(command="scott-rank", input=args.file, format=args.format)
-    out.record(config.record())
+    out.record(config_record(command="scott-rank", input=args.file,
+                             format=args.format))
     for ident, struct in structures.items():
         if not isinstance(struct, FinStructure):
             print(f"error: {ident} is not a finite structure", file=sys.stderr)
@@ -197,13 +169,13 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
     if args.point is not None and args.point not in point_ids:
         print(f"error: unknown point {args.point}", file=sys.stderr)
         return EXIT_USAGE
-    config = RunConfig(command="hjorth", input=args.file or args.structures,
-                       logic=args.logic, symbolic=args.symbolic,
-                       n=args.n, k=args.k, support=args.support,
-                       basis=args.basis or "-",
-                       max_level=args.max_level if args.max_level else "-",
-                       dump=args.dump, oracle=args.oracle, format=args.format)
-    out.record(config.record())
+    out.record(config_record(command="hjorth", input=args.file or args.structures,
+                             logic=args.logic, symbolic=args.symbolic,
+                             n=args.n, k=args.k, support=args.support,
+                             basis=args.basis or "-",
+                             max_level=args.max_level if args.max_level else "-",
+                             dump=args.dump, oracle=args.oracle,
+                             format=args.format))
     out.text(sysb.describe())
     try:
         table = hj.leq_table(sysb, max_level=args.max_level, budgets=budgets)
@@ -269,10 +241,9 @@ def cmd_verify(args, budgets: Budgets) -> int:
     sizes.setdefault("g", min(8, budgets.g))
     sizes.setdefault("x", min(6, budgets.x))
     sizes.setdefault("n", min(3, budgets.n))
-    config = RunConfig(command="verify", suite=args.suite, seed=args.seed,
-                       sizes=_sizes_str(sizes), count=args.count,
-                       format=args.format)
-    out.record(config.record())
+    out.record(config_record(command="verify", suite=args.suite, seed=args.seed,
+                             sizes=_sizes_str(sizes), count=args.count,
+                             format=args.format))
     out.text(f"suite {args.suite}, seed {args.seed}, sizes {_sizes_str(sizes)}, "
              f"{args.count} systems")
     reports = vf.run_suite(args.suite, args.seed, sizes, count=args.count)
@@ -299,9 +270,9 @@ def cmd_compare(args, budgets: Budgets) -> int:
     else:
         signature = Signature(tuple(args.rel or [("edge", 2)]))
     rels = ",".join(f"{name}:{arity}" for name, arity in signature.relations) or "-"
-    config = RunConfig(command="compare", n=args.n, max_tuple=args.max_tuple,
-                       seed=args.seed, rels=rels, format=args.format)
-    out.record(config.record())
+    out.record(config_record(command="compare", seed=args.seed, n=args.n,
+                             max_tuple=args.max_tuple, rels=rels,
+                             format=args.format))
     counterexamples, profile, scanned = vf.comparison_scan(
         max_n=args.n, max_tuple=args.max_tuple, seed=args.seed,
         signature=signature)

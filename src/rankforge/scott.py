@@ -209,27 +209,10 @@ def _qf_rows(struct: FinStructure, width: int) -> np.ndarray:
     return np.hstack(columns)
 
 
-@lru_cache(maxsize=64)
-def _cached_table(family: tuple[FinStructure, ...]) -> ScottTable:
-    return ScottTable(family)
-
-
-def scott_table(family: Sequence[FinStructure]) -> ScottTable:
-    """Level-synchronous refinement of a family until stabilization."""
-    return _cached_table(tuple(family))
-
-
-def _pair_table(m_struct, n_struct) -> tuple[ScottTable, int, int]:
-    if m_struct == n_struct:
-        return _cached_table((m_struct,)), 0, 0
-    return _cached_table((m_struct, n_struct)), 0, 1
-
-
 def scott_equiv(m_struct: FinStructure, abar: Sequence[int],
                 n_struct: FinStructure, bbar: Sequence[int], alpha) -> bool:
     """Level-alpha back-and-forth equivalence of two tuples."""
-    table, i, j = _pair_table(m_struct, n_struct)
-    return table.equivalent(i, tuple(abar), j, tuple(bbar), alpha)
+    return ScottTable((m_struct, n_struct)).equivalent(0, abar, 1, bbar, alpha)
 
 
 def scott_rank(struct: FinStructure) -> int:
@@ -238,7 +221,7 @@ def scott_rank(struct: FinStructure) -> int:
     For a single structure the refinement is a function of the current
     partition, so this is exactly the table's stabilization index.
     """
-    return _cached_table((struct,)).stab
+    return ScottTable((struct,)).stab
 
 
 def scott_iso_check(m_struct: FinStructure, n_struct: FinStructure) -> bool:
@@ -246,14 +229,13 @@ def scott_iso_check(m_struct: FinStructure, n_struct: FinStructure) -> bool:
 
     On finite structures this coincides with brute-force isomorphism.
     """
-    table, i, j = _pair_table(m_struct, n_struct)
-    return table.equivalent(i, (), j, (), STAB)
+    return ScottTable((m_struct, n_struct)).equivalent(0, (), 1, (), STAB)
 
 
 def distinguishing_level(m_struct: FinStructure, n_struct: FinStructure) -> int | None:
     """Least level separating the empty tuples, or None if none does."""
-    table, i, j = _pair_table(m_struct, n_struct)
+    table = ScottTable((m_struct, n_struct))
     for alpha in range(table.stab + 1):
-        if not table.equivalent(i, (), j, (), alpha):
+        if not table.equivalent(0, (), 1, (), alpha):
             return alpha
     return None

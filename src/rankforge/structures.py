@@ -28,6 +28,7 @@ after normalization (facts sorted lexicographically).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -236,25 +237,10 @@ def _witness_tuples(pool: Sequence[int], max_len: int, fresh: int) -> Iterator[t
 
 
 def _count_witnesses(pool_size: int, max_len: int, fresh: int) -> int:
-    # Tuples counted by (#pool entries used, #fresh used) per length.
-    total = 0
-    for length in range(max_len + 1):
-        for nfresh in range(min(fresh, length) + 1):
-            npool = length - nfresh
-            if npool > pool_size:
-                continue
-            ways = 1
-            for i in range(npool):
-                ways *= pool_size - i
-            total += ways * _binom(length, nfresh)
-    return total
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(min(k, n - k)):
-        out = out * (n - i) // (i + 1)
-    return out
+    # per length: ordered pool entries times the positions of the fresh ones
+    return sum(math.perm(pool_size, length - nfresh) * math.comb(length, nfresh)
+               for length in range(max_len + 1)
+               for nfresh in range(min(fresh, length) + 1))
 
 
 _TYPESET_BUDGET = 400_000

@@ -47,9 +47,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def records(self) -> list[str]:
-        return [c.record() for c in self.checks]
-
 
 def shrink_point_set(points: frozenset[int], still_fails) -> frozenset[int]:
     """Greedy deletion: drop elements while the failure persists."""
@@ -234,11 +231,12 @@ def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
     quads = 0
     for x0 in range(table.npoints):
         for v0 in range(table.nbasis):
+            rows = [arr[x0, v0].tolist() for arr in arrays]
             for x1 in range(table.npoints):
                 for v1 in range(table.nbasis):
                     quads += 1
-                    for a, arr in zip(levels, arrays):
-                        if oc.query(x0, v0, x1, v1, a) != arr[x0, v0, x1, v1]:
+                    for a, row in zip(levels, rows):
+                        if oc.query(x0, v0, x1, v1, a) != row[x1][v1]:
                             witness = hj.quad_witness(sys, x0, v0, x1, v1)
                             return f"{witness}@level={a}", quads
     return None, quads
@@ -473,7 +471,7 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
     # Oracle equivalence, exhaustive at tiny sizes.
     small = [m for n in (1, 2) for m in _all_structures(EDGE_SIG, n)]
     items = [(i, t) for i, m in enumerate(small) for t in sc.injective_tuples(m.size)]
-    bad, _ = _scott_oracle_mismatch(small, sc.scott_table(small),
+    bad, _ = _scott_oracle_mismatch(small, sc.ScottTable(small),
                                     itertools.combinations(items, 2), "exhaustive")
     checks.append(CheckResult("scott_oracle_exhaustive_small", bad is None, bad))
 
@@ -485,7 +483,7 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
         if m not in seen:
             seen.add(m)
             family.append(m)
-    ftab = sc.scott_table(family)
+    ftab = sc.ScottTable(family)
     samples = []
     by_len: dict[int, list] = {}
     for i, m in enumerate(family):
@@ -515,7 +513,7 @@ def scott_structure_checks(seed: int, exhaustive_n: int, ladder_max: int,
     reps = []
     for n in range(1, exhaustive_n + 1):
         reps.extend(canonical_edge_representatives(n))
-    rtab = sc.scott_table(reps)
+    rtab = sc.ScottTable(reps)
     bad = None
     roots = {}
     for i, m in enumerate(reps):
@@ -701,7 +699,10 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
             raise BudgetError(f"comparison scan needs 2^{atom_count} structures "
                               f"at n={n}; cap is 512")
         structures = _all_structures(signature, n)
-        table = sc.scott_table(structures)
+        table = sc.ScottTable(structures)
+        # t -> basis index of (t, bbar) for each bbar; every system of this n
+        # shares one coset basis, so each index is resolved once
+        cosets: dict[tuple, list[int]] = {}
         lengths = range(min(max_tuple, n) + 1)
         items = [(i, t) for i in range(len(structures))
                  for ln in lengths
@@ -717,12 +718,16 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
             sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0][0]]])
             ptab = hj.leq_table(sysp)
             for members in classes:
-                for (i, t), (j, u) in itertools.product(members, repeat=2):
-                    pi, pj = sysp.point_of(structures[i]), sysp.point_of(structures[j])
-                    for bbar in itertools.permutations(range(n), len(t)):
+                bbars = list(itertools.permutations(range(n), len(members[0][1])))
+                refs = []
+                for i, t in members:
+                    if t not in cosets:
+                        cosets[t] = [sysp.basis_of(t, bbar) for bbar in bbars]
+                    refs.append((i, t, sysp.point_of(structures[i]), cosets[t]))
+                for (i, t, pi, vs), (j, u, pj, ws) in itertools.product(refs, repeat=2):
+                    for bbar, v, w in zip(bbars, vs, ws):
                         scanned += 1
-                        if not ptab.leq(pi, sysp.basis_of(t, bbar),
-                                        pj, sysp.basis_of(u, bbar), STAB):
+                        if not ptab.leq(pi, v, pj, w, STAB):
                             counterexamples.append((n, i, t, j, u, bbar))
             del sysp, ptab
         for _ in range(profile_sample):

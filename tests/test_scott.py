@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from rankforge.actions import _all_structures
 from rankforge.common import STAB
 from rankforge.oracle import ScottOracle
-from rankforge.scott import (distinguishing_level, scott_equiv,
-                             scott_iso_check, scott_rank, scott_table)
+from rankforge.scott import (ScottTable, distinguishing_level, scott_equiv,
+                             scott_iso_check, scott_rank)
 from rankforge.structures import (FinStructure, Signature, brute_isomorphic,
                                   permute_structure)
 
@@ -36,19 +36,19 @@ def test_scott_equiv_reflexive_all_levels():
 
 def test_scott_table_blocks():
     l2 = chain(2)
-    tab = scott_table([l2])
+    tab = ScottTable([l2])
     assert not tab.equivalent(0, (0, 1), 0, (1, 0), 0)
     assert tab.stab == 1
-    pair = scott_table([l2, chain(3)])
+    pair = ScottTable([l2, chain(3)])
     assert pair.equivalent(0, (), 1, (), 1)
     assert not pair.equivalent(0, (), 1, (), 2)
-    single = scott_table([FinStructure(Signature(()), 1)])
+    single = ScottTable([FinStructure(Signature(()), 1)])
     assert single.stab == 0
 
 
 def test_scott_table_levels_are_equivalences():
     structs = _all_structures(EDGE_SIG, 2)
-    tab = scott_table(structs)
+    tab = ScottTable(structs)
     items = [(i, t) for i in range(len(structs))
              for ln in range(3) for t in itertools.permutations(range(2), ln)]
     for alpha in range(tab.stab + 1):
@@ -67,7 +67,7 @@ def test_scott_table_levels_are_equivalences():
 def test_scott_monotone_in_level():
     rng = random.Random(2)
     structs = _all_structures(EDGE_SIG, 2)
-    tab = scott_table(structs)
+    tab = ScottTable(structs)
     for _ in range(300):
         i, j = rng.randrange(len(structs)), rng.randrange(len(structs))
         ln = rng.randint(0, 2)
@@ -81,7 +81,7 @@ def test_scott_monotone_in_level():
 def test_scott_rank_examples():
     for m, want in ((FinStructure(Signature(()), 1), 0), (chain(2), 1)):
         rank = scott_rank(m)
-        assert type(rank) is int and rank == want == scott_table([m]).stab
+        assert type(rank) is int and rank == want == ScottTable([m]).stab
     rng = random.Random(9)
     for _ in range(20):
         n = rng.randint(1, 4)
@@ -94,7 +94,7 @@ def test_scott_rank_examples():
 
 def test_stab_bounded_by_item_count():
     for structs in ([chain(4)], _all_structures(EDGE_SIG, 2)):
-        tab = scott_table(structs)
+        tab = ScottTable(structs)
         items = sum(len(list(itertools.permutations(range(m.size), ln)))
                     for m in structs for ln in range(m.size + 1))
         assert tab.stab <= items
@@ -127,7 +127,7 @@ def test_repeated_tuples_reduce_correctly():
     for i, j in itertools.combinations_with_replacement(range(len(structs)), 2):
         if structs[i].signature != structs[j].signature:
             continue
-        tab = scott_table([structs[i], structs[j]])
+        tab = ScottTable([structs[i], structs[j]])
         key = (i, j)
         oracles[key] = ScottOracle(structs[i], structs[j])
         for t in tuples:
@@ -157,15 +157,12 @@ DIFF_SIGS = {
 
 @st.composite
 def mixed_family(draw):
-    kind = draw(st.sampled_from(sorted(DIFF_SIGS)))
-    sig = DIFF_SIGS[kind]
-    if kind == "ternary":
-        # Size 4 only: 64 position vectors per full-length tuple.  A smaller
-        # universe beside it pushes stab to 4, and the oracle then checks
-        # length**3 atoms at each leaf of a depth-5 game (tens of seconds).
-        sizes = draw(st.lists(st.just(4), min_size=1, max_size=2))
-    else:
-        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    # Every kind mixes sizes 1-4, ternary included.  Ternary families of two
+    # sizes reach deeper levels than size-4 ones alone; the oracle affords
+    # them because it compares atoms at every level of the game and stops at
+    # the first mismatch instead of checking them only at the leaves.
+    sig = DIFF_SIGS[draw(st.sampled_from(sorted(DIFF_SIGS)))]
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     family = []
     for n in sizes:
         facts = set()
@@ -180,7 +177,7 @@ def mixed_family(draw):
 @given(mixed_family(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_table_matches_oracle_on_mixed_families(family, data):
-    tab = scott_table(family)
+    tab = ScottTable(family)
     oracles = {}
     for i, j in itertools.combinations_with_replacement(range(len(family)), 2):
         m, n = family[i], family[j]
@@ -212,7 +209,7 @@ def test_round_signature_is_a_set():
     # only their multiplicities (3:1 against 1:3) differ.
     a = FinStructure(EDGE_SIG, 4, frozenset(("edge", (e, e)) for e in range(3)))
     b = FinStructure(EDGE_SIG, 4, frozenset({("edge", (0, 0))}))
-    tab = scott_table([a, b])
+    tab = ScottTable([a, b])
     assert tab.class_of(0, (), 1) == tab.class_of(1, (), 1)
     oracle = ScottOracle(a, b)
     assert oracle.equiv((), (), 1)
@@ -240,7 +237,7 @@ def test_block_order_is_pinned():
             + [("edge", (a, b)) for a in range(n) for b in range(n)
                if rng.random() < 0.35])
         family.append(FinStructure(sig, n, facts))
-    tab = scott_table(family)
+    tab = ScottTable(family)
     digests = [hashlib.sha256(repr(tab.blocks(a)).encode()).hexdigest()
                for a in range(tab.stab + 1)]
     assert digests == BLOCK_DIGESTS

@@ -12,6 +12,7 @@ from rankforge.structures import (FinStructure, ParseError, RangeError,
                                   permute_structure, qf_type,
                                   realized_types, serialize_structures,
                                   thsigma_contains)
+from rankforge.structures import _count_witnesses, _witness_tuples
 
 from conftest import EDGE_SIG, chain
 
@@ -243,6 +244,13 @@ def test_realized_types_budget_guard():
     big = FinStructure(EDGE_SIG, 8, frozenset())
     with pytest.raises(BudgetError):
         realized_types(big, (), 30, 30)
+
+
+def test_witness_count_matches_enumeration():
+    # the budget guard counts witness tuples without enumerating them
+    for pool, length, fresh in itertools.product(range(6), range(6), range(4)):
+        assert _count_witnesses(pool, length, fresh) == \
+            sum(1 for _ in _witness_tuples(range(pool), length, fresh))
 
 
 # -- brute-force isomorphism
