@@ -5,7 +5,8 @@ Subcommands: ``scott-rank`` (back-and-forth rank of structures in a file),
 ``verify`` (lemma/property suites), ``compare`` (back-and-forth vs table
 levels on the relabeling action).
 
-Exit codes: 0 pass, 1 check failure, 2 usage/parse error, 3 budget.
+Exit codes: 0 pass, 1 check failure, 2 usage/parse error, 3 budget (or out
+of memory), 4 internal error.
 Text output is human-oriented; ``--format records`` is the stable machine
 contract (one record per line, fixed key order).  Identical invocations,
 seed included, produce byte-identical records output.
@@ -26,7 +27,7 @@ from .common import (Budgets, BudgetError, InvalidBaseRelationError,
 from .structures import (FinStructure, Signature, StructureError,
                          SuppStructure, parse_structures_file)
 
-EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
+EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 # least value of each --sizes cap: a group holds its identity, and the
 # ensemble draws spaces of at least two points
@@ -357,6 +358,20 @@ def main(argv=None) -> int:
     except (StructureError, RankforgeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(_error_line("out of memory", exc), file=sys.stderr)
+        return EXIT_BUDGET
+    except Exception as exc:
+        # exit 1 means only that a check failed, so a fault in rankforge
+        # itself gets its own code
+        print(_error_line(f"internal error: {type(exc).__name__}", exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _error_line(what: str, exc: BaseException) -> str:
+    detail = " ".join(str(exc).split())
+    return f"error: {what}: {detail}" if detail else f"error: {what}"
 
 
 if __name__ == "__main__":

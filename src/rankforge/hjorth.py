@@ -34,6 +34,11 @@ import numpy as np
 from .common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
                      RankforgeError, UnsupportedOperationError)
 
+# float32 elements in one block of the T_1 and sweep products: the level
+# tables are built block by block into buffers reused by every block, never
+# as whole P x P float32 arrays
+_BLOCK = 1 << 20
+
 
 class ActionSystem:
     """Abstract finite action: points, basis sets, containment and cc.
@@ -114,51 +119,75 @@ class LevelTable:
         self.sub = sub
         self._subf = sub.astype(np.float32)
 
-        img = sys.image_tensor()
-        if img is not None:
-            # (x0,V0) <= (x1,V1) iff no y is in the first image but not the second
-            f = img.reshape(npoints * nbasis, npoints).astype(np.float32)
-            t1 = ((f @ (1 - f).T) == 0).reshape(npoints, nbasis, npoints, nbasis)
-        else:
-            t1 = np.zeros((npoints, nbasis, npoints, nbasis), dtype=bool)
-            for x0 in range(npoints):
-                for v0 in range(nbasis):
-                    for x1 in range(npoints):
-                        for v1 in range(nbasis):
-                            t1[x0, v0, x1, v1] = sys.cc(x0, v0, x1, v1)
-        self.levels: list[np.ndarray] = [t1]
+        self.levels: list[np.ndarray] = [self._base_level()]
         self.stab: int | None = None
         self._equiv: dict[int, np.ndarray] = {}
 
         while max_level is None or len(self.levels) < max_level:
-            nxt = self._sweep(self.levels[-1])
-            grown = nxt & ~self.levels[-1]
-            if grown.any():
-                x0, v0, x1, v1 = (int(i) for i in np.argwhere(grown)[0])
+            prev = self.levels[-1]
+            nxt = self._sweep(prev)
+            grown = np.flatnonzero(nxt > prev)
+            if grown.size:
+                x0, v0, x1, v1 = (int(i) for i in
+                                  np.unravel_index(grown[0], nxt.shape))
                 raise InvalidBaseRelationError(
                     "invalid base relation: level "
                     f"{len(self.levels) + 1} adds ({sys.points[x0]},{sys.basis[v0]})"
                     f" <= ({sys.points[x1]},{sys.basis[v1]})",
                     witness=(x0, v0, x1, v1))
-            if (nxt == self.levels[-1]).all():
+            # nothing grew, so nxt is inside prev: equal iff equally large
+            if np.count_nonzero(nxt) == np.count_nonzero(prev):
                 self.stab = len(self.levels)
                 break
             self.levels.append(nxt)
         for arr in self.levels:
             arr.setflags(write=False)
 
+    def _base_level(self) -> np.ndarray:
+        """T_1, built apart so that its float32 buffers are freed before
+        the first sweep."""
+        sys, npoints, nbasis = self.sys, self.npoints, self.nbasis
+        img = sys.image_tensor()
+        if img is not None:
+            # (x0,V0) <= (x1,V1) iff no y is in the first image but not the second
+            f = img.reshape(npoints * nbasis, npoints).astype(np.float32)
+            miss = (1 - f).T
+            t1 = np.empty((len(f), len(f)), dtype=bool)
+            step = max(1, _BLOCK // len(f))
+            product = np.empty((min(step, len(f)), len(f)), dtype=np.float32)
+            for lo in range(0, len(f), step):
+                hi = min(lo + step, len(f))
+                np.matmul(f[lo:hi], miss, out=product[:hi - lo])
+                np.equal(product[:hi - lo], 0, out=t1[lo:hi])
+            return t1.reshape(npoints, nbasis, npoints, nbasis)
+        t1 = np.zeros((npoints, nbasis, npoints, nbasis), dtype=bool)
+        for x0 in range(npoints):
+            for v0 in range(nbasis):
+                for x1 in range(npoints):
+                    for v1 in range(nbasis):
+                        t1[x0, v0, x1, v1] = sys.cc(x0, v0, x1, v1)
+        return t1
+
     def _sweep(self, prev: np.ndarray) -> np.ndarray:
         npoints, nbasis = self.npoints, self.nbasis
         subf = self._subf
-        # float32 operands are temporaries, freed as soon as each product is
-        # thresholded, so at most two of them are alive at once
-        # exists[x1,x0,W0,V1]: some W1 <= V1 has prev(x1,W1,x0,W0)
-        exists = (prev.transpose(0, 2, 3, 1).reshape(-1, nbasis).astype(np.float32)
-                  @ subf).reshape(npoints, npoints, nbasis, nbasis) > 0
-        # fail[x1,x0,V1,V0]: some W0 <= V0 with no such W1
-        fail = ((~exists).transpose(0, 1, 3, 2).reshape(-1, nbasis).astype(np.float32)
-                @ subf).reshape(npoints, npoints, nbasis, nbasis) > 0
-        return (~fail).transpose(1, 3, 0, 2).copy()
+        out = np.empty(prev.shape, dtype=bool)
+        # T_{a+1}(x0,.,x1,.) reads only prev[x1], so the float32 operand and
+        # product cover one block of x1 at a time
+        step = max(1, _BLOCK // (npoints * nbasis * nbasis))
+        operand = np.empty((min(step, npoints), npoints, nbasis, nbasis), np.float32)
+        product = np.empty_like(operand)
+        for lo in range(0, npoints, step):
+            hi = min(lo + step, npoints)
+            a, p = operand[:hi - lo], product[:hi - lo]
+            # p[x1,x0,W0,V1] > 0 (exists): some W1 <= V1 has prev(x1,W1,x0,W0)
+            a[...] = prev[lo:hi].transpose(0, 2, 3, 1)
+            np.matmul(a.reshape(-1, nbasis), subf, out=p.reshape(-1, nbasis))
+            # p[x1,x0,V1,V0] > 0 (fail): some W0 <= V0 with no such W1
+            a[...] = (p == 0).transpose(0, 1, 3, 2)
+            np.matmul(a.reshape(-1, nbasis), subf, out=p.reshape(-1, nbasis))
+            out[:, :, lo:hi, :] = (p == 0).transpose(1, 3, 0, 2)
+        return out
 
     @property
     def stabilized(self) -> bool:

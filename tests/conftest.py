@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 
@@ -23,6 +24,13 @@ def make_sys1() -> FiniteDiscreteAction:
     two group elements is a basis set."""
     return FiniteDiscreteAction(3, [("e", (0, 1, 2)), ("s", (1, 0, 2))],
                                 ALL_SUBSETS)
+
+
+def edge_structures(*sizes: int) -> list[FinStructure]:
+    """Every edge structure on 3 elements with one of the given edge counts."""
+    atoms = [("edge", (i, j)) for i in range(3) for j in range(3)]
+    return [FinStructure(EDGE_SIG, 3, frozenset(c))
+            for size in sizes for c in itertools.combinations(atoms, size)]
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rankforge import cli
 from rankforge.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -377,3 +378,19 @@ def test_compare_scan_records_match_benchmark_digest(capsys):
                  "--format", "records"])
     assert code == 0
     assert check.records_digest(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (MemoryError(), 3, "error: out of memory"),
+    (ValueError("bad\nvalue"), 4, "error: internal error: ValueError: bad value"),
+], ids=["memory", "internal"])
+def test_uncaught_exception_exit_code(exc, code, message, monkeypatch, capsys):
+    # exit 1 is kept for failed checks: other faults get a one-line message
+    def fail(args, budgets):
+        print("CONFIG command=compare")
+        raise exc
+    monkeypatch.setattr(cli, "cmd_compare", fail)
+    assert main(["compare", "--n", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "CONFIG command=compare\n"
+    assert captured.err == message + "\n"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rankforge.common import (STAB, BudgetError, InvalidBaseRelationError,
 from rankforge import hjorth as hj
 from rankforge.verify import CorruptedSystem
 
-from conftest import EDGE_SIG, make_sys1
+from conftest import EDGE_SIG, edge_structures, make_sys1
 
 
 def test_level_table_base_level(sys1, basis_index):
@@ -179,7 +180,16 @@ def test_invalid_base_relation_aborts(sys1):
     corrupted = CorruptedSystem(make_sys1(), (0, 0, 2, 0))
     with pytest.raises(InvalidBaseRelationError) as err:
         hj.leq_table(corrupted)
-    assert err.value.witness is not None
+    # level 2 adds (2,{e}) <= (0,{e}) and (2,{e}) <= (0,{e,s}): the witness
+    # is the first in index order
+    assert err.value.witness == (2, 0, 0, 0)
+
+
+def make_non_basis_family() -> FiniteDiscreteAction:
+    """C3 acting on itself with the family {e,r}, {e,r2}, {e,r,r2}."""
+    return FiniteDiscreteAction(
+        3, [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))],
+        [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})])
 
 
 def test_deep_stabilization_on_non_basis_family():
@@ -187,9 +197,7 @@ def test_deep_stabilization_on_non_basis_family():
     # is not a topological basis and the orbit-tracking results do not
     # apply; the recurrence itself is still well defined, stabilizes late,
     # and must agree with the literal recursion at every level.
-    sysb = FiniteDiscreteAction(
-        3, [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))],
-        [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})])
+    sysb = make_non_basis_family()
     table = hj.leq_table(sysb)
     assert table.stab == 2
     from rankforge.oracle import LeqOracle
@@ -274,3 +282,55 @@ def test_level_arrays_monotone(sys1):
     for k in range(len(table.levels) - 1):
         assert not (table.levels[k + 1] & ~table.levels[k]).any()
     assert isinstance(table.levels[0], np.ndarray)
+
+
+def build_outcome(sys):
+    """The stab and level arrays of a table, or the witness and message of
+    its abort."""
+    try:
+        table = hj.leq_table(sys)
+    except InvalidBaseRelationError as err:
+        return err.witness, str(err)
+    return table.stab, table.levels
+
+
+# Every system here fits one block by default.  Block 1 gives one row per
+# block; 60 and 42,000 leave a short last block in T_1 and the sweep (60: 6
+# T_1 rows of 9, 2 sweep rows of 3 on the 3-point systems; 42,000: 50 T_1
+# rows of 840, 5 sweep rows of 84 on the 84-point one, whose table aborts
+# with 324 grown entries).
+@pytest.mark.parametrize("block", [1, 60, 42_000])
+@pytest.mark.parametrize("make", [
+    make_sys1,
+    make_non_basis_family,
+    lambda: FiniteLogicAction(EDGE_SIG, 3, 1, edge_structures(3)),
+    lambda: CorruptedSystem(make_sys1(), (0, 0, 2, 0)),
+], ids=["sys1", "non-basis", "logic-84", "corrupted"])
+def test_blocked_build_matches_one_block(make, block, monkeypatch):
+    whole = build_outcome(make())
+    monkeypatch.setattr(hj, "_BLOCK", block)
+    blocked = build_outcome(make())
+    assert blocked[0] == whole[0]
+    if isinstance(whole[1], str):
+        assert blocked[1] == whole[1]
+    else:
+        assert len(blocked[1]) == len(whole[1])
+        for got, want in zip(blocked[1], whole[1]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_level_table_memory_peak():
+    # 210 points x 16 basis sets: each level is P^2 bytes for P = 3,360
+    # pairs.  T_1, one sweep and its growth test peak at 3.0 P^2 in row
+    # blocks; whole P x P float32 products took 10.3 P^2.
+    sys = FiniteLogicAction(EDGE_SIG, 3, 3, edge_structures(3, 4))
+    pairs = len(sys.points) * len(sys.basis)
+    assert pairs == 3360
+    tracemalloc.start()
+    try:
+        table = hj.leq_table(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.stab == 1
+    assert peak <= 4 * pairs ** 2

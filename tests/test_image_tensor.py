@@ -11,10 +11,9 @@ from rankforge.actions import (ALL_SUBSETS, SINGLETONS_PLUS_G,
                                FiniteDiscreteAction, FiniteLogicAction,
                                parse_action_file)
 from rankforge.common import InvalidBaseRelationError
-from rankforge.structures import FinStructure
 from rankforge.verify import CorruptedSystem
 
-from conftest import EDGE_SIG, make_sys1
+from conftest import EDGE_SIG, edge_structures, make_sys1
 
 C3 = [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))]
 S3 = [("".join(map(str, p)), p) for p in itertools.permutations(range(3))]
@@ -46,14 +45,8 @@ def assert_image_matches_action(sys):
         assert set(np.flatnonzero(img[x, v]).tolist()) == hits
 
 
-def three_edge_structures() -> list[FinStructure]:
-    atoms = [("edge", (i, j)) for i in range(3) for j in range(3)]
-    return [FinStructure(EDGE_SIG, 3, frozenset(c))
-            for c in itertools.combinations(atoms, 3)]
-
-
 def test_logic_action_above_64_points():
-    sysb = FiniteLogicAction(EDGE_SIG, 3, 1, three_edge_structures())
+    sysb = FiniteLogicAction(EDGE_SIG, 3, 1, edge_structures(3))
     assert len(sysb.points) == 84 and len(sysb.basis) == 10
     assert_image_matches_action(sysb)
     table = hj.leq_table(sysb, max_level=1)
@@ -79,7 +72,7 @@ def test_discrete_action_bases(basis):
     # not a basis: the levels stabilize only at 2
     FiniteDiscreteAction(3, C3, [frozenset({0, 1}), frozenset({0, 2}),
                                  frozenset({0, 1, 2})]),
-    FiniteLogicAction(EDGE_SIG, 3, 2, three_edge_structures()[:6]),
+    FiniteLogicAction(EDGE_SIG, 3, 2, edge_structures(3)[:6]),
 ], ids=["sys1", "s3", "non-basis", "logic"])
 def test_equiv_matrix_every_level(sysb):
     table = hj.leq_table(sysb)
