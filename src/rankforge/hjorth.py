@@ -125,16 +125,14 @@ class LevelTable:
 
         while max_level is None or len(self.levels) < max_level:
             prev = self.levels[-1]
-            nxt = self._sweep(prev)
-            grown = np.flatnonzero(nxt > prev)
-            if grown.size:
-                x0, v0, x1, v1 = (int(i) for i in
-                                  np.unravel_index(grown[0], nxt.shape))
+            nxt, grown = self._sweep(prev)
+            if grown is not None:
+                x0, v0, x1, v1 = grown
                 raise InvalidBaseRelationError(
                     "invalid base relation: level "
                     f"{len(self.levels) + 1} adds ({sys.points[x0]},{sys.basis[v0]})"
                     f" <= ({sys.points[x1]},{sys.basis[v1]})",
-                    witness=(x0, v0, x1, v1))
+                    witness=grown)
             # nothing grew, so nxt is inside prev: equal iff equally large
             if np.count_nonzero(nxt) == np.count_nonzero(prev):
                 self.stab = len(self.levels)
@@ -168,10 +166,13 @@ class LevelTable:
                         t1[x0, v0, x1, v1] = sys.cc(x0, v0, x1, v1)
         return t1
 
-    def _sweep(self, prev: np.ndarray) -> np.ndarray:
+    def _sweep(self, prev: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+        """The next level, and its first entry in (x0,V0,x1,V1) order that
+        ``prev`` lacks (None when nothing grew), tested block by block."""
         npoints, nbasis = self.npoints, self.nbasis
         subf = self._subf
         out = np.empty(prev.shape, dtype=bool)
+        grown = None
         # T_{a+1}(x0,.,x1,.) reads only prev[x1], so the float32 operand and
         # product cover one block of x1 at a time
         step = max(1, _BLOCK // (npoints * nbasis * nbasis))
@@ -187,7 +188,13 @@ class LevelTable:
             a[...] = (p == 0).transpose(0, 1, 3, 2)
             np.matmul(a.reshape(-1, nbasis), subf, out=p.reshape(-1, nbasis))
             out[:, :, lo:hi, :] = (p == 0).transpose(1, 3, 0, 2)
-        return out
+            # blocks split x1, so the first growth is the least across blocks
+            more = out[:, :, lo:hi, :] > prev[:, :, lo:hi, :]
+            if more.any():
+                x0, v0, x1, v1 = np.unravel_index(np.argmax(more), more.shape)
+                first = (int(x0), int(v0), lo + int(x1), int(v1))
+                grown = first if grown is None else min(grown, first)
+        return out, grown
 
     @property
     def stabilized(self) -> bool:

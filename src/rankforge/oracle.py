@@ -1,10 +1,11 @@
 """Independent brute-force references used by the verification suites.
 
-Deliberately naive: literal recursions of the defining clauses with
-memoization, no table machinery.  This module never imports the engine
-modules (scott, hjorth, actions); it shares only the structure substrate.
-Memo tables live in per-oracle contexts; concurrent evaluations should use
-independent contexts.
+Deliberately naive: literal recursions of the defining clauses, evaluated
+on demand, no table machinery.  This module never imports the engine
+modules (scott, hjorth, actions) or numpy; it shares only the structure
+substrate.  Each oracle owns its memo: a dict for the Scott game, one
+bytearray per level for the level relation.  Concurrent evaluations should
+use independent oracles.
 """
 
 from __future__ import annotations
@@ -68,44 +69,68 @@ class LeqOracle:
     """Literal recursion of the level relation on one action system.
 
     Base case is the system's cc; the successor case alternates quantifiers
-    over shrinking basis sets with the argument pairs flipped.  Memoization
-    is keyed on (x0, V0, x1, V1, alpha).
+    over shrinking basis sets with the argument pairs flipped.  The memo is
+    one bytearray per level, allocated when a query first reaches that
+    level: cell ((x0*B + V0)*P + x1)*B + V1, for P points and B basis sets,
+    holds 0 while unknown, 1 for false and 2 for true.
     """
 
     def __init__(self, sys, depth_cap: int = 64):
         self.sys = sys
         self.depth_cap = depth_cap
-        nb = len(sys.basis)
+        npoints, nb = len(sys.points), len(sys.basis)
+        self._npoints, self._nbasis = npoints, nb
+        self._half = npoints * nb
         self._subs = [tuple(w for w in range(nb) if sys.contains(w, v))
                       for v in range(nb)]
-        self._memo: dict = {}
+        # W1*P*B for each W1 <= V: the stride of W1 in a level's cell index
+        self._offs = [tuple(w * self._half for w in subs) for subs in self._subs]
+        self._memo: dict[int, bytearray] = {}
 
     def query(self, x0: int, v0: int, x1: int, v1: int, alpha: int) -> bool:
         if alpha < 1:
             raise ValueError("levels start at 1")
         if alpha > self.depth_cap:
             raise OracleDepthError(f"level {alpha} exceeds depth cap {self.depth_cap}")
+        # an index out of range would read another quadruple's cell
+        npoints, nb = self._npoints, self._nbasis
+        if not (0 <= x0 < npoints and 0 <= x1 < npoints
+                and 0 <= v0 < nb and 0 <= v1 < nb):
+            raise IndexError(f"quadruple ({x0},{v0},{x1},{v1}) out of range")
         return self._rec(x0, v0, x1, v1, alpha)
 
+    def _cells(self, level: int) -> bytearray:
+        cells = self._memo.get(level)
+        if cells is None:
+            cells = self._memo[level] = bytearray(self._half * self._half)
+        return cells
+
     def _rec(self, a, va, b, vb, level):
-        key = (a, va, b, vb, level)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        cells = self._cells(level)
+        nb, half = self._nbasis, self._half
+        key = (a * nb + va) * half + b * nb + vb
+        hit = cells[key]
+        if hit:
+            return hit == 2
         if level == 1:
             out = self.sys.cc(a, va, b, vb)
         else:
+            lower = level - 1
+            below = self._cells(lower)
+            # cell (b, W1, a, W0) of the level below is start + W0 + W1*P*B
+            start = b * nb * half + a * nb
+            offs = self._offs[vb]
             out = True
             for w0 in self._subs[va]:
-                found = False
-                for w1 in self._subs[vb]:
-                    if self._rec(b, w1, a, w0, level - 1):
-                        found = True
+                base = start + w0
+                for off in offs:
+                    hit = below[base + off]
+                    if hit == 2 or (not hit and self._rec(b, off // half, a, w0, lower)):
                         break
-                if not found:
+                else:  # no W1 <= V1 answers this W0
                     out = False
                     break
-        self._memo[key] = out
+        cells[key] = 2 if out else 1
         return out
 
 

@@ -26,6 +26,13 @@ def make_sys1() -> FiniteDiscreteAction:
                                 ALL_SUBSETS)
 
 
+def make_non_basis_family() -> FiniteDiscreteAction:
+    """C3 acting on itself with the family {e,r}, {e,r2}, {e,r,r2}."""
+    return FiniteDiscreteAction(
+        3, [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))],
+        [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})])
+
+
 def edge_structures(*sizes: int) -> list[FinStructure]:
     """Every edge structure on 3 elements with one of the given edge counts."""
     atoms = [("edge", (i, j)) for i in range(3) for j in range(3)]

@@ -11,7 +11,8 @@ from rankforge.common import (STAB, BudgetError, InvalidBaseRelationError,
 from rankforge import hjorth as hj
 from rankforge.verify import CorruptedSystem
 
-from conftest import EDGE_SIG, edge_structures, make_sys1
+from conftest import (EDGE_SIG, edge_structures, make_non_basis_family,
+                      make_sys1)
 
 
 def test_level_table_base_level(sys1, basis_index):
@@ -183,13 +184,16 @@ def test_invalid_base_relation_aborts(sys1):
     # level 2 adds (2,{e}) <= (0,{e}) and (2,{e}) <= (0,{e,s}): the witness
     # is the first in index order
     assert err.value.witness == (2, 0, 0, 0)
+    with pytest.raises(InvalidBaseRelationError) as err:
+        hj.leq_table(make_twice_corrupted())
+    assert err.value.witness == (0, 0, 1, 0)
 
 
-def make_non_basis_family() -> FiniteDiscreteAction:
-    """C3 acting on itself with the family {e,r}, {e,r2}, {e,r,r2}."""
-    return FiniteDiscreteAction(
-        3, [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))],
-        [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})])
+def make_twice_corrupted() -> CorruptedSystem:
+    """sys1 with two cc entries flipped: level 2 adds (0,0,1,0), (0,2,1,0),
+    (2,0,0,0) and (2,0,0,2), so with one x1 per sweep block the first
+    growth sits in the second block."""
+    return CorruptedSystem(CorruptedSystem(make_sys1(), (0, 0, 2, 0)), (1, 0, 0, 0))
 
 
 def test_deep_stabilization_on_non_basis_family():
@@ -305,7 +309,8 @@ def build_outcome(sys):
     make_non_basis_family,
     lambda: FiniteLogicAction(EDGE_SIG, 3, 1, edge_structures(3)),
     lambda: CorruptedSystem(make_sys1(), (0, 0, 2, 0)),
-], ids=["sys1", "non-basis", "logic-84", "corrupted"])
+    make_twice_corrupted,
+], ids=["sys1", "non-basis", "logic-84", "corrupted", "twice-corrupted"])
 def test_blocked_build_matches_one_block(make, block, monkeypatch):
     whole = build_outcome(make())
     monkeypatch.setattr(hj, "_BLOCK", block)
@@ -321,8 +326,9 @@ def test_blocked_build_matches_one_block(make, block, monkeypatch):
 
 def test_level_table_memory_peak():
     # 210 points x 16 basis sets: each level is P^2 bytes for P = 3,360
-    # pairs.  T_1, one sweep and its growth test peak at 3.0 P^2 in row
-    # blocks; whole P x P float32 products took 10.3 P^2.
+    # pairs.  T_1 and one sweep, its growth tested block by block, peak at
+    # 2.91 P^2 (two levels and the 4 MB float32 block buffers); a whole-table
+    # growth test took 3.0 P^2 and whole P x P float32 products 10.3 P^2.
     sys = FiniteLogicAction(EDGE_SIG, 3, 3, edge_structures(3, 4))
     pairs = len(sys.points) * len(sys.basis)
     assert pairs == 3360
@@ -333,4 +339,4 @@ def test_level_table_memory_peak():
     finally:
         tracemalloc.stop()
     assert table.stab == 1
-    assert peak <= 4 * pairs ** 2
+    assert peak <= 2.95 * pairs ** 2

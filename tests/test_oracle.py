@@ -1,17 +1,21 @@
 import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankforge import hjorth as hj
+from rankforge.actions import SINGLETONS_PLUS_G
 from rankforge.common import BudgetError, OracleDepthError
 from rankforge.hjorth import leq_table
 from rankforge.oracle import (LeqOracle, ScottOracle, _same_atoms,
                               invariant_sets, orbit_partition)
 from rankforge.structures import FinStructure, Signature, permute_structure
+from rankforge.verify import CorruptedSystem, ensemble
 
-from conftest import chain
+from conftest import chain, make_non_basis_family, make_sys1
 
 
 def test_naive_leq_level1_is_cc(sys1):
@@ -44,6 +48,87 @@ def test_naive_leq_depth_cap(sys1):
         LeqOracle(sys1, 10).query(0, 0, 0, 0, 99)
     with pytest.raises(ValueError):
         LeqOracle(sys1).query(0, 0, 0, 0, 0)
+    # an index past its range would otherwise read another quadruple's cell
+    for quad in ((0, 0, 2, 3), (3, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0)):
+        with pytest.raises(IndexError):
+            LeqOracle(sys1).query(*quad, 1)
+
+
+class DictMemoLeq:
+    """The literal recursion with one dict memo keyed on (x0, V0, x1, V1,
+    level), kept as the reference for the per-level cell memo."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        nb = len(sys.basis)
+        self._subs = [tuple(w for w in range(nb) if sys.contains(w, v))
+                      for v in range(nb)]
+        self._memo: dict = {}
+
+    def _rec(self, a, va, b, vb, level):
+        key = (a, va, b, vb, level)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if level == 1:
+            out = self.sys.cc(a, va, b, vb)
+        else:
+            out = True
+            for w0 in self._subs[va]:
+                found = False
+                for w1 in self._subs[vb]:
+                    if self._rec(b, w1, a, w0, level - 1):
+                        found = True
+                        break
+                if not found:
+                    out = False
+                    break
+        self._memo[key] = out
+        return out
+
+
+class RecordingSystem(hj.ActionSystem):
+    """A system that logs every cc call it answers."""
+
+    def __init__(self, base):
+        self.base = base
+        self.points, self.basis = base.points, base.basis
+        self.calls = []
+
+    def contains(self, w, v):
+        return self.base.contains(w, v)
+
+    def cc(self, *quad):
+        self.calls.append(quad)
+        return self.base.cc(*quad)
+
+
+def reference_systems():
+    out = [pytest.param(make_sys1(), id="sys1"),
+           pytest.param(make_non_basis_family(), id="non-basis"),
+           pytest.param(CorruptedSystem(make_sys1(), (0, 0, 2, 0)), id="corrupted")]
+    for i, sys in enumerate(ensemble(11, 10, max_g=6, max_x=5)):
+        out.append(pytest.param(sys.with_basis(SINGLETONS_PLUS_G), id=f"ensemble{i}"))
+    return out
+
+
+@pytest.mark.parametrize("sys", reference_systems())
+def test_cell_memo_matches_dict_memo_recursion(sys):
+    quads = itertools.product(range(len(sys.points)), range(len(sys.basis)),
+                              range(len(sys.points)), range(len(sys.basis)))
+    # each query twice, so that every level is also read from its memo
+    queries = [(*quad, level) for quad in quads for level in range(1, 5)] * 2
+    random.Random(7).shuffle(queries)
+    # start at level 3, so that levels 2 and 1 are first reached by the
+    # recursion; later queries then read cells that recursions filled
+    first = next(i for i, query in enumerate(queries) if query[4] == 3)
+    queries.insert(0, queries.pop(first))
+    got_sys, want_sys = RecordingSystem(sys), RecordingSystem(sys)
+    oracle, reference = LeqOracle(got_sys), DictMemoLeq(want_sys)
+    for query in queries:
+        assert oracle.query(*query) == reference._rec(*query), query
+    # the same quadruples were evaluated, in the same order
+    assert got_sys.calls == want_sys.calls
 
 
 def test_leq_oracle_queries_leave_no_cycles(sys1):
@@ -147,7 +232,7 @@ def test_oracle_module_never_imports_engines():
 
     import rankforge.oracle as module
     tree = ast.parse(inspect.getsource(module))
-    banned = {"scott", "hjorth", "actions", "verify", "cli"}
+    banned = {"scott", "hjorth", "actions", "verify", "cli", "numpy"}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             assert (node.module or "").split(".")[-1] not in banned

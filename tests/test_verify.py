@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from rankforge import verify as vf
 from rankforge.actions import FiniteLogicAction, _all_structures
 from rankforge.common import STAB
-from rankforge.hjorth import LevelTable
+from rankforge.hjorth import LevelTable, leq_table
 from rankforge.structures import FinStructure
 
 from conftest import EDGE_SIG, make_sys1
@@ -39,6 +41,60 @@ def test_lemma_suite_catches_corruption():
     failing = [c for c in report.checks if not c.passed]
     assert failing and all(c.witness for c in failing)
 
+
+def test_oracle_check_catches_corrupted_base_relation():
+    # the clean table against the recursion over a corrupted cc: the flipped
+    # entry is the seventh quadruple, and level 1 is compared first
+    corrupted = vf.CorruptedSystem(make_sys1(), (0, 0, 2, 0))
+    check = vf.leq_oracle_check([corrupted], [leq_table(make_sys1())])
+    assert not check.passed
+    assert check.witness == "sys0:(x0=0,V0={e},x1=2,V1={e})@level=1"
+    assert check.stats == {"quadruples": 7}
+
+
+class _LastLevelFlipped:
+    """A stabilized table whose level stab+1 has its last quadruple flipped."""
+
+    def __init__(self, table):
+        self.table = table
+        self.stab, self.npoints, self.nbasis = table.stab, table.npoints, table.nbasis
+
+    def level(self, alpha):
+        arr = self.table.level(alpha)
+        if alpha == self.stab + 1:
+            arr = arr.copy()
+            arr[-1, -1, -1, -1] ^= True
+        return arr
+
+
+def test_oracle_check_reaches_last_level_and_quadruple():
+    sys1 = make_sys1()
+    table = leq_table(sys1)
+    check = vf.leq_oracle_check([sys1, sys1], [table, _LastLevelFlipped(table)])
+    assert not check.passed
+    assert check.witness == \
+        f"sys1:(x0=2,V0={{e,s}},x1=2,V1={{e,s}})@level={table.stab + 1}"
+    assert check.stats == {"quadruples": 2 * 81}
+
+
+def test_oracle_comparison_memory_peak():
+    # the largest system of the verify-oracle ensemble, 6 points x 63 basis
+    # sets: two levels of one byte per quadruple (2 x 142,884 bytes), the
+    # subset lists and the rows compared peak at 336,338 bytes; a dict memo
+    # keyed on tuples peaked at 33.2 MB
+    sys = max(vf.ensemble(7, 20), key=lambda s: len(s.points) * len(s.basis))
+    pairs = len(sys.points) * len(sys.basis)
+    assert pairs == 378
+    table = leq_table(sys)
+    sys.cc(0, 0, 0, 0)  # the system builds its cc sets on first use
+    tracemalloc.start()
+    try:
+        mismatch, compared = vf.oracle_mismatch(sys, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mismatch is None and compared == pairs ** 2
+    assert peak <= 2 * pairs ** 2 + 64_000
 
 
 class _IdentityTranslate(FiniteLogicAction):
@@ -100,7 +156,6 @@ def test_engine_matches_oracle_on_singleton_bases():
     # singletons+G is still a genuine basis of the discrete topology, so the
     # chain laws and the oracle agreement must survive the basis change
     from rankforge.actions import SINGLETONS_PLUS_G
-    from rankforge.hjorth import leq_table
     from rankforge.oracle import LeqOracle
 
     for sys in vf.ensemble(11, 10, max_g=6, max_x=5):
