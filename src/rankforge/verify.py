@@ -1,9 +1,11 @@
 """Property and lemma suites with machine-readable verdicts.
 
-Each suite runs named checks over a seeded ensemble and returns a
-:class:`VerificationReport`.  A failing check always carries a witness,
-minimal under greedy deletion where the witness is set-valued.  Identical
-seeds and sizes reproduce identical reports.
+:func:`run_suite` builds a seeded ensemble and its level tables once, hands
+the tables to the suites that read them (``run_lemmas``, ``run_iso``,
+``run_vaught``, ``run_basis``; each system is ``table.sys``) and assembles
+each suite's checks into a :class:`VerificationReport`.  A failing check
+always carries a witness, minimal under greedy deletion where the witness is
+set-valued.  Identical seeds and sizes reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from . import oracle as orc
 from . import scott as sc
 from .actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction,
                       SymbolicLogicAction, _all_structures, _coset_descriptors)
-from .common import STAB, BudgetError, Budgets, InvalidBaseRelationError
+from .common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
+                     RankforgeError)
 from .structures import (FinStructure, Signature, SuppStructure,
                          brute_isomorphic, permute_structure)
 
@@ -212,12 +215,12 @@ def _build_tables(systems) -> tuple[list[hj.LevelTable], CheckResult | None]:
     """One table per system, or the failing check of the first system whose
     base relation makes a level grow."""
     tables = []
-    for sys in systems:
+    for si, sys in enumerate(systems):
         try:
             tables.append(hj.leq_table(sys))
         except InvalidBaseRelationError as exc:
             return tables, CheckResult("level_monotonicity", False,
-                                       hj.quad_witness(sys, *exc.witness))
+                                       f"sys{si}:{hj.quad_witness(sys, *exc.witness)}")
     return tables, None
 
 
@@ -257,7 +260,8 @@ def leq_oracle_check(systems, tables) -> CheckResult:
                        {"quadruples": quads})
 
 
-def run_lemmas(systems, with_oracle: bool = True) -> VerificationReport:
+def run_lemmas(tables) -> list[CheckResult]:
+    """The chain, translation and equivalence laws of each table."""
     checks = []
     trans_bad = None
     mono_ok = True
@@ -266,12 +270,8 @@ def run_lemmas(systems, with_oracle: bool = True) -> VerificationReport:
     equiv_bad = None
     invsets_bad = None
     invsets_checked = 0
-    tables, failure = _build_tables(systems)
-    if failure is not None:
-        return VerificationReport("lemmas", [failure])
-    if with_oracle:
-        checks.append(leq_oracle_check(systems, tables))
-    for si, (sys, table) in enumerate(zip(systems, tables)):
+    for si, table in enumerate(tables):
+        sys = table.sys
         npoints, nbasis = table.npoints, table.nbasis
         levels = list(range(1, table.stab + 2))
 
@@ -355,15 +355,14 @@ def run_lemmas(systems, with_oracle: bool = True) -> VerificationReport:
     checks.append(CheckResult("equiv_invariance", equiv_bad is None, equiv_bad))
     checks.append(CheckResult("stabilized_equiv_invariant_sets", invsets_bad is None,
                               invsets_bad, {"systems": invsets_checked}))
-    return VerificationReport("lemmas", checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism suite
 
-def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
-            scott_max_n: int = 4, exhaustive_n: int = 4,
-            ladder_max: int = 6, include_scott: bool = True) -> VerificationReport:
+def run_iso(tables) -> list[CheckResult]:
+    """The isomorphism theorem, finite discrete collapse and rank laws."""
     checks = []
     iso_bad = None
     m_bad = None
@@ -371,10 +370,8 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
     rankinv_bad = None
     part_bad = None
     cmp_bad = None
-    tables, failure = _build_tables(systems)
-    if failure is not None:
-        return VerificationReport("iso", [failure])
-    for si, (sys, table) in enumerate(zip(systems, tables)):
+    for si, table in enumerate(tables):
+        sys = table.sys
         parts = orc.orbit_partition(sys)
         npoints = len(sys.points)
         ranks = [hj.hjorth_rank(table, x) for x in range(npoints)]
@@ -387,7 +384,7 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
             if m_bad is None:
                 try:
                     hj.minimal_m(table, x)
-                except Exception:
+                except RankforgeError:  # the family is not a basis
                     m_bad = f"sys{si}:{sys.points[x]}"
         if collapse_bad is None:
             if table.stab != 1:
@@ -438,11 +435,7 @@ def run_iso(systems, seed: int = 0, scott_family_size: int = 500,
     checks.append(CheckResult("rank_orbit_invariance", rankinv_bad is None, rankinv_bad))
     checks.append(CheckResult("rank_partition", part_bad is None, part_bad))
     checks.append(CheckResult("rank_comparison_consistency", cmp_bad is None, cmp_bad))
-    if include_scott:
-        checks.extend(scott_oracle_checks(seed, scott_family_size, scott_max_n))
-        checks.extend(scott_structure_checks(seed, exhaustive_n, ladder_max,
-                                             scott_max_n))
-    return VerificationReport("iso", checks)
+    return checks
 
 
 def _scott_oracle_mismatch(family, table, pairs, tag: str) -> tuple[str | None, int]:
@@ -583,16 +576,14 @@ def scott_structure_checks(seed: int, exhaustive_n: int, ladder_max: int,
 # ---------------------------------------------------------------------------
 # Vaught suite
 
-def run_vaught(systems, seed: int = 0, draws: int = 200) -> VerificationReport:
-    checks = []
+def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
+    """The Vaught transform laws over ``draws`` seeded sets per system."""
     names = ["vaught_invariance", "vaught_duality", "vaught_union_intersection",
              "vaught_complexity_collapse", "vaught_basis_intersection",
              "star_orbit_equivalence", "fixed_point_characterization"]
     bad: dict[str, str | None] = {name: None for name in names}
-    tables, failure = _build_tables(systems)
-    if failure is not None:
-        return VerificationReport("vaught", [failure])
-    for si, (sys, table) in enumerate(zip(systems, tables)):
+    for si, table in enumerate(tables):
+        sys = table.sys
         rng = random.Random(f"vaught:{seed}:{si}")
         npoints, nbasis = len(sys.points), len(sys.basis)
         whole = frozenset(range(npoints))
@@ -669,9 +660,7 @@ def run_vaught(systems, seed: int = 0, draws: int = 200) -> VerificationReport:
                         f"sys{si}:U={sys.basis[u]}:direct={_fmt_set(sys, result.direct)}"
                         f",table={_fmt_set(sys, result.via_table)}")
                     break
-    for name in names:
-        checks.append(CheckResult(name, bad[name] is None, bad[name]))
-    return VerificationReport("vaught", checks)
+    return [CheckResult(name, bad[name] is None, bad[name]) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -837,14 +826,13 @@ def run_comparison(seed: int = 0, max_n: int = 3, cases: int = 100) -> Verificat
 # ---------------------------------------------------------------------------
 # Basis suite
 
-def run_basis(systems, seed: int = 0) -> VerificationReport:
+def run_basis(tables, seed: int) -> list[CheckResult]:
+    """Rank bounds under a change of basis and under a clopen subgroup."""
     checks = []
     shift_bad = None
     subgroup_bad = None
-    tables, failure = _build_tables(systems)
-    if failure is not None:
-        return VerificationReport("basis", [failure])
-    for si, (sys, table) in enumerate(zip(systems, tables)):
+    for si, table in enumerate(tables):
+        sys = table.sys
         rng = random.Random(f"basis:{seed}:{si}")
         ngroup = len(sys.group)
         singles = [frozenset([g]) for g in range(ngroup)]
@@ -880,33 +868,40 @@ def run_basis(systems, seed: int = 0) -> VerificationReport:
     checks.append(CheckResult("basis_shift_bound", shift_bad is None, shift_bad))
     checks.append(CheckResult("clopen_subgroup_bound", subgroup_bad is None,
                               subgroup_bad))
-    return VerificationReport("basis", checks)
+    return checks
 
 
 SUITES = ("lemmas", "iso", "vaught", "comparison", "basis")
 
 
 def run_suite(suite: str, seed: int, sizes: dict, count: int = 200) -> list[VerificationReport]:
-    """Run one named suite (or 'all') over a seeded ensemble."""
+    """Run one named suite (or 'all') over a seeded ensemble.  The ensemble's
+    tables are built once and shared by the suites that read them; if a build
+    fails, its failure is the only check of each of those suites."""
     max_g = sizes.get("g", 8)
     max_x = sizes.get("x", 6)
     max_n = sizes.get("n", 3)
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
-    reports = []
     wanted = SUITES if suite == "all" else (suite,)
-    systems = None
-    if set(wanted) & {"lemmas", "iso", "vaught", "basis"}:
+    if set(wanted) - {"comparison"}:
         systems = ensemble(seed, count, max_g, max_x)
+        tables, failure = _build_tables(systems)
+    reports = []
     for name in wanted:
-        if name == "lemmas":
-            reports.append(run_lemmas(systems))
-        elif name == "iso":
-            reports.append(run_iso(systems, seed=seed))
-        elif name == "vaught":
-            reports.append(run_vaught(systems, seed=seed))
-        elif name == "comparison":
+        if name == "comparison":
             reports.append(run_comparison(seed=seed, max_n=min(max_n, 3)))
-        elif name == "basis":
-            reports.append(run_basis(systems, seed=seed))
+            continue
+        if failure is not None:
+            checks = [failure]
+        elif name == "lemmas":
+            checks = [leq_oracle_check(systems, tables)] + run_lemmas(tables)
+        elif name == "iso":
+            checks = (run_iso(tables) + scott_oracle_checks(seed, 500, 4)
+                      + scott_structure_checks(seed, 4, 6))
+        elif name == "vaught":
+            checks = run_vaught(tables, seed, 200)
+        else:
+            checks = run_basis(tables, seed)
+        reports.append(VerificationReport(name, checks))
     return reports

@@ -5,6 +5,7 @@ bounds) over the seeded ensemble and prints one pass/fail line; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -44,13 +45,18 @@ def oracle_result(systems):
 
 
 @pytest.fixture(scope="module")
-def lemmas_report(systems):
-    return vf.run_lemmas(systems, with_oracle=False)
+def tables(systems):
+    return [hj.leq_table(s) for s in systems]
 
 
 @pytest.fixture(scope="module")
-def iso_report(systems):
-    return vf.run_iso(systems, seed=SEED, include_scott=False)
+def lemma_checks(tables):
+    return vf.run_lemmas(tables)
+
+
+@pytest.fixture(scope="module")
+def iso_checks(tables):
+    return vf.run_iso(tables)
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +72,13 @@ def scott_structure_result():
 
 
 @pytest.fixture(scope="module")
-def vaught_report(systems):
-    return vf.run_vaught(systems, seed=SEED, draws=200)
+def vaught_checks(tables):
+    return vf.run_vaught(tables, SEED, 200)
 
 
 @pytest.fixture(scope="module")
-def basis_report(systems):
-    return vf.run_basis(systems, seed=SEED)
+def basis_checks(tables):
+    return vf.run_basis(tables, SEED)
 
 
 def by_name(checks):
@@ -101,8 +107,8 @@ def test_criterion_02_scott_oracle_equivalence(scott_oracle_result):
         (exhaustive.witness, family.witness)
 
 
-def test_criterion_03_lemma_suite(lemmas_report):
-    named = by_name(lemmas_report.checks)
+def test_criterion_03_lemma_suite(lemma_checks):
+    named = by_name(lemma_checks)
     wanted = ["leq_transitivity", "level_monotonicity", "set_monotonicity",
               "translation_invariance", "equiv_invariance"]
     ok = all(named[n].passed for n in wanted)
@@ -111,15 +117,15 @@ def test_criterion_03_lemma_suite(lemmas_report):
                        [named[n].witness for n in wanted if not named[n].passed]))
 
 
-def test_criterion_04_isomorphism_theorem(iso_report):
-    named = by_name(iso_report.checks)
+def test_criterion_04_isomorphism_theorem(iso_checks):
+    named = by_name(iso_checks)
     ok = named["isomorphism_theorem"].passed and named["minimal_m_finite"].passed
     assert verdict(4, "rank-level equivalence decides orbits, finite m everywhere",
                    ok, named["isomorphism_theorem"].witness or "zero mismatches")
 
 
-def test_criterion_05_finite_discrete_collapse(iso_report):
-    check = by_name(iso_report.checks)["finite_discrete_collapse"]
+def test_criterion_05_finite_discrete_collapse(iso_checks):
+    check = by_name(iso_checks)["finite_discrete_collapse"]
     assert verdict(5, "all-subsets systems stabilize at level 1, level-2 "
                    "equivalence is orbit equivalence", check.passed,
                    check.witness or "every system"), check.witness
@@ -150,8 +156,8 @@ def test_criterion_08_comparison_proposition():
                    f"{scanned} instances, {elapsed:.1f}s"), counterexamples[:1]
 
 
-def test_criterion_09_vaught_laws(vaught_report):
-    named = by_name(vaught_report.checks)
+def test_criterion_09_vaught_laws(vaught_checks):
+    named = by_name(vaught_checks)
     wanted = ["vaught_invariance", "vaught_duality", "vaught_union_intersection",
               "vaught_complexity_collapse", "vaught_basis_intersection"]
     ok = all(named[n].passed for n in wanted)
@@ -160,20 +166,26 @@ def test_criterion_09_vaught_laws(vaught_report):
                        [named[n].witness for n in wanted if not named[n].passed]))
 
 
-def test_criterion_10_fixed_points_and_rank_comparison(vaught_report, iso_report):
-    fixed = by_name(vaught_report.checks)["fixed_point_characterization"]
-    star = by_name(vaught_report.checks)["star_orbit_equivalence"]
-    cmp_check = by_name(iso_report.checks)["rank_comparison_consistency"]
+def test_criterion_10_fixed_points_and_rank_comparison(vaught_checks, iso_checks):
+    fixed = by_name(vaught_checks)["fixed_point_characterization"]
+    star = by_name(vaught_checks)["star_orbit_equivalence"]
+    cmp_check = by_name(iso_checks)["rank_comparison_consistency"]
     ok = fixed.passed and star.passed and cmp_check.passed
     assert verdict(10, "fixed-point set two ways; rank comparison trichotomy "
                    "and orbit invariance", ok,
                    fixed.witness or cmp_check.witness or "zero violations")
 
 
-def test_criterion_11_basis_shift_bound(basis_report):
-    check = by_name(basis_report.checks)["basis_shift_bound"]
+def test_criterion_11_basis_shift_bound(basis_checks):
+    check = by_name(basis_checks)["basis_shift_bound"]
     assert verdict(11, "rank moves by at most 1 under a basis change",
                    check.passed, check.witness or "ensemble-wide"), check.witness
+
+
+# sha256 of the records of the run below: 31 lines, pinned so that moving a
+# check between suites cannot reorder the records unnoticed
+ALL_RECORDS_SHA256 = \
+    "7f61506ec193802c410302da857871bc64981f18cb43150af666396a9d51cc66"
 
 
 def test_criterion_12_determinism():
@@ -187,7 +199,9 @@ def test_criterion_12_determinism():
         env["PYTHONHASHSEED"] = hashseed
         proc = subprocess.run(args, capture_output=True, text=True, env=env)
         outs.append((proc.returncode, proc.stdout))
-    ok = outs[0] == outs[1] and outs[0][0] == 0 and "CHECK" in outs[0][1]
+    digest = hashlib.sha256(outs[0][1].encode()).hexdigest()
+    ok = (outs[0] == outs[1] and outs[0][0] == 0 and "CHECK" in outs[0][1]
+          and digest == ALL_RECORDS_SHA256)
     assert verdict(12, "verify all is byte-identical across runs", ok,
                    f"{len(outs[0][1].splitlines())} records"), \
         (outs[0][0], outs[1][0])

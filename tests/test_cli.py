@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rankforge import cli
+from rankforge import hjorth as hj
 from rankforge.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -394,3 +395,15 @@ def test_uncaught_exception_exit_code(exc, code, message, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "CONFIG command=compare\n"
     assert captured.err == message + "\n"
+
+
+def test_verify_fault_in_minimal_m_is_internal(monkeypatch, capsys):
+    # only a non-basis family fails minimal_m_finite; a fault in rankforge
+    # itself is an uncaught error, not a failed check
+    def fail(table, x):
+        raise TypeError("bug")
+    monkeypatch.setattr(hj, "minimal_m", fail)
+    assert main(["verify", "iso", "--count", "3", "--format", "records"]) == 4
+    captured = capsys.readouterr()
+    assert "CHECK" not in captured.out
+    assert captured.err == "error: internal error: TypeError: bug\n"

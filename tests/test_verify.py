@@ -2,18 +2,28 @@ import tracemalloc
 
 import pytest
 
+from rankforge import hjorth as hj
 from rankforge import verify as vf
 from rankforge.actions import FiniteLogicAction, _all_structures
 from rankforge.common import STAB
 from rankforge.hjorth import LevelTable, leq_table
 from rankforge.structures import FinStructure
 
-from conftest import EDGE_SIG, make_sys1
+from conftest import EDGE_SIG, make_non_basis_family, make_sys1
 
 
 @pytest.fixture(scope="module")
 def small_ensemble():
     return vf.ensemble(3, 12)
+
+
+@pytest.fixture(scope="module")
+def small_tables(small_ensemble):
+    return [leq_table(s) for s in small_ensemble]
+
+
+def by_name(checks):
+    return {c.name: c for c in checks}
 
 
 def test_ensemble_deterministic_and_capped():
@@ -25,21 +35,29 @@ def test_ensemble_deterministic_and_capped():
     assert any(len(s.group) >= 2 for s in a)
 
 
-def test_lemma_suite_passes(small_ensemble):
-    report = vf.run_lemmas(small_ensemble)
-    assert report.all_passed, [c.record() for c in report.checks]
-    names = {c.name for c in report.checks}
+def test_lemma_suite_passes(small_ensemble, small_tables):
+    checks = ([vf.leq_oracle_check(small_ensemble, small_tables)]
+              + vf.run_lemmas(small_tables))
+    assert all(c.passed for c in checks), [c.record() for c in checks]
     assert {"leq_oracle_equivalence", "leq_transitivity", "level_monotonicity",
             "set_monotonicity", "translation_invariance", "equiv_invariance",
-            "stabilized_equiv_invariant_sets"} <= names
+            "stabilized_equiv_invariant_sets"} <= set(by_name(checks))
 
 
-def test_lemma_suite_catches_corruption():
+def test_lemma_suite_catches_corruption(monkeypatch):
+    # the corrupted base relation makes a level grow, so no table is built and
+    # each table suite reports that failure, named by system, as its one check
     corrupted = vf.CorruptedSystem(make_sys1(), (0, 0, 2, 0))
-    report = vf.run_lemmas([corrupted], with_oracle=False)
-    assert not report.all_passed
-    failing = [c for c in report.checks if not c.passed]
-    assert failing and all(c.witness for c in failing)
+    monkeypatch.setattr(vf, "ensemble", lambda *args: [make_sys1(), corrupted])
+    reports = vf.run_suite("all", seed=0, sizes={"n": 1}, count=2)
+    assert [r.suite for r in reports] == list(vf.SUITES)
+    for report in reports:
+        if report.suite == "comparison":
+            assert report.all_passed
+            continue
+        [check] = report.checks
+        assert not check.passed and check.name == "level_monotonicity"
+        assert check.witness == "sys1:(x0=2,V0={e},x1=0,V1={e})"
 
 
 def test_oracle_check_catches_corrupted_base_relation():
@@ -105,11 +123,42 @@ class _IdentityTranslate(FiniteLogicAction):
 
 
 def test_lemma_suite_checks_translation_on_a_logic_action():
-    assert vf.run_lemmas([FiniteLogicAction(EDGE_SIG, 2, 2)]).all_passed
-    report = vf.run_lemmas([_IdentityTranslate(EDGE_SIG, 2, 2)], with_oracle=False)
-    failing = [c for c in report.checks if not c.passed]
+    sysl = FiniteLogicAction(EDGE_SIG, 2, 2)
+    table = leq_table(sysl)
+    assert vf.leq_oracle_check([sysl], [table]).passed
+    assert all(c.passed for c in vf.run_lemmas([table]))
+    checks = vf.run_lemmas([leq_table(_IdentityTranslate(EDGE_SIG, 2, 2))])
+    failing = [c for c in checks if not c.passed]
     assert [c.name for c in failing] == ["translation_invariance"]
-    assert failing[0].witness.startswith("sys0:level=1:")
+    assert failing[0].witness == "sys0:level=1:g=01,x=M1,V=V[->]"
+
+
+def test_suite_witnesses_on_a_non_basis_family():
+    tables = [leq_table(make_sys1()), leq_table(make_non_basis_family())]
+    lemmas = by_name(vf.run_lemmas(tables))
+    assert lemmas["equiv_invariance"].witness == "sys1:level=1:x=0,g=r"
+    invsets = lemmas["stabilized_equiv_invariant_sets"]
+    assert invsets.witness == "sys1:(0,1)" and invsets.stats == {"systems": 2}
+    iso = by_name(vf.run_iso(tables))
+    assert iso["isomorphism_theorem"].witness == "sys1:(0,1)"
+    assert iso["minimal_m_finite"].witness == "sys1:0"
+    assert iso["finite_discrete_collapse"].witness == "sys1:stab=2"
+    vaught = by_name(vf.run_vaught(tables, 0, 20))
+    assert vaught["vaught_basis_intersection"].witness == "sys1:A={0,1},U={e,r}"
+    assert vaught["star_orbit_equivalence"].witness == \
+        "sys1:(y=2,W={e,r,r2},x=0,V={e,r,r2})"
+
+
+def test_rank_check_witnesses(monkeypatch):
+    # a rank raised at point 1 breaks orbit invariance of the first system
+    tables = [leq_table(s) for s in vf.ensemble(3, 6)]
+    rank = hj.hjorth_rank
+    monkeypatch.setattr(hj, "hjorth_rank",
+                        lambda table, x: rank(table, x) + (x == 1))
+    iso = by_name(vf.run_iso(tables))
+    assert iso["rank_orbit_invariance"].witness == "sys0:x=0,g=g1"
+    assert iso["rank_partition"].witness == "sys0:rank=1,g=g1"
+    assert iso["rank_comparison_consistency"].witness == "sys0:(0,1)"
 
 
 def test_mulclose_checks_generators_against_cap():
@@ -120,20 +169,19 @@ def test_mulclose_checks_generators_against_cap():
     assert all(len(sys.group) == 1 for sys in vf.ensemble(0, 10, max_g=1))
 
 
-def test_iso_suite_passes(small_ensemble):
-    report = vf.run_iso(small_ensemble, seed=3, scott_family_size=60,
-                        exhaustive_n=3)
-    assert report.all_passed, [c.record() for c in report.checks if not c.passed]
+def test_iso_suite_passes(small_tables):
+    checks = (vf.run_iso(small_tables) + vf.scott_oracle_checks(3, 60, 4)
+              + vf.scott_structure_checks(3, 3, 6))
+    assert all(c.passed for c in checks), [c.record() for c in checks if not c.passed]
 
 
-def test_vaught_suite_passes(small_ensemble):
-    report = vf.run_vaught(small_ensemble, seed=3, draws=60)
-    assert report.all_passed, [c.record() for c in report.checks if not c.passed]
+def test_vaught_suite_passes(small_tables):
+    checks = vf.run_vaught(small_tables, 3, 60)
+    assert all(c.passed for c in checks), [c.record() for c in checks if not c.passed]
 
 
-def test_basis_suite_passes(small_ensemble):
-    report = vf.run_basis(small_ensemble, seed=3)
-    assert report.all_passed
+def test_basis_suite_passes(small_tables):
+    assert all(c.passed for c in vf.run_basis(small_tables, 3))
 
 
 def test_comparison_suite_reports():
