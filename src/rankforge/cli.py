@@ -247,15 +247,17 @@ def cmd_verify(args, budgets: Budgets) -> int:
                              format=args.format))
     out.text(f"suite {args.suite}, seed {args.seed}, sizes {_sizes_str(sizes)}, "
              f"{args.count} systems")
-    reports = vf.run_suite(args.suite, args.seed, sizes, count=args.count)
-    failed = 0
-    for report in reports:
+
+    def emit(report):
         for check in report.checks:
             out.both(check.record())
             if check.stats and args.format == "text":
                 out.text("  " + " ".join(f"{k}={v}" for k, v in
                                          sorted(check.stats.items())))
-            failed += not check.passed
+
+    reports = vf.run_suite(args.suite, args.seed, sizes, count=args.count,
+                           on_report=emit)
+    failed = sum(not c.passed for r in reports for c in r.checks)
     out.text(f"{'PASS' if not failed else 'FAIL'} "
              f"({sum(len(r.checks) for r in reports)} checks, {failed} failed)")
     return EXIT_FAIL if failed else EXIT_PASS

@@ -4,8 +4,9 @@ Deliberately naive: literal recursions of the defining clauses, evaluated
 on demand, no table machinery.  This module never imports the engine
 modules (scott, hjorth, actions) or numpy; it shares only the structure
 substrate.  Each oracle owns its memo: a dict for the Scott game, one
-bytearray per level for the level relation.  Concurrent evaluations should
-use independent oracles.
+bytearray per level for the level relation, which answers one quadruple or
+one (x0, V0) row at a time; both evaluate a missing cell by the same
+successor clause.  Concurrent evaluations should use independent oracles.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ class LeqOracle:
 
     Base case is the system's cc; the successor case alternates quantifiers
     over shrinking basis sets with the argument pairs flipped.  The memo is
-    one bytearray per level, allocated when a query first reaches that
+    one bytearray per level, allocated when an evaluation first reaches that
     level: cell ((x0*B + V0)*P + x1)*B + V1, for P points and B basis sets,
-    holds 0 while unknown, 1 for false and 2 for true.
+    holds 0 while unknown, 1 for false and 2 for true.  ``query`` answers one
+    cell; ``row`` fills and returns the P*B cells of one (x0, V0) at one
+    level, each missing cell by the same clause.
     """
 
     def __init__(self, sys, depth_cap: int = 64):
@@ -87,17 +90,44 @@ class LeqOracle:
         self._offs = [tuple(w * self._half for w in subs) for subs in self._subs]
         self._memo: dict[int, bytearray] = {}
 
-    def query(self, x0: int, v0: int, x1: int, v1: int, alpha: int) -> bool:
+    def _check(self, alpha: int, *indices: tuple[int, int]):
+        """Reject a level outside 1..depth_cap and an index outside its
+        range, which would read another quadruple's cell."""
         if alpha < 1:
             raise ValueError("levels start at 1")
         if alpha > self.depth_cap:
             raise OracleDepthError(f"level {alpha} exceeds depth cap {self.depth_cap}")
-        # an index out of range would read another quadruple's cell
         npoints, nb = self._npoints, self._nbasis
-        if not (0 <= x0 < npoints and 0 <= x1 < npoints
-                and 0 <= v0 < nb and 0 <= v1 < nb):
-            raise IndexError(f"quadruple ({x0},{v0},{x1},{v1}) out of range")
+        if not all(0 <= x < npoints and 0 <= v < nb for x, v in indices):
+            flat = ",".join(str(i) for pair in indices for i in pair)
+            raise IndexError(f"index ({flat}) out of range")
+
+    def query(self, x0: int, v0: int, x1: int, v1: int, alpha: int) -> bool:
+        self._check(alpha, (x0, v0), (x1, v1))
         return self._rec(x0, v0, x1, v1, alpha)
+
+    def row(self, x0: int, v0: int, alpha: int) -> bytes:
+        """The cells (x0, V0, x1, V1) at level alpha for every (x1, V1), in
+        index order, as bytes: 1 for false, 2 for true."""
+        self._check(alpha, (x0, v0))
+        cells = self._cells(alpha)
+        nb, half = self._nbasis, self._half
+        lo = key = (x0 * nb + v0) * half
+        if alpha == 1:
+            cc = self.sys.cc
+            for x1 in range(self._npoints):
+                for v1 in range(nb):
+                    if not cells[key]:
+                        cells[key] = 2 if cc(x0, v0, x1, v1) else 1
+                    key += 1
+        else:
+            below, lower, step = self._cells(alpha - 1), alpha - 1, self._step
+            for x1 in range(self._npoints):
+                for v1 in range(nb):
+                    if not cells[key]:
+                        cells[key] = 2 if step(x0, v0, x1, v1, below, lower) else 1
+                    key += 1
+        return bytes(cells[lo:lo + half])
 
     def _cells(self, level: int) -> bytearray:
         cells = self._memo.get(level)
@@ -115,23 +145,26 @@ class LeqOracle:
         if level == 1:
             out = self.sys.cc(a, va, b, vb)
         else:
-            lower = level - 1
-            below = self._cells(lower)
-            # cell (b, W1, a, W0) of the level below is start + W0 + W1*P*B
-            start = b * nb * half + a * nb
-            offs = self._offs[vb]
-            out = True
-            for w0 in self._subs[va]:
-                base = start + w0
-                for off in offs:
-                    hit = below[base + off]
-                    if hit == 2 or (not hit and self._rec(b, off // half, a, w0, lower)):
-                        break
-                else:  # no W1 <= V1 answers this W0
-                    out = False
-                    break
+            out = self._step(a, va, b, vb, self._cells(level - 1), level - 1)
         cells[key] = 2 if out else 1
         return out
+
+    def _step(self, a, va, b, vb, below, lower) -> bool:
+        """The successor clause: every W0 <= V0 has a W1 <= V1 with
+        (b, W1) <= (a, W0) at level ``lower``, whose cells are ``below``."""
+        half = self._half
+        # cell (b, W1, a, W0) of the level below is start + W0 + W1*P*B
+        start = b * self._nbasis * half + a * self._nbasis
+        offs = self._offs[vb]
+        for w0 in self._subs[va]:
+            base = start + w0
+            for off in offs:
+                hit = below[base + off]
+                if hit == 2 or (not hit and self._rec(b, off // half, a, w0, lower)):
+                    break
+            else:  # no W1 <= V1 answers this W0
+                return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -224,24 +224,34 @@ def _build_tables(systems) -> tuple[list[hj.LevelTable], CheckResult | None]:
     return tables, None
 
 
+# table bytes (0 false, 1 true) to oracle cells (1 false, 2 true)
+_AS_CELLS = bytes.maketrans(b"\x00\x01", b"\x01\x02")
+
+
 def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
     """First quadruple, in index order, where a stabilized table and the
-    literal recursion disagree at some level up to one past stabilization,
-    and the number of quadruples compared."""
-    levels = list(range(1, table.stab + 2))
+    literal recursion disagree at some level up to one past stabilization
+    (the lowest such level), and the number of quadruples compared.  The
+    oracle is read one (x0, V0) row per level and compared as bytes."""
+    levels = range(1, table.stab + 2)
     oc = orc.LeqOracle(sys, depth_cap=table.stab + 2)
     arrays = [table.level(a) for a in levels]
+    half = table.npoints * table.nbasis
     quads = 0
     for x0 in range(table.npoints):
         for v0 in range(table.nbasis):
-            rows = [arr[x0, v0].tolist() for arr in arrays]
-            for x1 in range(table.npoints):
-                for v1 in range(table.nbasis):
-                    quads += 1
-                    for a, row in zip(levels, rows):
-                        if oc.query(x0, v0, x1, v1, a) != row[x1][v1]:
-                            witness = hj.quad_witness(sys, x0, v0, x1, v1)
-                            return f"{witness}@level={a}", quads
+            # (first differing (x1, V1) index, level) of each differing level
+            diffs = []
+            for a, arr in zip(levels, arrays):
+                got = oc.row(x0, v0, a)
+                want = arr[x0, v0].tobytes().translate(_AS_CELLS)
+                if got != want:
+                    diffs.append((next(i for i in range(half) if got[i] != want[i]), a))
+            if diffs:
+                i, a = min(diffs)
+                witness = hj.quad_witness(sys, x0, v0, *divmod(i, table.nbasis))
+                return f"{witness}@level={a}", quads + i + 1
+            quads += half
     return None, quads
 
 
@@ -496,8 +506,8 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
     return checks
 
 
-def scott_structure_checks(seed: int, exhaustive_n: int, ladder_max: int,
-                           max_n: int = 4) -> list[CheckResult]:
+def scott_structure_checks(seed: int, exhaustive_n: int,
+                           ladder_max: int) -> list[CheckResult]:
     checks = []
     rng = random.Random(f"scott:{seed}")
 
@@ -564,7 +574,7 @@ def scott_structure_checks(seed: int, exhaustive_n: int, ladder_max: int,
     # Permutation invariance of the rank.
     bad = None
     for _ in range(20):
-        m = _random_structure(rng, rng.randint(1, max_n))
+        m = _random_structure(rng, rng.randint(1, 4))
         perm = tuple(rng.sample(range(m.size), m.size))
         if sc.scott_rank(m) != sc.scott_rank(permute_structure(m, perm)):
             bad = f"rank not invariant: {sorted(m.facts)} perm {perm}"
@@ -748,7 +758,7 @@ def comparison_witness(counterexamples) -> str | None:
     return f"n={n}:M{i}{t}~M{j}{u}->b={b}"
 
 
-def run_comparison(seed: int = 0, max_n: int = 3, cases: int = 100) -> VerificationReport:
+def run_comparison(seed: int = 0, max_n: int = 3) -> VerificationReport:
     checks = []
     counterexamples, profile, scanned = comparison_scan(max_n=max_n, seed=seed)
     checks.append(CheckResult("scott_implies_hjorth", not counterexamples,
@@ -764,7 +774,7 @@ def run_comparison(seed: int = 0, max_n: int = 3, cases: int = 100) -> Verificat
     sample = None
     tried = 0
     attempts = 0
-    while tried < cases and attempts < cases * 50:
+    while tried < 100 and attempts < 5000:
         attempts += 1
         s = rng.randint(1, 3)
         n = s + 2
@@ -874,10 +884,13 @@ def run_basis(tables, seed: int) -> list[CheckResult]:
 SUITES = ("lemmas", "iso", "vaught", "comparison", "basis")
 
 
-def run_suite(suite: str, seed: int, sizes: dict, count: int = 200) -> list[VerificationReport]:
+def run_suite(suite: str, seed: int, sizes: dict, count: int = 200,
+              on_report=None) -> list[VerificationReport]:
     """Run one named suite (or 'all') over a seeded ensemble.  The ensemble's
     tables are built once and shared by the suites that read them; if a build
-    fails, its failure is the only check of each of those suites."""
+    fails, its failure is the only check of each of those suites.  Each report
+    is passed to ``on_report``, if given, as soon as its suite finishes, so a
+    fault in a later suite does not lose it."""
     max_g = sizes.get("g", 8)
     max_x = sizes.get("x", 6)
     max_n = sizes.get("n", 3)
@@ -890,9 +903,8 @@ def run_suite(suite: str, seed: int, sizes: dict, count: int = 200) -> list[Veri
     reports = []
     for name in wanted:
         if name == "comparison":
-            reports.append(run_comparison(seed=seed, max_n=min(max_n, 3)))
-            continue
-        if failure is not None:
+            checks = run_comparison(seed=seed, max_n=min(max_n, 3)).checks
+        elif failure is not None:
             checks = [failure]
         elif name == "lemmas":
             checks = [leq_oracle_check(systems, tables)] + run_lemmas(tables)
@@ -903,5 +915,8 @@ def run_suite(suite: str, seed: int, sizes: dict, count: int = 200) -> list[Veri
             checks = run_vaught(tables, seed, 200)
         else:
             checks = run_basis(tables, seed)
-        reports.append(VerificationReport(name, checks))
+        report = VerificationReport(name, checks)
+        if on_report is not None:
+            on_report(report)
+        reports.append(report)
     return reports

@@ -407,3 +407,25 @@ def test_verify_fault_in_minimal_m_is_internal(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "CHECK" not in captured.out
     assert captured.err == "error: internal error: TypeError: bug\n"
+
+
+def test_verify_fault_in_later_suite_keeps_earlier_records(monkeypatch, capsys):
+    # the lemma suite finishes before the iso suite reaches minimal_m, so its
+    # seven checks are printed before the internal error
+    def fail(table, x):
+        raise TypeError("bug")
+    monkeypatch.setattr(hj, "minimal_m", fail)
+    assert main(["verify", "all", "--count", "3", "--sizes", "n<=1",
+                 "--format", "records"]) == 4
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == ("CONFIG command=verify suite=all seed=0 sizes=g<=8,x<=6,n<=1 "
+                        "count=3 format=records")
+    assert [line.split()[1] for line in lines[1:]] == [
+        "name=leq_oracle_equivalence", "name=leq_transitivity",
+        "name=level_monotonicity", "name=set_monotonicity",
+        "name=translation_invariance", "name=equiv_invariance",
+        "name=stabilized_equiv_invariant_sets"]
+    assert all(line.startswith("CHECK ") and "verdict=pass" in line
+               for line in lines[1:])
+    assert captured.err == "error: internal error: TypeError: bug\n"

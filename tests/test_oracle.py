@@ -131,6 +131,51 @@ def test_cell_memo_matches_dict_memo_recursion(sys):
     assert got_sys.calls == want_sys.calls
 
 
+def assert_rows_match(oracle, reference, sys, levels):
+    npoints, nb = len(sys.points), len(sys.basis)
+    for level in levels:
+        for x0 in range(npoints):
+            for v0 in range(nb):
+                want = bytes(2 if reference._rec(x0, v0, x1, v1, level) else 1
+                             for x1 in range(npoints) for v1 in range(nb))
+                assert oracle.row(x0, v0, level) == want, (x0, v0, level)
+
+
+@pytest.mark.parametrize("sys", reference_systems())
+def test_row_matches_dict_memo_recursion_in_fresh_oracle(sys):
+    reference = DictMemoLeq(sys)
+    for level in range(1, 5):
+        # one fresh oracle per level: rows above 1 reach the levels below
+        # only through their missing cells
+        assert_rows_match(LeqOracle(sys), reference, sys, [level])
+
+
+@pytest.mark.parametrize("sys", reference_systems())
+def test_row_matches_dict_memo_recursion_after_queries(sys):
+    quads = list(itertools.product(range(len(sys.points)), range(len(sys.basis)),
+                                   range(len(sys.points)), range(len(sys.basis))))
+    queries = [(*quad, level) for quad in quads for level in range(1, 5)]
+    rng = random.Random(11)
+    rng.shuffle(queries)
+    oracle, reference = LeqOracle(sys), DictMemoLeq(sys)
+    # about half of the cells of every level are filled before any row
+    for query in queries[:len(queries) // 2]:
+        assert oracle.query(*query) == reference._rec(*query), query
+    assert_rows_match(oracle, reference, sys, [4, 2, 3, 1])
+
+
+def test_row_rejects_what_query_rejects(sys1):
+    with pytest.raises(OracleDepthError):
+        LeqOracle(sys1, 10).row(0, 0, 99)
+    with pytest.raises(ValueError):
+        LeqOracle(sys1).row(0, 0, 0)
+    for x0, v0 in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            LeqOracle(sys1).row(x0, v0, 1)
+        with pytest.raises(IndexError):
+            LeqOracle(sys1).query(x0, v0, 0, 0, 1)
+
+
 def test_leq_oracle_queries_leave_no_cycles(sys1):
     # the memo is freed with its oracle, not when the cyclic collector runs
     LeqOracle(sys1).query(0, 0, 1, 1, 3)

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ from rankforge import verify as vf
 from rankforge.actions import FiniteLogicAction, _all_structures
 from rankforge.common import STAB
 from rankforge.hjorth import LevelTable, leq_table
+from rankforge.oracle import LeqOracle
 from rankforge.structures import FinStructure
 
 from conftest import EDGE_SIG, make_non_basis_family, make_sys1
@@ -93,6 +95,79 @@ def test_oracle_check_reaches_last_level_and_quadruple():
     assert check.witness == \
         f"sys1:(x0=2,V0={{e,s}},x1=2,V1={{e,s}})@level={table.stab + 1}"
     assert check.stats == {"quadruples": 2 * 81}
+
+
+def per_quadruple_mismatch(sys, table):
+    """The comparison one query at a time: each quadruple in index order,
+    each level from 1 up.  Kept as the reference for the row comparison."""
+    levels = list(range(1, table.stab + 2))
+    oc = LeqOracle(sys, depth_cap=table.stab + 2)
+    arrays = [table.level(a) for a in levels]
+    quads = 0
+    for x0 in range(table.npoints):
+        for v0 in range(table.nbasis):
+            rows = [arr[x0, v0].tolist() for arr in arrays]
+            for x1 in range(table.npoints):
+                for v1 in range(table.nbasis):
+                    quads += 1
+                    for a, row in zip(levels, rows):
+                        if oc.query(x0, v0, x1, v1, a) != row[x1][v1]:
+                            witness = hj.quad_witness(sys, x0, v0, x1, v1)
+                            return f"{witness}@level={a}", quads
+    return None, quads
+
+
+class _Flipped:
+    """A stabilized table with the given (level, quadruple) entries flipped."""
+
+    def __init__(self, table, flips):
+        self.table, self.flips = table, flips
+        self.stab, self.npoints, self.nbasis = table.stab, table.npoints, table.nbasis
+
+    def level(self, alpha):
+        arr = self.table.level(alpha).copy()
+        for level, quad in self.flips:
+            if level == alpha:
+                arr[quad] ^= True
+        return arr
+
+
+@pytest.mark.parametrize("flips, witness, quads", [
+    # level 1 flipped at (x1,V1) = (2,{e}), level 2 at the smaller (1,{e})
+    ([(1, (0, 0, 2, 0)), (2, (0, 0, 1, 0))], "(x0=0,V0={e},x1=1,V1={e})@level=2", 4),
+    # one quadruple flipped at both levels: the lower level is reported
+    ([(2, (0, 1, 1, 1)), (1, (0, 1, 1, 1))], "(x0=0,V0={s},x1=1,V1={s})@level=1", 14),
+    # a level-2 flip in an earlier row than a level-1 flip
+    ([(1, (1, 0, 0, 0)), (2, (0, 2, 2, 2))], "(x0=0,V0={e,s},x1=2,V1={e,s})@level=2", 27),
+])
+def test_row_comparison_reports_first_quadruple_then_lowest_level(flips, witness,
+                                                                  quads):
+    sys1 = make_sys1()
+    table = leq_table(sys1)
+    assert table.stab == 1
+    flipped = _Flipped(table, flips)
+    assert vf.oracle_mismatch(sys1, flipped) == (witness, quads)
+    assert per_quadruple_mismatch(sys1, flipped) == (witness, quads)
+
+
+def test_row_comparison_matches_per_quadruple_loop_on_corruptions(small_ensemble,
+                                                                   small_tables):
+    # every system of the ensemble, three seeded flips of its cc each, against
+    # its clean table; the flip's level-2 consequences can come first
+    rng = random.Random(5)
+    levels_seen = set()
+    for sys, table in zip(small_ensemble, small_tables):
+        npoints, nb = len(sys.points), len(sys.basis)
+        assert vf.oracle_mismatch(sys, table) == (None, (npoints * nb) ** 2)
+        for _ in range(3):
+            quad = (rng.randrange(npoints), rng.randrange(nb),
+                    rng.randrange(npoints), rng.randrange(nb))
+            corrupted = vf.CorruptedSystem(sys, quad)
+            got = vf.oracle_mismatch(corrupted, table)
+            assert got == per_quadruple_mismatch(corrupted, table), quad
+            assert got[0] is not None
+            levels_seen.add(got[0].rpartition("=")[2])
+    assert levels_seen == {"1", "2"}
 
 
 def test_oracle_comparison_memory_peak():
@@ -185,13 +260,14 @@ def test_basis_suite_passes(small_tables):
 
 
 def test_comparison_suite_reports():
-    report = vf.run_comparison(seed=3, max_n=2, cases=25)
+    report = vf.run_comparison(seed=3, max_n=2)
     by_name = {c.name: c for c in report.checks}
     assert by_name["scott_implies_hjorth"].passed
     assert by_name["scott_implies_hjorth"].stats["scanned"] > 0
     assert by_name["symbolic_window_drift"].passed
     cross = by_name["symbolic_finite_cc_crosscheck"]
     assert cross.passed and "divergences" in cross.stats
+    assert cross.stats["cases"] == 100
 
 
 def test_comparison_scan_counts():
