@@ -306,20 +306,17 @@ def run_lemmas(tables) -> list[CheckResult]:
                 setmono_bad = f"sys{si}:level={a}:q0={i},q1={j}"
 
         if sys.translation_closed and transl_bad is None:
+            # one gather per level of T_a(x, V, gx, V g^-1) over (g, x, V)
+            gs = range(len(sys.group))
+            gx = np.array([[sys.act(g, x) for x in range(npoints)] for g in gs])
+            tv = np.array([[sys.translate(v, g) for v in range(nbasis)] for g in gs])
+            xs, vs = np.arange(npoints)[:, None], np.arange(nbasis)
             for a in levels:
-                for g in range(len(sys.group)):
-                    for x in range(npoints):
-                        gx = sys.act(g, x)
-                        for v in range(nbasis):
-                            if not table.leq(x, v, gx, sys.translate(v, g), a):
-                                transl_bad = (f"sys{si}:level={a}:g={sys.group[g]},"
-                                              f"x={sys.points[x]},V={sys.basis[v]}")
-                                break
-                        if transl_bad:
-                            break
-                    if transl_bad:
-                        break
-                if transl_bad:
+                held = table.level(a)[xs, vs, gx[:, :, None], tv[:, None, :]]
+                if not held.all():
+                    g, x, v = np.argwhere(~held)[0]
+                    transl_bad = (f"sys{si}:level={a}:g={sys.group[g]},"
+                                  f"x={sys.points[x]},V={sys.basis[v]}")
                     break
 
         if equiv_bad is None:
@@ -686,7 +683,8 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
     (back-and-forth level reached, table level reached) over a seeded sample
     of tuple pairs. Stab-equivalent tuples of finite structures lie in one
     S_n-orbit, so the scan builds one system per orbit (keyed by its root
-    class) and one per profile draw, each dropped before the next is built.
+    class) and one per profile draw, each dropped before the next is built;
+    each orbit's stabilized table is read in one gather per stab-class.
     """
     rng = random.Random(f"compare:{seed}")
     counterexamples = []
@@ -715,20 +713,22 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
             by_orbit.setdefault(orbit, []).append(members)
         for classes in by_orbit.values():
             sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0][0]]])
-            ptab = hj.leq_table(sysp)
+            stab = hj.leq_table(sysp).level(STAB)
             for members in classes:
                 bbars = list(itertools.permutations(range(n), len(members[0][1])))
-                refs = []
                 for i, t in members:
                     if t not in cosets:
                         cosets[t] = [sysp.basis_of(t, bbar) for bbar in bbars]
-                    refs.append((i, t, sysp.point_of(structures[i]), cosets[t]))
-                for (i, t, pi, vs), (j, u, pj, ws) in itertools.product(refs, repeat=2):
-                    for bbar, v, w in zip(bbars, vs, ws):
-                        scanned += 1
-                        if not ptab.leq(pi, v, pj, w, STAB):
-                            counterexamples.append((n, i, t, j, u, bbar))
-            del sysp, ptab
+                pts = np.array([sysp.point_of(structures[i]) for i, _ in members])
+                vs = np.array([cosets[t] for _, t in members])
+                # held[a, b, k]: T(a, k-th coset; b, k-th coset), in list order
+                held = stab[pts[:, None, None], vs[:, None, :],
+                            pts[None, :, None], vs[None, :, :]]
+                scanned += held.size
+                for a, b, k in np.argwhere(~held):
+                    (i, t), (j, u) = members[a], members[b]
+                    counterexamples.append((n, i, t, j, u, bbars[k]))
+            del sysp, stab
         for _ in range(profile_sample):
             i, t = items[rng.randrange(len(items))]
             j, u = items[rng.randrange(len(items))]

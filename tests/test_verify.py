@@ -1,9 +1,11 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from rankforge import hjorth as hj
+from rankforge import scott as sc
 from rankforge import verify as vf
 from rankforge.actions import FiniteLogicAction, _all_structures
 from rankforge.common import STAB
@@ -322,42 +324,192 @@ def test_run_suite_dispatch():
 
 def test_comparison_scan_builds_one_system_per_orbit(monkeypatch):
     built = []
+    leq_calls = []
+    leq = LevelTable.leq
 
     def counting(*args):
         built.append(args[1])
         return FiniteLogicAction(*args)
 
+    def counting_leq(self, *args):
+        leq_calls.append(args)
+        return leq(self, *args)
+
     monkeypatch.setattr(vf, "FiniteLogicAction", counting)
+    monkeypatch.setattr(LevelTable, "leq", counting_leq)
     counterexamples, _, scanned = vf.comparison_scan(
         max_n=3, max_tuple=2, profile_sample=0, seed=0)
     assert not counterexamples
     assert scanned == 140448
     # S_n-orbits of binary relations on 1, 2 and 3 elements
     assert [built.count(n) for n in (1, 2, 3)] == [2, 10, 104]
+    # the stabilized tables are read by gathers; only profile draws query
+    assert leq_calls == []
+
+
+def _flip_stabilized(monkeypatch, flips):
+    """Make ``hj.leq_table`` return tables whose stabilized level has each
+    flip (M, t, N, u, bbar) toggled: the entry relating (M, V[t->bbar]) to
+    (N, V[u->bbar]), in every system holding both structures."""
+    build = hj.leq_table
+
+    def faulty(sysb, *args, **kwargs):
+        table = build(sysb, *args, **kwargs)
+        level = table.level(STAB).copy()  # finished levels are read-only
+        for m, t, n, u, bbar in flips:
+            if m in sysb.structures and n in sysb.structures:
+                level[sysb.point_of(m), sysb.basis_of(t, bbar),
+                      sysb.point_of(n), sysb.basis_of(u, bbar)] ^= True
+        table.levels[-1] = level
+        return table
+
+    monkeypatch.setattr(hj, "leq_table", faulty)
+
+
+# (M, 0) and (N, 2) are stab-equivalent: the relabeling 0->2, 1->0, 2->1
+# carries M to N (and (0, 1) to (2, 0))
+M3 = FinStructure(EDGE_SIG, 3, frozenset({("edge", (0, 1))}))
+N3 = FinStructure(EDGE_SIG, 3, frozenset({("edge", (2, 0))}))
+# the swap carries M2 to N2 and 0 to 1
+M2 = FinStructure(EDGE_SIG, 2, frozenset({("edge", (0, 1))}))
+N2 = FinStructure(EDGE_SIG, 2, frozenset({("edge", (1, 0))}))
 
 
 def test_comparison_scan_reports_an_injected_failure(monkeypatch):
-    # (M, 0) and (N, 2) are stab-equivalent: the relabeling 0->2, 1->0, 2->1
-    # carries M to N; fail the stabilized query of one of their coset pairs
+    # fail the stabilized entry of one coset pair of (M, 0) and (N, 2)
     structures = _all_structures(EDGE_SIG, 3)
-    m = FinStructure(EDGE_SIG, 3, frozenset({("edge", (0, 1))}))
-    n = FinStructure(EDGE_SIG, 3, frozenset({("edge", (2, 0))}))
-    target = (3, structures.index(m), (0,), structures.index(n), (2,), (1,))
-    leq = LevelTable.leq
-
-    def faulty(self, x0, v0, x1, v1, alpha):
-        sysb = self.sys
-        if (alpha is STAB and sysb.structures[x0] == m
-                and sysb.structures[x1] == n
-                and (v0, v1) == (sysb.basis_of((0,), (1,)),
-                                 sysb.basis_of((2,), (1,)))):
-            return False
-        return leq(self, x0, v0, x1, v1, alpha)
-
-    monkeypatch.setattr(LevelTable, "leq", faulty)
+    target = (3, structures.index(M3), (0,), structures.index(N3), (2,), (1,))
+    _flip_stabilized(monkeypatch, [(M3, (0,), N3, (2,), (1,))])
     counterexamples, _, scanned = vf.comparison_scan(
         max_n=3, max_tuple=2, profile_sample=0, seed=0)
     assert counterexamples == [target]
     assert vf.comparison_witness(counterexamples) == \
         f"n=3:M{target[1]}(0,)~M{target[3]}(2,)->b=(1,)"
     assert scanned == 140448
+
+
+def per_quadruple_scan(max_n, max_tuple):
+    """The scan one stabilized query at a time, each (member, member, bbar)
+    of each stab-class in turn.  Kept as the reference for the gather."""
+    counterexamples, scanned = [], 0
+    for n in range(1, max_n + 1):
+        structures = _all_structures(EDGE_SIG, n)
+        table = sc.ScottTable(structures)
+        cosets = {}
+        items = [(i, t) for i in range(len(structures))
+                 for ln in range(min(max_tuple, n) + 1)
+                 for t in itertools.permutations(range(n), ln)]
+        by_class = {}
+        for i, t in items:
+            by_class.setdefault(table.class_of(i, t, STAB), []).append((i, t))
+        by_orbit = {}
+        for members in by_class.values():
+            orbit = table.class_of(members[0][0], (), STAB)
+            by_orbit.setdefault(orbit, []).append(members)
+        for classes in by_orbit.values():
+            sysp = FiniteLogicAction(EDGE_SIG, n, n, [structures[classes[0][0][0]]])
+            ptab = hj.leq_table(sysp)
+            for members in classes:
+                bbars = list(itertools.permutations(range(n), len(members[0][1])))
+                refs = []
+                for i, t in members:
+                    if t not in cosets:
+                        cosets[t] = [sysp.basis_of(t, bbar) for bbar in bbars]
+                    refs.append((i, t, sysp.point_of(structures[i]), cosets[t]))
+                for (i, t, pi, vs), (j, u, pj, ws) in itertools.product(refs, repeat=2):
+                    for bbar, v, w in zip(bbars, vs, ws):
+                        scanned += 1
+                        if not ptab.leq(pi, v, pj, w, STAB):
+                            counterexamples.append((n, i, t, j, u, bbar))
+    return counterexamples, scanned
+
+
+def test_comparison_scan_gather_matches_per_quadruple_loop(monkeypatch):
+    structures = _all_structures(EDGE_SIG, 3)
+    # members of a class are listed by structure index, so N -> M is a > b
+    assert structures.index(M3) < structures.index(N3)
+    flips = [
+        # two flips in one class, the later bbar listed first
+        (M3, (0,), N3, (2,), (1,)),
+        (M3, (0,), N3, (2,), (0,)),
+        # a > b in the same class
+        (N3, (2,), M3, (0,), (2,)),
+        # two more classes of the same orbit: pairs and the empty tuple
+        (M3, (0, 1), N3, (2, 0), (1, 2)),
+        (N3, (), M3, (), ()),
+        # a flip at n=2
+        (M2, (0,), N2, (1,), (0,)),
+    ]
+    _flip_stabilized(monkeypatch, flips)
+    counterexamples, _, scanned = vf.comparison_scan(
+        max_n=3, max_tuple=2, profile_sample=0, seed=0)
+    assert (counterexamples, scanned) == per_quadruple_scan(3, 2)
+    # scan order: n, then orbit and class (by first item), then (a, b, bbar);
+    # a flipped entry fails every descriptor pair naming its two cosets (in
+    # S_2, V[0->0] = V[1->1] = V[01->01]; in S_3 a pair fixes the permutation)
+    m, n = structures.index(M3), structures.index(N3)
+    m2, n2 = [_all_structures(EDGE_SIG, 2).index(s) for s in (M2, N2)]
+    assert counterexamples == [
+        (2, m2, (0,), n2, (1,), (0,)),
+        (2, m2, (1,), n2, (0,), (1,)),
+        (2, m2, (0, 1), n2, (1, 0), (0, 1)),
+        (2, m2, (1, 0), n2, (0, 1), (1, 0)),
+        (3, n, (), m, (), ()),
+        (3, m, (0,), n, (2,), (0,)),
+        (3, m, (0,), n, (2,), (1,)),
+        (3, n, (2,), m, (0,), (2,)),
+        (3, m, (0, 1), n, (2, 0), (1, 2)),
+        (3, m, (0, 2), n, (2, 1), (1, 0)),
+        (3, m, (1, 0), n, (0, 2), (2, 1)),
+        (3, m, (1, 2), n, (0, 1), (2, 0)),
+        (3, m, (2, 0), n, (1, 2), (0, 1)),
+        (3, m, (2, 1), n, (1, 0), (0, 2)),
+    ]
+    assert scanned == 140448
+
+
+def test_comparison_scan_pins_count_and_profile():
+    counterexamples, profile, scanned = vf.comparison_scan(max_n=3, seed=0)
+    assert not counterexamples and scanned == 140448
+    assert profile == {("scott=0", "hjorth=0"): 166, ("scott=1", "hjorth=0"): 47,
+                       ("scott=2", "hjorth=0"): 4,
+                       ("scott=stab", "hjorth=stab"): 54}
+
+
+def per_entry_translation(si, table):
+    """The translation law one table query at a time, in (level, g, x, V)
+    order: the first failing entry.  Kept as the reference for the gather."""
+    sys = table.sys
+    for a in range(1, table.stab + 2):
+        for g in range(len(sys.group)):
+            for x in range(table.npoints):
+                gx = sys.act(g, x)
+                for v in range(table.nbasis):
+                    if not table.leq(x, v, gx, sys.translate(v, g), a):
+                        return (f"sys{si}:level={a}:g={sys.group[g]},"
+                                f"x={sys.points[x]},V={sys.basis[v]}")
+    return None
+
+
+@pytest.mark.parametrize("entries, level, witness", [
+    # (g, x, V) = (2, 0, 0) and (1, 4, 5): the lower g comes first
+    ([(2, 0, 0), (1, 4, 5)], 1, "sys1:level=1:g=g1,x=4,V={g1,g2}"),
+    # the same entries only at a second level
+    ([(2, 0, 0), (1, 4, 5)], 2, "sys1:level=2:g=g1,x=4,V={g1,g2}"),
+])
+def test_translation_gather_matches_per_entry_loop(small_ensemble, entries, level,
+                                                   witness):
+    sys = small_ensemble[0]
+    assert (len(sys.points), len(sys.basis), len(sys.group)) == (6, 7, 3)
+    clean = leq_table(sys)
+    table = leq_table(sys)
+    if level == 2:  # a second, equal level: the chain stabilizes at 2
+        table.levels.append(table.levels[0])
+        table.stab = 2
+    arr = table.levels[level - 1].copy()
+    for g, x, v in entries:
+        arr[x, v, sys.act(g, x), sys.translate(v, g)] = False
+    table.levels[level - 1] = arr
+    got = by_name(vf.run_lemmas([clean, table]))["translation_invariance"]
+    assert not got.passed
+    assert got.witness == per_entry_translation(1, table) == witness
