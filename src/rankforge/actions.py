@@ -40,9 +40,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .common import STAB, BudgetError, Budgets, UnsupportedOperationError
-from .hjorth import ActionSystem, LevelTable
-from .scott import scott_equiv
+from .common import BudgetError, Budgets, UnsupportedOperationError
+from .hjorth import ActionSystem
 from .structures import (FinStructure, ParseError, SchemaError, Signature,
                          SuppStructure, permute_structure, thsigma_contains)
 
@@ -464,26 +463,6 @@ def _preimage_classes(m: SuppStructure, abar, bbar, target):
             else:
                 cbar[i] = assign[i]
         yield tuple(cbar)
-
-
-def scott_hjorth_comparison(table: LevelTable, m_struct, abar, n_struct, a2bar,
-                            bbar) -> bool:
-    """Whether the implication 'stabilized back-and-forth equivalence of the
-    tuples forces the stabilized table relation between the matching coset
-    pairs' holds on this instance of the table's relabeling system."""
-    abar, a2bar, bbar = tuple(abar), tuple(a2bar), tuple(bbar)
-    if not (len(abar) == len(a2bar) == len(bbar)):
-        raise ValueError("tuple lengths must agree")
-    if len(set(bbar)) != len(bbar):
-        raise ValueError("target tuple must be injective")
-    if not isinstance(m_struct, FinStructure) or not isinstance(n_struct, FinStructure):
-        raise UnsupportedOperationError(
-            "back-and-forth equivalence is computed on finite structures only")
-    if not scott_equiv(m_struct, abar, n_struct, a2bar, STAB):
-        return True
-    sys = table.sys
-    return table.leq(sys.point_of(m_struct), sys.basis_of(abar, bbar),
-                     sys.point_of(n_struct), sys.basis_of(a2bar, bbar), STAB)
 
 
 def encode_action_trace(sys: ActionSystem, x: int) -> tuple[int, ...]:

@@ -28,6 +28,8 @@ from .structures import (FinStructure, Signature, SuppStructure,
 
 EDGE_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
+# tuple pairs drawn per n for the comparison scan's level profile
+PROFILE_DRAWS = 200
 
 
 @dataclass
@@ -45,10 +47,6 @@ class CheckResult:
 class VerificationReport:
     suite: str
     checks: list[CheckResult]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def shrink_point_set(points: frozenset[int], still_fails) -> frozenset[int]:
@@ -138,30 +136,6 @@ def ensemble(seed: int, count: int, max_g: int = 8, max_x: int = 6,
         remaining = max(remaining - _oracle_cost(sys.size, len(sys.group)), 1000.0)
         out.append(sys)
     return out
-
-
-class CorruptedSystem(hj.ActionSystem):
-    """Mutation hook: one cc entry flipped.  For fault-injection tests."""
-
-    def __init__(self, base: hj.ActionSystem, quad: tuple[int, int, int, int]):
-        self.base = base
-        self.quad = quad
-        self.points = base.points
-        self.basis = base.basis
-        self.group = base.group
-
-    def contains(self, w, v):
-        return self.base.contains(w, v)
-
-    def cc(self, x0, v0, x1, v1):
-        flip = (x0, v0, x1, v1) == self.quad
-        return self.base.cc(x0, v0, x1, v1) != flip
-
-    def act(self, g, x):
-        return self.base.act(g, x)
-
-    def basis_members(self, v):
-        return self.base.basis_members(v)
 
 
 def _random_structure(rng: random.Random, n: int, density: float = 0.35) -> FinStructure:
@@ -673,18 +647,21 @@ def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Comparison suite (back-and-forth vs table levels on the logic action)
 
-def comparison_scan(max_n: int = 3, max_tuple: int = 2,
-                    profile_sample: int = 200, seed: int = 0,
+def comparison_scan(max_n: int = 3, max_tuple: int = 2, seed: int = 0,
                     signature: Signature = EDGE_SIG):
     """Exhaustive implication scan: for every ordered pair of structures and
     every stab-equivalent tuple pair (the only pairs the implication
     constrains), the matching coset pairs must be stabilized-related.
     Returns (counterexamples, profile, scanned); the profile tabulates
     (back-and-forth level reached, table level reached) over a seeded sample
-    of tuple pairs. Stab-equivalent tuples of finite structures lie in one
-    S_n-orbit, so the scan builds one system per orbit (keyed by its root
-    class) and one per profile draw, each dropped before the next is built;
-    each orbit's stabilized table is read in one gather per stab-class.
+    of PROFILE_DRAWS tuple pairs per n. Stab-equivalent tuples of finite
+    structures lie in one S_n-orbit, so the scan builds one system per orbit
+    (keyed by its root class), each dropped before the next is built, and
+    reads each stab-class of it in one gather. A profile draw is read from
+    the system of its first structure: a permutation action's table is
+    block-diagonal by orbit (V.x lies in the orbit of x, so a cross-orbit
+    entry is false at T_1 and stays false), so a draw whose second structure
+    is not a point of that system reaches table level 0.
     """
     rng = random.Random(f"compare:{seed}")
     counterexamples = []
@@ -704,6 +681,9 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
         items = [(i, t) for i in range(len(structures))
                  for ln in lengths
                  for t in itertools.permutations(range(n), ln)]
+        draws = [(items[rng.randrange(len(items))], items[rng.randrange(len(items))])
+                 for _ in range(PROFILE_DRAWS)]
+        draws = [(a, b) for a, b in draws if len(a[1]) == len(b[1])]
         by_class: dict[tuple, list] = {}
         for i, t in items:
             by_class.setdefault(table.class_of(i, t, STAB), []).append((i, t))
@@ -713,7 +693,8 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
             by_orbit.setdefault(orbit, []).append(members)
         for classes in by_orbit.values():
             sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0][0]]])
-            stab = hj.leq_table(sysp).level(STAB)
+            ptab = hj.leq_table(sysp)
+            stab = ptab.level(STAB)
             for members in classes:
                 bbars = list(itertools.permutations(range(n), len(members[0][1])))
                 for i, t in members:
@@ -728,25 +709,22 @@ def comparison_scan(max_n: int = 3, max_tuple: int = 2,
                 for a, b, k in np.argwhere(~held):
                     (i, t), (j, u) = members[a], members[b]
                     counterexamples.append((n, i, t, j, u, bbars[k]))
-            del sysp, stab
-        for _ in range(profile_sample):
-            i, t = items[rng.randrange(len(items))]
-            j, u = items[rng.randrange(len(items))]
-            if len(t) != len(u):
-                continue
-            sysp = FiniteLogicAction(signature, n, n, [structures[i], structures[j]])
-            ptab = hj.leq_table(sysp)
-            pi, pj = sysp.point_of(structures[i]), sysp.point_of(structures[j])
-            v, w = sysp.basis_of(t, range(len(t))), sysp.basis_of(u, range(len(u)))
-            s_level = h_level = 0
-            while s_level <= table.stab and table.equivalent(i, t, j, u, s_level):
-                s_level += 1
-            while h_level < ptab.stab and ptab.leq(pi, v, pj, w, h_level + 1):
-                h_level += 1
-            key = (f"scott={'stab' if s_level > table.stab else s_level}",
-                   f"hjorth={'stab' if h_level >= ptab.stab else h_level}")
-            profile[key] = profile.get(key, 0) + 1
-            del sysp, ptab
+            where = {m: x for x, m in enumerate(sysp.structures)}
+            for (i, t), (j, u) in draws:
+                if structures[i] not in where:
+                    continue
+                pi, pj = where[structures[i]], where.get(structures[j])
+                v, w = sysp.basis_of(t, range(len(t))), sysp.basis_of(u, range(len(u)))
+                s_level = h_level = 0
+                while s_level <= table.stab and table.equivalent(i, t, j, u, s_level):
+                    s_level += 1
+                while (pj is not None and h_level < ptab.stab
+                       and ptab.level(h_level + 1)[pi, v, pj, w]):
+                    h_level += 1
+                key = (f"scott={'stab' if s_level > table.stab else s_level}",
+                       f"hjorth={'stab' if h_level >= ptab.stab else h_level}")
+                profile[key] = profile.get(key, 0) + 1
+            del sysp, ptab, stab
     return counterexamples, profile, scanned
 
 

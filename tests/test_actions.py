@@ -4,15 +4,14 @@ import pytest
 
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,
                                FiniteLogicAction, SymbolicLogicAction,
-                               encode_action_trace, parse_action_file,
-                               scott_hjorth_comparison)
+                               encode_action_trace, parse_action_file)
 from rankforge.common import STAB, BudgetError, Budgets, UnsupportedOperationError
 from rankforge import hjorth as hj
 from rankforge.oracle import orbit_partition
 from rankforge.structures import (FinStructure, ParseError, SchemaError,
                                   SuppStructure)
 
-from conftest import EDGE_SIG, ORDER_SIG, chain
+from conftest import EDGE_SIG, ORDER_SIG, chain, scott_hjorth_comparison
 
 SYS1_FILE = """
 space size 3
@@ -238,17 +237,6 @@ def test_scott_hjorth_comparison_instances():
     # hypothesis false at finite scale: vacuously true
     tab3 = hj.leq_table(FiniteLogicAction(ORDER_SIG, 3, 3, [chain(3)]))
     assert scott_hjorth_comparison(tab3, chain(3), (0,), chain(3), (2,), (0,))
-    with pytest.raises(ValueError):
-        scott_hjorth_comparison(tabl, l2, (0,), l2, (0,), (1, 0))
-    with pytest.raises(ValueError):
-        scott_hjorth_comparison(tabl, l2, (0, 1), l2, (0, 1), (1, 1))
-
-
-def test_scott_hjorth_comparison_rejects_supported_points():
-    m1 = SuppStructure(EDGE_SIG, 1)
-    table = hj.leq_table(SymbolicLogicAction(EDGE_SIG, 2, 1, [m1]), max_level=1)
-    with pytest.raises(UnsupportedOperationError):
-        scott_hjorth_comparison(table, m1, (), m1, (), ())
 
 
 def test_encode_action_trace(sys1):

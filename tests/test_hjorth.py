@@ -4,15 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,
-                               FiniteLogicAction, scott_hjorth_comparison)
+from rankforge.actions import ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction
 from rankforge.common import (STAB, BudgetError, InvalidBaseRelationError,
                               RankforgeError, UnsupportedOperationError)
 from rankforge import hjorth as hj
-from rankforge.verify import CorruptedSystem
 
-from conftest import (EDGE_SIG, edge_structures, make_non_basis_family,
-                      make_sys1)
+from conftest import (EDGE_SIG, CorruptedSystem, edge_structures,
+                      make_non_basis_family, make_sys1, scott_hjorth_comparison)
 
 
 def test_level_table_base_level(sys1, basis_index):

@@ -11,9 +11,8 @@ from rankforge.actions import (ALL_SUBSETS, SINGLETONS_PLUS_G,
                                FiniteDiscreteAction, FiniteLogicAction,
                                parse_action_file)
 from rankforge.common import InvalidBaseRelationError
-from rankforge.verify import CorruptedSystem
 
-from conftest import EDGE_SIG, edge_structures, make_sys1
+from conftest import EDGE_SIG, CorruptedSystem, edge_structures, make_sys1
 
 C3 = [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))]
 S3 = [("".join(map(str, p)), p) for p in itertools.permutations(range(3))]

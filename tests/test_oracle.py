@@ -13,9 +13,9 @@ from rankforge.hjorth import leq_table
 from rankforge.oracle import (LeqOracle, ScottOracle, _same_atoms,
                               invariant_sets, orbit_partition)
 from rankforge.structures import FinStructure, Signature, permute_structure
-from rankforge.verify import CorruptedSystem, ensemble
+from rankforge.verify import ensemble
 
-from conftest import chain, make_non_basis_family, make_sys1
+from conftest import CorruptedSystem, chain, make_non_basis_family, make_sys1
 
 
 def test_naive_leq_level1_is_cc(sys1):

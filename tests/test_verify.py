@@ -11,9 +11,9 @@ from rankforge.actions import FiniteLogicAction, _all_structures
 from rankforge.common import STAB
 from rankforge.hjorth import LevelTable, leq_table
 from rankforge.oracle import LeqOracle
-from rankforge.structures import FinStructure
+from rankforge.structures import FinStructure, Signature
 
-from conftest import EDGE_SIG, make_non_basis_family, make_sys1
+from conftest import EDGE_SIG, CorruptedSystem, make_non_basis_family, make_sys1
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +51,13 @@ def test_lemma_suite_passes(small_ensemble, small_tables):
 def test_lemma_suite_catches_corruption(monkeypatch):
     # the corrupted base relation makes a level grow, so no table is built and
     # each table suite reports that failure, named by system, as its one check
-    corrupted = vf.CorruptedSystem(make_sys1(), (0, 0, 2, 0))
+    corrupted = CorruptedSystem(make_sys1(), (0, 0, 2, 0))
     monkeypatch.setattr(vf, "ensemble", lambda *args: [make_sys1(), corrupted])
     reports = vf.run_suite("all", seed=0, sizes={"n": 1}, count=2)
     assert [r.suite for r in reports] == list(vf.SUITES)
     for report in reports:
         if report.suite == "comparison":
-            assert report.all_passed
+            assert all(c.passed for c in report.checks)
             continue
         [check] = report.checks
         assert not check.passed and check.name == "level_monotonicity"
@@ -67,7 +67,7 @@ def test_lemma_suite_catches_corruption(monkeypatch):
 def test_oracle_check_catches_corrupted_base_relation():
     # the clean table against the recursion over a corrupted cc: the flipped
     # entry is the seventh quadruple, and level 1 is compared first
-    corrupted = vf.CorruptedSystem(make_sys1(), (0, 0, 2, 0))
+    corrupted = CorruptedSystem(make_sys1(), (0, 0, 2, 0))
     check = vf.leq_oracle_check([corrupted], [leq_table(make_sys1())])
     assert not check.passed
     assert check.witness == "sys0:(x0=0,V0={e},x1=2,V1={e})@level=1"
@@ -164,7 +164,7 @@ def test_row_comparison_matches_per_quadruple_loop_on_corruptions(small_ensemble
         for _ in range(3):
             quad = (rng.randrange(npoints), rng.randrange(nb),
                     rng.randrange(npoints), rng.randrange(nb))
-            corrupted = vf.CorruptedSystem(sys, quad)
+            corrupted = CorruptedSystem(sys, quad)
             got = vf.oracle_mismatch(corrupted, table)
             assert got == per_quadruple_mismatch(corrupted, table), quad
             assert got[0] is not None
@@ -337,13 +337,13 @@ def test_comparison_scan_builds_one_system_per_orbit(monkeypatch):
 
     monkeypatch.setattr(vf, "FiniteLogicAction", counting)
     monkeypatch.setattr(LevelTable, "leq", counting_leq)
-    counterexamples, _, scanned = vf.comparison_scan(
-        max_n=3, max_tuple=2, profile_sample=0, seed=0)
+    counterexamples, _, scanned = vf.comparison_scan(max_n=3, max_tuple=2, seed=0)
     assert not counterexamples
     assert scanned == 140448
-    # S_n-orbits of binary relations on 1, 2 and 3 elements
+    # S_n-orbits of binary relations on 1, 2 and 3 elements; the profile
+    # draws are read from these systems' tables, so no system is built per draw
     assert [built.count(n) for n in (1, 2, 3)] == [2, 10, 104]
-    # the stabilized tables are read by gathers; only profile draws query
+    # the stabilized tables are read by gathers, the draws by level
     assert leq_calls == []
 
 
@@ -380,8 +380,7 @@ def test_comparison_scan_reports_an_injected_failure(monkeypatch):
     structures = _all_structures(EDGE_SIG, 3)
     target = (3, structures.index(M3), (0,), structures.index(N3), (2,), (1,))
     _flip_stabilized(monkeypatch, [(M3, (0,), N3, (2,), (1,))])
-    counterexamples, _, scanned = vf.comparison_scan(
-        max_n=3, max_tuple=2, profile_sample=0, seed=0)
+    counterexamples, _, scanned = vf.comparison_scan(max_n=3, max_tuple=2, seed=0)
     assert counterexamples == [target]
     assert vf.comparison_witness(counterexamples) == \
         f"n=3:M{target[1]}(0,)~M{target[3]}(2,)->b=(1,)"
@@ -441,8 +440,7 @@ def test_comparison_scan_gather_matches_per_quadruple_loop(monkeypatch):
         (M2, (0,), N2, (1,), (0,)),
     ]
     _flip_stabilized(monkeypatch, flips)
-    counterexamples, _, scanned = vf.comparison_scan(
-        max_n=3, max_tuple=2, profile_sample=0, seed=0)
+    counterexamples, _, scanned = vf.comparison_scan(max_n=3, max_tuple=2, seed=0)
     assert (counterexamples, scanned) == per_quadruple_scan(3, 2)
     # scan order: n, then orbit and class (by first item), then (a, b, bbar);
     # a flipped entry fails every descriptor pair naming its two cosets (in
@@ -474,6 +472,86 @@ def test_comparison_scan_pins_count_and_profile():
     assert profile == {("scott=0", "hjorth=0"): 166, ("scott=1", "hjorth=0"): 47,
                        ("scott=2", "hjorth=0"): 4,
                        ("scott=stab", "hjorth=stab"): 54}
+
+
+def per_draw_profile(max_n, max_tuple, seed, signature):
+    """The scan's profile with one system of the drawn structure pair and one
+    table per draw.  Kept as the reference for reading the draws from the
+    orbit systems' tables."""
+    rng = random.Random(f"compare:{seed}")
+    profile = {}
+    for n in range(1, max_n + 1):
+        structures = _all_structures(signature, n)
+        table = sc.ScottTable(structures)
+        items = [(i, t) for i in range(len(structures))
+                 for ln in range(min(max_tuple, n) + 1)
+                 for t in itertools.permutations(range(n), ln)]
+        for _ in range(vf.PROFILE_DRAWS):
+            i, t = items[rng.randrange(len(items))]
+            j, u = items[rng.randrange(len(items))]
+            if len(t) != len(u):
+                continue
+            sysp = FiniteLogicAction(signature, n, n, [structures[i], structures[j]])
+            ptab = hj.leq_table(sysp)
+            pi, pj = sysp.point_of(structures[i]), sysp.point_of(structures[j])
+            v, w = sysp.basis_of(t, range(len(t))), sysp.basis_of(u, range(len(u)))
+            s_level = h_level = 0
+            while s_level <= table.stab and table.equivalent(i, t, j, u, s_level):
+                s_level += 1
+            while h_level < ptab.stab and ptab.leq(pi, v, pj, w, h_level + 1):
+                h_level += 1
+            key = (f"scott={'stab' if s_level > table.stab else s_level}",
+                   f"hjorth={'stab' if h_level >= ptab.stab else h_level}")
+            profile[key] = profile.get(key, 0) + 1
+    return profile
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("max_n, max_tuple, signature", [
+    (3, 2, EDGE_SIG),
+    (3, 0, EDGE_SIG),
+    (2, 2, Signature((("edge", 1), ("col", 1)))),
+    (2, 2, Signature(())),
+], ids=["edge2", "max_tuple0", "edge1_col1", "empty"])
+def test_comparison_scan_profile_matches_per_draw_systems(seed, max_n, max_tuple,
+                                                          signature):
+    _, profile, _ = vf.comparison_scan(max_n=max_n, max_tuple=max_tuple, seed=seed,
+                                       signature=signature)
+    assert profile == per_draw_profile(max_n, max_tuple, seed, signature)
+
+
+# two edges each: P3 has an orbit of 6 structures, C3 (the 2-cycle 0<->1)
+# one of 3
+P3 = FinStructure(EDGE_SIG, 3, frozenset({("edge", (0, 1)), ("edge", (1, 2))}))
+C3 = FinStructure(EDGE_SIG, 3, frozenset({("edge", (0, 1)), ("edge", (1, 0))}))
+
+
+def test_pair_table_is_block_diagonal_by_orbit():
+    orbits = [FiniteLogicAction(EDGE_SIG, 3, 3, [m]) for m in (P3, C3)]
+    assert [len(o.points) for o in orbits] == [6, 3]
+    pair = FiniteLogicAction(EDGE_SIG, 3, 3, [P3, C3])
+    table = leq_table(pair)
+    pts = [[pair.point_of(m) for m in o.structures] for o in orbits]
+    assert sorted(pts[0] + pts[1]) == list(range(9))
+    for a in range(1, table.stab + 1):
+        level = table.level(a)
+        for x, y in itertools.product(*pts):
+            assert not level[x, :, y, :].any() and not level[y, :, x, :].any()
+        # each diagonal block is its orbit system's table
+        for o, p in zip(orbits, pts):
+            block = level[p][:, :, p]
+            assert (block == leq_table(o).level(a)).all()
+
+
+def test_pair_table_of_isomorphic_structures_is_the_orbit_table():
+    orbit = FiniteLogicAction(EDGE_SIG, 3, 3, [M3])
+    pair = FiniteLogicAction(EDGE_SIG, 3, 3, [M3, N3])
+    assert set(pair.structures) == set(orbit.structures)
+    otab, ptab = leq_table(orbit), leq_table(pair)
+    assert ptab.stab == otab.stab
+    perm = [pair.point_of(m) for m in orbit.structures]
+    for a in range(1, otab.stab + 1):
+        assert (ptab.level(a)[perm][:, :, perm] == otab.level(a)).all()
 
 
 def per_entry_translation(si, table):
