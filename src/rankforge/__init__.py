@@ -24,7 +24,7 @@ from .hjorth import (ActionSystem, LevelTable, basis_shift_check,
                      vaught_delta, vaught_star)
 from .actions import (ALL_SUBSETS, SINGLETONS_PLUS_G, FiniteDiscreteAction,
                       FiniteLogicAction, SymbolicLogicAction,
-                      encode_action_trace, parse_action_file)
+                      parse_action_file)
 from .oracle import (LeqOracle, OrbitPartition, ScottOracle, invariant_sets,
                      orbit_partition)
 

@@ -464,15 +464,3 @@ def _preimage_classes(m: SuppStructure, abar, bbar, target):
                 cbar[i] = assign[i]
         yield tuple(cbar)
 
-
-def encode_action_trace(sys: ActionSystem, x: int) -> tuple[int, ...]:
-    """Bit trace of the action at x: bit (k, l) set iff basis set k carries x
-    to point l; pairs run in diagonal order, length |basis| * |points|."""
-    if not sys.has_action:
-        raise UnsupportedOperationError("trace needs an exposed action")
-    nbasis, npoints = len(sys.basis), len(sys.points)
-    hits = [frozenset(sys.act(g, x) for g in sys.basis_members(v))
-            for v in range(nbasis)]
-    order = sorted(((k, l) for k in range(nbasis) for l in range(npoints)),
-                   key=lambda kl: (kl[0] + kl[1], kl[1]))
-    return tuple(1 if l in hits[k] else 0 for k, l in order)

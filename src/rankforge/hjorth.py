@@ -16,6 +16,24 @@ levels (the STAB sentinel).  The engine validates rather than trusts cc: a
 sweep that grows the table aborts, since the shrinking chain is otherwise
 derived from a continuity the supplied cc may lack.
 
+The tables are block-diagonal.  Link points x and y when some basis set
+carries x to y, and split the points into the components of that graph
+(for a permutation action, unions of orbits).  Lemma: if every image V.x
+is non-empty and every basis set contains itself, no level relates two
+points of different components.  Proof, by induction on the level:
+
+* T_1(x0,V0,x1,V1) says V0.x0 lies inside V1.x1.  V0.x0 holds some y,
+  linked to x0; y is also in V1.x1, so it is linked to x1, and x0 and x1
+  share a component.
+* T_{a+1}(x0,V0,x1,V1) with W0 = V0 gives some W1 <= V1 with
+  T_a(x1,W1,x0,V0), so x1 and x0 share a component.
+
+T_{a+1} on S x S reads only T_a on S x S, and T_1 there only the image
+rows of S.  So each component (an orbit block) is built and swept on its
+own, a block that stops changing is left out of later sweeps, and each
+level is written into one dense table, false off the blocks.  A system
+without images is one block.
+
 Everything downstream -- the two-sided equivalences, the rank (least level
 where the relation at a point steps up for free modulo shrinking/expanding
 the basis sets), fixed-point characterizations, rank partitions -- is
@@ -34,10 +52,40 @@ import numpy as np
 from .common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
                      RankforgeError, UnsupportedOperationError)
 
-# float32 elements in one block of the T_1 and sweep products: the level
-# tables are built block by block into buffers reused by every block, never
-# as whole P x P float32 arrays
+# float32 elements in one row block of the T_1 and sweep products: each
+# orbit block's levels are built row block by row block into buffers reused
+# by every row block, never as whole P x P float32 arrays
 _BLOCK = 1 << 20
+
+
+def _orbit_blocks(img: np.ndarray, sub: np.ndarray) -> list[np.ndarray]:
+    """The points split into the connected components of the image graph
+    (x ~ y when some basis set carries x to y, closed symmetrically), each
+    as sorted indices in the order of their least point.  The lemma in the
+    module docstring needs non-empty images and reflexive containment;
+    without them all points form one block."""
+    npoints, nbasis = img.shape[:2]
+    # count_nonzero, not any/all: this runs once per table, and most tables
+    # in a comparison scan are small enough for ufunc overhead to show
+    if (np.count_nonzero(img.any(axis=2)) < npoints * nbasis
+            or np.count_nonzero(sub.diagonal()) < nbasis):
+        return [np.arange(npoints)]
+    link = img.any(axis=1)
+    link |= link.T
+    seen = np.zeros(npoints, dtype=bool)
+    blocks = []
+    for x in range(npoints):
+        if seen[x]:
+            continue
+        members = np.zeros(npoints, dtype=bool)
+        members[x] = True
+        frontier = members
+        while np.count_nonzero(frontier):
+            frontier = link[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    return blocks
 
 
 class ActionSystem:
@@ -119,13 +167,33 @@ class LevelTable:
         self.sub = sub
         self._subf = sub.astype(np.float32)
 
-        self.levels: list[np.ndarray] = [self._base_level()]
         self.stab: int | None = None
         self._equiv: dict[int, np.ndarray] = {}
 
+        img = sys.image_tensor()
+        blocks = _orbit_blocks(img, sub) if img is not None else [np.arange(npoints)]
+        if len(blocks) == 1:
+            cur = [self._base_level(img)]
+        else:
+            cur = [self._base_level(img[np.ix_(b, np.arange(nbasis), b)])
+                   for b in blocks]
+        del img
+        self.levels: list[np.ndarray] = [self._assemble(blocks, cur)]
+        live = range(len(blocks))
+
         while max_level is None or len(self.levels) < max_level:
-            prev = self.levels[-1]
-            nxt, grown = self._sweep(prev)
+            changed, grown = [], None
+            for i in live:
+                nxt, first = self._sweep(cur[i])
+                if first is not None:
+                    # blocks hold sorted points, so local order is global order
+                    x0, v0, x1, v1 = first
+                    first = (int(blocks[i][x0]), v0, int(blocks[i][x1]), v1)
+                    grown = first if grown is None else min(grown, first)
+                # nothing grew, so nxt is inside cur[i]: equal iff equally large
+                elif np.count_nonzero(nxt) != np.count_nonzero(cur[i]):
+                    cur[i] = nxt
+                    changed.append(i)
             if grown is not None:
                 x0, v0, x1, v1 = grown
                 raise InvalidBaseRelationError(
@@ -133,22 +201,34 @@ class LevelTable:
                     f"{len(self.levels) + 1} adds ({sys.points[x0]},{sys.basis[v0]})"
                     f" <= ({sys.points[x1]},{sys.basis[v1]})",
                     witness=grown)
-            # nothing grew, so nxt is inside prev: equal iff equally large
-            if np.count_nonzero(nxt) == np.count_nonzero(prev):
+            if not changed:
                 self.stab = len(self.levels)
                 break
-            self.levels.append(nxt)
+            # a block that stopped changing never changes again
+            live = changed
+            self.levels.append(self._assemble(blocks, cur))
         for arr in self.levels:
             arr.setflags(write=False)
 
-    def _base_level(self) -> np.ndarray:
-        """T_1, built apart so that its float32 buffers are freed before
-        the first sweep."""
-        sys, npoints, nbasis = self.sys, self.npoints, self.nbasis
-        img = sys.image_tensor()
+    def _assemble(self, blocks: list[np.ndarray], cur: list[np.ndarray]) -> np.ndarray:
+        """One level as a dense (P,B,P,B) table, false off the orbit blocks."""
+        if len(blocks) == 1:
+            return cur[0]
+        basis = np.arange(self.nbasis)
+        level = np.zeros((self.npoints, self.nbasis) * 2, dtype=bool)
+        for b, part in zip(blocks, cur):
+            level[np.ix_(b, basis, b, basis)] = part
+        return level
+
+    def _base_level(self, img: np.ndarray | None) -> np.ndarray:
+        """T_1 on the points of one orbit block, from their image rows
+        ``img[S, :, S]``; a system without images is one block, built one
+        cc call per entry."""
+        sys, nbasis = self.sys, self.nbasis
         if img is not None:
+            npoints = img.shape[0]
             # (x0,V0) <= (x1,V1) iff no y is in the first image but not the second
-            f = img.reshape(npoints * nbasis, npoints).astype(np.float32)
+            f = img.reshape(npoints * nbasis, -1).astype(np.float32)
             miss = (1 - f).T
             t1 = np.empty((len(f), len(f)), dtype=bool)
             step = max(1, _BLOCK // len(f))
@@ -158,6 +238,7 @@ class LevelTable:
                 np.matmul(f[lo:hi], miss, out=product[:hi - lo])
                 np.equal(product[:hi - lo], 0, out=t1[lo:hi])
             return t1.reshape(npoints, nbasis, npoints, nbasis)
+        npoints = self.npoints
         t1 = np.zeros((npoints, nbasis, npoints, nbasis), dtype=bool)
         for x0 in range(npoints):
             for v0 in range(nbasis):
@@ -167,9 +248,10 @@ class LevelTable:
         return t1
 
     def _sweep(self, prev: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-        """The next level, and its first entry in (x0,V0,x1,V1) order that
-        ``prev`` lacks (None when nothing grew), tested block by block."""
-        npoints, nbasis = self.npoints, self.nbasis
+        """The next level of one orbit block, and its first entry in
+        (x0,V0,x1,V1) order that ``prev`` lacks (None when nothing grew),
+        tested row block by row block."""
+        npoints, nbasis = prev.shape[0], self.nbasis
         subf = self._subf
         out = np.empty(prev.shape, dtype=bool)
         grown = None
@@ -188,7 +270,7 @@ class LevelTable:
             a[...] = (p == 0).transpose(0, 1, 3, 2)
             np.matmul(a.reshape(-1, nbasis), subf, out=p.reshape(-1, nbasis))
             out[:, :, lo:hi, :] = (p == 0).transpose(1, 3, 0, 2)
-            # blocks split x1, so the first growth is the least across blocks
+            # row blocks split x1, so the first growth is the least across them
             more = out[:, :, lo:hi, :] > prev[:, :, lo:hi, :]
             if more.any():
                 x0, v0, x1, v1 = np.unravel_index(np.argmax(more), more.shape)

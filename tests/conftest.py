@@ -1,16 +1,21 @@
+import importlib.util
 import itertools
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rankforge import hjorth as hj  # noqa: E402
-from rankforge.actions import ALL_SUBSETS, FiniteDiscreteAction  # noqa: E402
-from rankforge.common import STAB  # noqa: E402
+from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,  # noqa: E402
+                               FiniteLogicAction)
+from rankforge.common import (STAB, InvalidBaseRelationError,  # noqa: E402
+                              UnsupportedOperationError)
 from rankforge.scott import scott_equiv  # noqa: E402
-from rankforge.structures import FinStructure, Signature  # noqa: E402
+from rankforge.structures import (FinStructure, Signature,  # noqa: E402
+                                  parse_structures_file)
 
 ORDER_SIG = Signature((("lt", 2),))
 EDGE_SIG = Signature((("edge", 2),))
@@ -41,6 +46,73 @@ def edge_structures(*sizes: int) -> list[FinStructure]:
     atoms = [("edge", (i, j)) for i in range(3) for j in range(3)]
     return [FinStructure(EDGE_SIG, 3, frozenset(c))
             for size in sizes for c in itertools.combinations(atoms, size)]
+
+
+def relabel_hjorth_system() -> FiniteLogicAction:
+    """The relabeling system of the benchmark's relabel-hjorth input (seed
+    0): 244 edge structures on 3 elements in 44 orbits, k = 3."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    sig, structures = parse_structures_file(inputs.relabel_hjorth_input(0)[0])
+    return FiniteLogicAction(sig, 3, 3, list(structures.values()))
+
+
+def one_block_levels(sys: hj.ActionSystem, max_level: int | None = None):
+    """``(stab, levels)`` of the level tables built as one dense block over
+    all points: T_1 from the whole image tensor (or one cc call per entry),
+    each sweep over the whole previous level, one x1 at a time.  Raises the
+    same ``InvalidBaseRelationError`` when a sweep grows the table.  Kept
+    as the reference for the orbit-blocked build."""
+    npoints, nbasis = len(sys.points), len(sys.basis)
+    subf = np.array([[sys.contains(w, v) for v in range(nbasis)]
+                     for w in range(nbasis)], dtype=np.float32)
+    img = sys.image_tensor()
+    if img is None:
+        quads = itertools.product(range(npoints), range(nbasis), repeat=2)
+        t1 = np.fromiter((sys.cc(*q) for q in quads), dtype=bool,
+                         count=(npoints * nbasis) ** 2)
+    else:
+        f = img.reshape(npoints * nbasis, npoints).astype(np.float32)
+        miss = (1 - f).T
+        t1 = np.concatenate([f[lo:lo + 256] @ miss == 0
+                             for lo in range(0, len(f), 256)])
+    levels = [t1.reshape((npoints, nbasis) * 2)]
+    while max_level is None or len(levels) < max_level:
+        prev = levels[-1]
+        nxt = np.empty_like(prev)
+        for x1 in range(npoints):
+            # exists[x0,W0,V1]: some W1 <= V1 has prev(x1,W1,x0,W0)
+            exists = prev[x1].transpose(1, 2, 0).astype(np.float32) @ subf > 0
+            # fail[x0,V1,V0]: some W0 <= V0 with no such W1
+            fail = (~exists).transpose(0, 2, 1).astype(np.float32) @ subf > 0
+            nxt[:, :, x1, :] = ~fail.transpose(0, 2, 1)
+        grown = np.argwhere(nxt & ~prev)
+        if len(grown):
+            x0, v0, x1, v1 = map(int, grown[0])
+            raise InvalidBaseRelationError(
+                "invalid base relation: level "
+                f"{len(levels) + 1} adds ({sys.points[x0]},{sys.basis[v0]})"
+                f" <= ({sys.points[x1]},{sys.basis[v1]})",
+                witness=(x0, v0, x1, v1))
+        if np.array_equal(nxt, prev):
+            return len(levels), levels
+        levels.append(nxt)
+    return None, levels
+
+
+def encode_action_trace(sys: hj.ActionSystem, x: int) -> tuple[int, ...]:
+    """Bit trace of the action at x: bit (k, l) set iff basis set k carries x
+    to point l; pairs run in diagonal order, length |basis| * |points|."""
+    if not sys.has_action:
+        raise UnsupportedOperationError("trace needs an exposed action")
+    nbasis, npoints = len(sys.basis), len(sys.points)
+    hits = [frozenset(sys.act(g, x) for g in sys.basis_members(v))
+            for v in range(nbasis)]
+    order = sorted(((k, l) for k in range(nbasis) for l in range(npoints)),
+                   key=lambda kl: (kl[0] + kl[1], kl[1]))
+    return tuple(1 if l in hits[k] else 0 for k, l in order)
 
 
 class CorruptedSystem(hj.ActionSystem):

@@ -4,14 +4,15 @@ import pytest
 
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,
                                FiniteLogicAction, SymbolicLogicAction,
-                               encode_action_trace, parse_action_file)
+                               parse_action_file)
 from rankforge.common import STAB, BudgetError, Budgets, UnsupportedOperationError
 from rankforge import hjorth as hj
 from rankforge.oracle import orbit_partition
 from rankforge.structures import (FinStructure, ParseError, SchemaError,
                                   SuppStructure)
 
-from conftest import EDGE_SIG, ORDER_SIG, chain, scott_hjorth_comparison
+from conftest import (EDGE_SIG, ORDER_SIG, chain, encode_action_trace,
+                      scott_hjorth_comparison)
 
 SYS1_FILE = """
 space size 3

@@ -4,13 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rankforge import verify as vf
 from rankforge.actions import ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction
 from rankforge.common import (STAB, BudgetError, InvalidBaseRelationError,
                               RankforgeError, UnsupportedOperationError)
 from rankforge import hjorth as hj
 
 from conftest import (EDGE_SIG, CorruptedSystem, edge_structures,
-                      make_non_basis_family, make_sys1, scott_hjorth_comparison)
+                      make_non_basis_family, make_sys1, one_block_levels,
+                      relabel_hjorth_system, scott_hjorth_comparison)
 
 
 def test_level_table_base_level(sys1, basis_index):
@@ -323,10 +325,12 @@ def test_blocked_build_matches_one_block(make, block, monkeypatch):
 
 
 def test_level_table_memory_peak():
-    # 210 points x 16 basis sets: each level is P^2 bytes for P = 3,360
-    # pairs.  T_1 and one sweep, its growth tested block by block, peak at
-    # 2.91 P^2 (two levels and the 4 MB float32 block buffers); a whole-table
-    # growth test took 3.0 P^2 and whole P x P float32 products 10.3 P^2.
+    # 210 points x 16 basis sets in 41 orbit blocks: each level is P^2 bytes
+    # for P = 3,360 pairs.  Built block by block, T_1 and its sweep peak at
+    # 1.05 P^2 (the dense level and one block's buffers).  One block over all
+    # points, its T_1 and sweep built in row blocks, peaked at 2.91 P^2 (two
+    # levels and the 4 MB float32 row buffers); a whole-table growth test
+    # took 3.0 P^2 and whole P x P float32 products 10.3 P^2.
     sys = FiniteLogicAction(EDGE_SIG, 3, 3, edge_structures(3, 4))
     pairs = len(sys.points) * len(sys.basis)
     assert pairs == 3360
@@ -338,3 +342,130 @@ def test_level_table_memory_peak():
         tracemalloc.stop()
     assert table.stab == 1
     assert peak <= 2.95 * pairs ** 2
+    assert peak <= 1.25 * pairs ** 2
+
+
+def make_two_orbits() -> FiniteDiscreteAction:
+    """C3 turning 0,1,2 and 3,4,5 together and fixing 6: three orbits."""
+    return FiniteDiscreteAction(7, [("e", (0, 1, 2, 3, 4, 5, 6)),
+                                    ("r", (1, 2, 0, 4, 5, 3, 6)),
+                                    ("r2", (2, 0, 1, 5, 3, 4, 6))], ALL_SUBSETS)
+
+
+def make_uneven_orbits() -> FiniteDiscreteAction:
+    """The non-basis family's C3 turning 0 -> 2 -> 3 -> 0 and fixing 1: the
+    3-point orbit stabilizes at level 2, the fixed point at level 1."""
+    return FiniteDiscreteAction(
+        4, [("e", (0, 1, 2, 3)), ("r", (2, 1, 3, 0)), ("r2", (3, 1, 0, 2))],
+        [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})])
+
+
+class FlippedImages(FiniteDiscreteAction):
+    """A finite-discrete action whose image tensor has some entries
+    flipped: T_1 then no longer comes from an action, and its sweeps may
+    grow.  For fault-injection tests of the orbit-blocked build."""
+
+    def __init__(self, flips, *args):
+        super().__init__(*args)
+        self.flips = flips
+
+    def image_tensor(self):
+        img = super().image_tensor()
+        for entry in self.flips:
+            img[entry] = not img[entry]
+        return img
+
+
+def make_interleaved(*flips) -> FlippedImages:
+    """The swap 0<->2, 1<->3: orbits {0,2} and {1,3} interleave."""
+    return FlippedImages(flips, 4, [("e", (0, 1, 2, 3)), ("s", (2, 3, 0, 1))],
+                         ALL_SUBSETS)
+
+
+def orbit_blocks(sys) -> list[list[int]]:
+    table = hj.leq_table(sys, max_level=1)
+    return [b.tolist() for b in hj._orbit_blocks(sys.image_tensor(), table.sub)]
+
+
+def reference_outcome(sys, max_level=None):
+    try:
+        return one_block_levels(sys, max_level)
+    except InvalidBaseRelationError as err:
+        return err.witness, str(err)
+
+
+def assert_matches_one_block(sys, max_level=None):
+    want = reference_outcome(sys, max_level)
+    try:
+        table = hj.leq_table(sys, max_level=max_level)
+    except InvalidBaseRelationError as err:
+        assert (err.witness, str(err)) == want
+        return
+    assert table.stab == want[0]
+    assert table.stabilized == (want[0] is not None)
+    assert len(table.levels) == len(want[1])
+    for got, level in zip(table.levels, want[1]):
+        assert got.dtype == bool and np.array_equal(got, level)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_orbit_blocked_build_matches_one_block_on_ensembles(seed):
+    for sys in vf.ensemble(seed, 20):
+        for max_level in (None, 1, 2):
+            assert_matches_one_block(sys, max_level)
+
+
+@pytest.mark.parametrize("make, nblocks", [
+    (relabel_hjorth_system, 44),
+    (lambda: FiniteLogicAction(EDGE_SIG, 3, 3, edge_structures(3, 4)), 41),
+    (make_two_orbits, 3),
+    (make_uneven_orbits, 2),
+    # emptying the image of (0,{e}) puts T_1 entries across orbits, so the
+    # build falls back to one block
+    (lambda: make_interleaved((0, 0, 0)), 1),
+], ids=["relabel-244", "edge-210", "two-orbits", "uneven-orbits",
+        "emptied-image"])
+def test_orbit_blocked_build_matches_one_block(make, nblocks):
+    sys = make()
+    assert len(orbit_blocks(sys)) == nblocks
+    for max_level in (None, 1, 2):
+        assert_matches_one_block(sys, max_level)
+
+
+def test_invalid_base_relation_witness_across_orbit_blocks():
+    # one flip per orbit: alone, (2,{e}) -> 0 first grows (2,{e}) <= (0,{e})
+    # and (3,{e,s}) -> 1 first grows (1,{e}) <= (3,{e,s}); together both
+    # blocks grow at level 2 and the least global entry is the second's
+    first, second = (2, 0, 0), (3, 2, 1)
+    assert orbit_blocks(make_interleaved(first, second)) == [[0, 2], [1, 3]]
+    for flips, witness in [((first,), (2, 0, 0, 0)), ((second,), (1, 0, 3, 2)),
+                           ((first, second), (1, 0, 3, 2))]:
+        sys = make_interleaved(*flips)
+        with pytest.raises(InvalidBaseRelationError) as err:
+            hj.leq_table(sys)
+        assert err.value.witness == witness
+        assert str(err.value).startswith("invalid base relation: level 2 adds")
+        assert (err.value.witness, str(err.value)) == reference_outcome(sys)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteLogicAction(EDGE_SIG, 3, 3, edge_structures(3, 4)),
+    make_two_orbits,
+    make_uneven_orbits,
+], ids=["edge-210", "two-orbits", "uneven-orbits"])
+def test_one_leq_table_builds_one_level_table(make, monkeypatch):
+    # the benchmark's tracer counts LevelTable.__init__ calls and sizes
+    # every level as P x B x P x B, so orbit blocks are never tables
+    sys = make()
+    built = []
+    init = hj.LevelTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hj.LevelTable, "__init__", counted)
+    table = hj.leq_table(sys)
+    assert built == [table]
+    shape = (len(sys.points), len(sys.basis)) * 2
+    assert all(level.shape == shape for level in table.levels)
