@@ -1,12 +1,13 @@
 """Independent brute-force references used by the verification suites.
 
-Deliberately naive: literal recursions of the defining clauses, evaluated
-on demand, no table machinery.  This module never imports the engine
-modules (scott, hjorth, actions) or numpy; it shares only the structure
-substrate.  Each oracle owns its memo: a dict for the Scott game, one
-bytearray per level for the level relation, which answers one quadruple or
-one (x0, V0) row at a time; both evaluate a missing cell by the same
-successor clause.  Concurrent evaluations should use independent oracles.
+Deliberately naive: the defining clauses evaluated directly, on demand,
+with no table machinery.  This module never imports the engine modules
+(scott, hjorth, actions) or numpy; it shares only the structure substrate.
+Each oracle owns its memo: a dict for the Scott game recursion; one
+bytearray per level for the level relation, filled one x0 block at a time
+by the one successor clause, its quantifiers evaluated on byte lanes of
+Python ints.  The tests hold the level oracle to the literal one-quadruple
+recursion.  Concurrent evaluations should use independent oracles.
 """
 
 from __future__ import annotations
@@ -66,16 +67,31 @@ class ScottOracle:
         return out
 
 
+# a level's cell bytes to one bit per cell: byte 2 (true) -> 1, others -> 0
+_LANE = bytes(1 if i == 2 else 0 for i in range(256))
+
+
 class LeqOracle:
-    """Literal recursion of the level relation on one action system.
+    """The level relation of one action system, from its defining clauses.
 
     Base case is the system's cc; the successor case alternates quantifiers
     over shrinking basis sets with the argument pairs flipped.  The memo is
     one bytearray per level, allocated when an evaluation first reaches that
     level: cell ((x0*B + V0)*P + x1)*B + V1, for P points and B basis sets,
-    holds 0 while unknown, 1 for false and 2 for true.  ``query`` answers one
-    cell; ``row`` fills and returns the P*B cells of one (x0, V0) at one
-    level, each missing cell by the same clause.
+    holds 0 while unknown, 1 for false and 2 for true.  It is filled one x0
+    block at a time, the B*P*B cells (x0, ., ., .) of one level, and one
+    done byte per x0 and level marks the blocks filled.  ``query`` answers
+    one cell and ``row`` the P*B cells of one (x0, V0), each from the block
+    of its x0.
+
+    Level 1 calls cc once per cell.  Above it, block (a, alpha) reads, for
+    each x1 = b, the filled block (b, alpha - 1): the B cells (b, W1, a, .)
+    become one int with one byte lane per W0, set when (b, W1) <= (a, W0)
+    holds there.  ``reach[V1]`` is the OR of these over W1 <= V1, and
+    ``need[V0]`` has the lane of each W0 <= V0 set, so "every W0 <= V0 has
+    a W1 <= V1" is ``need[V0] & ~reach[V1] == 0``: the successor clause,
+    evaluated on Python ints.  The tests hold every cell to ``DictMemoLeq``,
+    the literal recursion one quadruple at a time.
     """
 
     def __init__(self, sys, depth_cap: int = 64):
@@ -86,9 +102,10 @@ class LeqOracle:
         self._half = npoints * nb
         self._subs = [tuple(w for w in range(nb) if sys.contains(w, v))
                       for v in range(nb)]
-        # W1*P*B for each W1 <= V: the stride of W1 in a level's cell index
-        self._offs = [tuple(w * self._half for w in subs) for subs in self._subs]
+        # need[V0]: the byte lane of each W0 <= V0 set to 1
+        self._need = [sum(1 << 8 * w for w in subs) for subs in self._subs]
         self._memo: dict[int, bytearray] = {}
+        self._done: dict[int, bytearray] = {}
 
     def _check(self, alpha: int, *indices: tuple[int, int]):
         """Reject a level outside 1..depth_cap and an index outside its
@@ -104,67 +121,57 @@ class LeqOracle:
 
     def query(self, x0: int, v0: int, x1: int, v1: int, alpha: int) -> bool:
         self._check(alpha, (x0, v0), (x1, v1))
-        return self._rec(x0, v0, x1, v1, alpha)
+        nb = self._nbasis
+        key = ((x0 * nb + v0) * self._npoints + x1) * nb + v1
+        return self._block(x0, alpha)[key] == 2
 
     def row(self, x0: int, v0: int, alpha: int) -> bytes:
         """The cells (x0, V0, x1, V1) at level alpha for every (x1, V1), in
         index order, as bytes: 1 for false, 2 for true."""
         self._check(alpha, (x0, v0))
-        cells = self._cells(alpha)
-        nb, half = self._nbasis, self._half
-        lo = key = (x0 * nb + v0) * half
-        if alpha == 1:
-            cc = self.sys.cc
-            for x1 in range(self._npoints):
-                for v1 in range(nb):
-                    if not cells[key]:
-                        cells[key] = 2 if cc(x0, v0, x1, v1) else 1
-                    key += 1
-        else:
-            below, lower, step = self._cells(alpha - 1), alpha - 1, self._step
-            for x1 in range(self._npoints):
-                for v1 in range(nb):
-                    if not cells[key]:
-                        cells[key] = 2 if step(x0, v0, x1, v1, below, lower) else 1
-                    key += 1
-        return bytes(cells[lo:lo + half])
+        cells = self._block(x0, alpha)
+        lo = (x0 * self._nbasis + v0) * self._half
+        return bytes(cells[lo:lo + self._half])
 
-    def _cells(self, level: int) -> bytearray:
+    def _block(self, a: int, level: int) -> bytearray:
+        """The cells of ``level``, with block (a, level) filled."""
         cells = self._memo.get(level)
         if cells is None:
             cells = self._memo[level] = bytearray(self._half * self._half)
-        return cells
-
-    def _rec(self, a, va, b, vb, level):
-        cells = self._cells(level)
-        nb, half = self._nbasis, self._half
-        key = (a * nb + va) * half + b * nb + vb
-        hit = cells[key]
-        if hit:
-            return hit == 2
+            self._done[level] = bytearray(self._npoints)
+        done = self._done[level]
+        if done[a]:
+            return cells
+        npoints, nb, half = self._npoints, self._nbasis, self._half
+        lo = a * nb * half
         if level == 1:
-            out = self.sys.cc(a, va, b, vb)
+            cc = self.sys.cc
+            pairs = [(x1, v1) for x1 in range(npoints) for v1 in range(nb)]
+            for v0 in range(nb):
+                key = lo + v0 * half
+                cells[key:key + half] = bytes([2 if cc(a, v0, x1, v1) else 1
+                                               for x1, v1 in pairs])
         else:
-            out = self._step(a, va, b, vb, self._cells(level - 1), level - 1)
-        cells[key] = 2 if out else 1
-        return out
-
-    def _step(self, a, va, b, vb, below, lower) -> bool:
-        """The successor clause: every W0 <= V0 has a W1 <= V1 with
-        (b, W1) <= (a, W0) at level ``lower``, whose cells are ``below``."""
-        half = self._half
-        # cell (b, W1, a, W0) of the level below is start + W0 + W1*P*B
-        start = b * self._nbasis * half + a * self._nbasis
-        offs = self._offs[vb]
-        for w0 in self._subs[va]:
-            base = start + w0
-            for off in offs:
-                hit = below[base + off]
-                if hit == 2 or (not hit and self._rec(b, off // half, a, w0, lower)):
-                    break
-            else:  # no W1 <= V1 answers this W0
-                return False
-        return True
+            subs, need = self._subs, self._need
+            for b in range(npoints):
+                below = self._block(b, level - 1)
+                # lanes[W1]: byte W0 is 1 iff (b, W1) <= (a, W0) one level down
+                start = b * nb * half + a * nb
+                lanes = [int.from_bytes(below[i:i + nb].translate(_LANE), "little")
+                         for i in range(start, start + nb * half, half)]
+                # misses[V1] = ~reach[V1], reach the OR of lanes[W1] over W1 <= V1
+                misses = []
+                for ws in subs:
+                    reach = 0
+                    for w1 in ws:
+                        reach |= lanes[w1]
+                    misses.append(~reach)
+                key = lo + b * nb
+                for n in need:
+                    cells[key:key + nb] = bytes([1 if n & miss else 2 for miss in misses])
+                    key += half
+        done[a] = 1
+        return cells
 
 
 @dataclass(frozen=True)

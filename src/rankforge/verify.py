@@ -206,7 +206,9 @@ def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
     """First quadruple, in index order, where a stabilized table and the
     literal recursion disagree at some level up to one past stabilization
     (the lowest such level), and the number of quadruples compared.  The
-    oracle is read one (x0, V0) row per level and compared as bytes."""
+    oracle is read one (x0, V0) row per level and compared as bytes; the
+    first row of an x0 fills that x0's block of each level, and a block
+    above level 1 fills the blocks one level down of every x1 first."""
     levels = range(1, table.stab + 2)
     oc = orc.LeqOracle(sys, depth_cap=table.stab + 2)
     arrays = [table.level(a) for a in levels]

@@ -10,7 +10,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rankforge import hjorth as hj  # noqa: E402
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,  # noqa: E402
-                               FiniteLogicAction)
+                               FiniteLogicAction, parse_action_file)
 from rankforge.common import (STAB, InvalidBaseRelationError,  # noqa: E402
                               UnsupportedOperationError)
 from rankforge.scott import scott_equiv  # noqa: E402
@@ -39,6 +39,30 @@ def make_non_basis_family() -> FiniteDiscreteAction:
     return FiniteDiscreteAction(
         3, [("e", (0, 1, 2)), ("r", (1, 2, 0)), ("r2", (2, 0, 1))],
         [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})])
+
+
+# S3 acting on 5 points, with the 12 translation-closed sets that contain no
+# singleton: six of 3 elements and the six of 5.  Without singletons the
+# sweep can change T_1: the table stabilizes at level 2, and points 0, 1
+# and 3 have rank 2.
+STAB2_ACTION = """space size 5
+group
+elem g0 : 0 1 2 3 4
+elem g1 : 0 1 4 3 2
+elem g2 : 1 3 2 0 4
+elem g3 : 1 3 4 0 2
+elem g4 : 3 0 2 1 4
+elem g5 : 3 0 4 1 2
+end
+basis sets: {g0,g1,g4} {g0,g1,g5} {g0,g2,g3} {g1,g2,g3} {g2,g4,g5} {g3,g4,g5} \
+{g0,g1,g2,g3,g4} {g0,g1,g2,g3,g5} {g0,g1,g2,g4,g5} {g0,g1,g3,g4,g5} \
+{g0,g2,g3,g4,g5} {g1,g2,g3,g4,g5}
+"""
+
+
+def make_stab2_system() -> FiniteDiscreteAction:
+    """The system of ``STAB2_ACTION``, whose table stabilizes at level 2."""
+    return parse_action_file(STAB2_ACTION)
 
 
 def edge_structures(*sizes: int) -> list[FinStructure]:

@@ -11,6 +11,8 @@ from rankforge import cli
 from rankforge import hjorth as hj
 from rankforge.cli import main
 
+from conftest import STAB2_ACTION
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 STRUCT_FILE = """signature
@@ -163,6 +165,19 @@ def test_hjorth_oracle_flag(action_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "CHECK name=leq_oracle_equivalence verdict=pass" in out
+
+
+def test_hjorth_oracle_at_depth(tmp_path, capsys):
+    # a table that stabilizes at level 2: the oracle comparison covers
+    # levels 1-3, and three points have rank 2
+    p = tmp_path / "stab2.act"
+    p.write_text(STAB2_ACTION)
+    code = main(["hjorth", str(p), "--oracle", "--format", "records"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "CHECK name=leq_oracle_equivalence verdict=pass witness=-" in out
+    assert [l for l in out if l.startswith("RANK ")] == [
+        f"RANK point={x} delta={d} stab=2 m=0" for x, d in enumerate((2, 2, 1, 2, 1))]
 
 
 def test_hjorth_logic(tmp_path, capsys):

@@ -15,7 +15,8 @@ from rankforge.oracle import (LeqOracle, ScottOracle, _same_atoms,
 from rankforge.structures import FinStructure, Signature, permute_structure
 from rankforge.verify import ensemble
 
-from conftest import CorruptedSystem, chain, make_non_basis_family, make_sys1
+from conftest import (CorruptedSystem, chain, make_non_basis_family, make_stab2_system,
+                      make_sys1)
 
 
 def test_naive_leq_level1_is_cc(sys1):
@@ -56,7 +57,8 @@ def test_naive_leq_depth_cap(sys1):
 
 class DictMemoLeq:
     """The literal recursion with one dict memo keyed on (x0, V0, x1, V1,
-    level), kept as the reference for the per-level cell memo."""
+    level), evaluated one quadruple at a time: the reference for the oracle's
+    x0 blocks and lane quantifiers."""
 
     def __init__(self, sys):
         self.sys = sys
@@ -106,7 +108,8 @@ class RecordingSystem(hj.ActionSystem):
 def reference_systems():
     out = [pytest.param(make_sys1(), id="sys1"),
            pytest.param(make_non_basis_family(), id="non-basis"),
-           pytest.param(CorruptedSystem(make_sys1(), (0, 0, 2, 0)), id="corrupted")]
+           pytest.param(CorruptedSystem(make_sys1(), (0, 0, 2, 0)), id="corrupted"),
+           pytest.param(make_stab2_system(), id="stab2")]
     for i, sys in enumerate(ensemble(11, 10, max_g=6, max_x=5)):
         out.append(pytest.param(sys.with_basis(SINGLETONS_PLUS_G), id=f"ensemble{i}"))
     return out
@@ -119,16 +122,17 @@ def test_cell_memo_matches_dict_memo_recursion(sys):
     # each query twice, so that every level is also read from its memo
     queries = [(*quad, level) for quad in quads for level in range(1, 5)] * 2
     random.Random(7).shuffle(queries)
-    # start at level 3, so that levels 2 and 1 are first reached by the
-    # recursion; later queries then read cells that recursions filled
+    # start at level 3, so that the blocks of levels 2 and 1 are first filled
+    # from a level-3 block; later queries then read cells filled that way
     first = next(i for i, query in enumerate(queries) if query[4] == 3)
     queries.insert(0, queries.pop(first))
     got_sys, want_sys = RecordingSystem(sys), RecordingSystem(sys)
     oracle, reference = LeqOracle(got_sys), DictMemoLeq(want_sys)
     for query in queries:
         assert oracle.query(*query) == reference._rec(*query), query
-    # the same quadruples were evaluated, in the same order
-    assert got_sys.calls == want_sys.calls
+    # each quadruple reached cc at most once, and the same quadruples did
+    assert len(got_sys.calls) == len(set(got_sys.calls))
+    assert set(got_sys.calls) == set(want_sys.calls)
 
 
 def assert_rows_match(oracle, reference, sys, levels):
@@ -145,8 +149,8 @@ def assert_rows_match(oracle, reference, sys, levels):
 def test_row_matches_dict_memo_recursion_in_fresh_oracle(sys):
     reference = DictMemoLeq(sys)
     for level in range(1, 5):
-        # one fresh oracle per level: rows above 1 reach the levels below
-        # only through their missing cells
+        # one fresh oracle per level: rows above 1 fill the blocks of the
+        # levels below first
         assert_rows_match(LeqOracle(sys), reference, sys, [level])
 
 
@@ -158,10 +162,36 @@ def test_row_matches_dict_memo_recursion_after_queries(sys):
     rng = random.Random(11)
     rng.shuffle(queries)
     oracle, reference = LeqOracle(sys), DictMemoLeq(sys)
-    # about half of the cells of every level are filled before any row
+    # half of the queries run before any row, filling the blocks they reach
     for query in queries[:len(queries) // 2]:
         assert oracle.query(*query) == reference._rec(*query), query
     assert_rows_match(oracle, reference, sys, [4, 2, 3, 1])
+
+
+class FailingOnceSystem(RecordingSystem):
+    """A system whose cc raises the first time it reaches one quadruple."""
+
+    def __init__(self, base, quad):
+        super().__init__(base)
+        self.quad = quad
+
+    def cc(self, *quad):
+        if quad == self.quad:
+            self.quad = None
+            raise BudgetError("cc interrupted")
+        return super().cc(*quad)
+
+
+@pytest.mark.parametrize("make_sys, quad", [(make_sys1, (1, 2, 2, 0)),
+                                            (make_stab2_system, (3, 5, 4, 11))])
+def test_interrupted_block_is_filled_again(make_sys, quad):
+    # the level-3 query reaches the level-1 block of x0 = quad[0] through the
+    # level-2 blocks; no block whose fill was cut off may count as filled
+    sys = make_sys()
+    oracle = LeqOracle(FailingOnceSystem(sys, quad))
+    with pytest.raises(BudgetError):
+        oracle.query(0, 0, 0, 0, 3)
+    assert_rows_match(oracle, DictMemoLeq(sys), sys, [3, 2, 1])
 
 
 def test_row_rejects_what_query_rejects(sys1):

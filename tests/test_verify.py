@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rankforge import hjorth as hj
@@ -13,7 +14,8 @@ from rankforge.hjorth import LevelTable, leq_table
 from rankforge.oracle import LeqOracle
 from rankforge.structures import FinStructure, Signature
 
-from conftest import EDGE_SIG, CorruptedSystem, make_non_basis_family, make_sys1
+from conftest import (EDGE_SIG, CorruptedSystem, make_non_basis_family, make_stab2_system,
+                      make_sys1)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,36 @@ def test_row_comparison_reports_first_quadruple_then_lowest_level(flips, witness
     flipped = _Flipped(table, flips)
     assert vf.oracle_mismatch(sys1, flipped) == (witness, quads)
     assert per_quadruple_mismatch(sys1, flipped) == (witness, quads)
+
+
+def test_oracle_check_at_depth_on_the_stab2_system():
+    # the sweep changes T_1 here, so levels 1-3 are all compared with the
+    # recursion, and every lemma holds
+    sys = make_stab2_system()
+    table = leq_table(sys)
+    assert table.stab == 2
+    assert (table.level(1) != table.level(2)).any()
+    check = vf.leq_oracle_check([sys], [table])
+    assert check.passed and check.stats == {"quadruples": (5 * 12) ** 2}
+    assert vf.oracle_mismatch(sys, table) == per_quadruple_mismatch(sys, table)
+    checks = [check] + vf.run_lemmas([table])
+    assert len(checks) == 7 and all(c.passed for c in checks), \
+        [c.record() for c in checks if not c.passed]
+
+
+def test_level2_flip_on_the_stab2_system_is_a_level2_witness():
+    # the first entry that the sweep changed, flipped back at level 2 only:
+    # a stand-in whose level 2 repeats T_1 there
+    sys = make_stab2_system()
+    table = leq_table(sys)
+    quad = tuple(int(i) for i in np.argwhere(table.level(1) != table.level(2))[0])
+    assert quad == (0, 0, 0, 10)
+    flipped = _Flipped(table, [(2, quad)])
+    witness = f"{hj.quad_witness(sys, *quad)}@level=2"
+    assert vf.oracle_mismatch(sys, flipped) == (witness, 11)
+    assert per_quadruple_mismatch(sys, flipped) == (witness, 11)
+    check = vf.leq_oracle_check([sys], [flipped])
+    assert not check.passed and check.witness == f"sys0:{witness}"
 
 
 def test_row_comparison_matches_per_quadruple_loop_on_corruptions(small_ensemble,
