@@ -239,9 +239,8 @@ def cmd_verify(args, budgets: Budgets) -> int:
         budget = getattr(budgets, key)
         if cap > budget:
             raise BudgetError(f"--sizes {key}<={cap} exceeds budget {key}={budget}")
-    sizes.setdefault("g", min(8, budgets.g))
-    sizes.setdefault("x", min(6, budgets.x))
-    sizes.setdefault("n", min(3, budgets.n))
+    for key, default in vf.DEFAULT_SIZES.items():
+        sizes.setdefault(key, min(default, getattr(budgets, key)))
     out.record(config_record(command="verify", suite=args.suite, seed=args.seed,
                              sizes=_sizes_str(sizes), count=args.count,
                              format=args.format))
@@ -265,9 +264,9 @@ def cmd_verify(args, budgets: Budgets) -> int:
 
 def cmd_compare(args, budgets: Budgets) -> int:
     out = Output(args.format)
-    if args.n > min(3, budgets.n):
-        raise BudgetError(f"comparison scan n={args.n} exceeds budget "
-                          f"n={min(3, budgets.n)}")
+    cap = min(vf.COMPARISON_MAX_N, budgets.n)
+    if args.n > cap:
+        raise BudgetError(f"comparison scan n={args.n} exceeds budget n={cap}")
     if args.empty_signature:
         signature = Signature(())
     else:
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", type=_parse_sizes, default=None,
                    help="caps like g<=8,x<=6,n<=3")
-    p.add_argument("--count", type=_int_at_least(1), default=200,
+    p.add_argument("--count", type=_int_at_least(1), default=vf.DEFAULT_COUNT,
                    help="ensemble size")
     p.add_argument("--format", choices=("text", "records"), default="text")
 

@@ -412,17 +412,11 @@ def minimal_m(table: LevelTable, x: int) -> int:
                          "equivalence never reaches the orbit")
 
 
-def _members(sys: ActionSystem, u: int) -> frozenset[int]:
-    if not sys.has_action:
-        raise UnsupportedOperationError("Vaught transforms need an exposed action")
-    return sys.basis_members(u)
-
-
 def vaught_star(sys: ActionSystem, points: Iterable[int], u: int) -> frozenset[int]:
     """Category-forall transform; comeager-in-U collapses to all of U at
     finite-discrete scale."""
     a = frozenset(points)
-    members = _members(sys, u)
+    members = sys.basis_members(u)
     return frozenset(x for x in range(len(sys.points))
                      if all(sys.act(g, x) in a for g in members))
 
@@ -430,7 +424,7 @@ def vaught_star(sys: ActionSystem, points: Iterable[int], u: int) -> frozenset[i
 def vaught_delta(sys: ActionSystem, points: Iterable[int], u: int) -> frozenset[int]:
     """Category-exists transform; non-meager-in-U collapses to some of U."""
     a = frozenset(points)
-    members = _members(sys, u)
+    members = sys.basis_members(u)
     return frozenset(x for x in range(len(sys.points))
                      if any(sys.act(g, x) in a for g in members))
 
@@ -440,8 +434,8 @@ def star_orbit_equivalence_check(table: LevelTable, y: int, w: int,
     """Membership of y in the star transform of the V-translate set of x,
     next to the stabilized table value; the two agree on shipped systems."""
     sys = table.sys
-    target = frozenset(sys.act(g, x) for g in _members(sys, v))
-    direct = all(sys.act(g, y) in target for g in _members(sys, w))
+    target = frozenset(sys.act(g, x) for g in sys.basis_members(v))
+    direct = all(sys.act(g, y) in target for g in sys.basis_members(w))
     return direct, table.leq(y, w, x, v, STAB)
 
 
@@ -467,9 +461,7 @@ def fixed_point_set(table: LevelTable, u: int) -> FixedPointSets:
     not applicable (the direct set is still exact).
     """
     sys = table.sys
-    if not sys.has_action:
-        raise UnsupportedOperationError("fixed points need an exposed action")
-    members = _members(sys, u)
+    members = sys.basis_members(u)
     npoints = len(sys.points)
     direct = frozenset(x for x in range(npoints)
                        if any(sys.act(g, x) == x for g in members))

@@ -1,10 +1,12 @@
 """Property and lemma suites with machine-readable verdicts.
 
-:func:`run_suite` builds a seeded ensemble and its level tables once, hands
-the tables to the suites that read them (``run_lemmas``, ``run_iso``,
-``run_vaught``, ``run_basis``; each system is ``table.sys``) and assembles
-each suite's checks into a :class:`VerificationReport`.  A failing check
-always carries a witness, minimal under greedy deletion where the witness is
+Each check is a law: ``law(table) -> witness | None`` on one level table
+(its system is ``table.sys``).  :func:`run_law` checks a law on the tables
+in order and returns the result of the first that fails, its witness
+prefixed ``sys<i>:``; it alone names systems.  :func:`run_suite` builds a
+seeded ensemble's tables once and hands them to the table suites
+(``run_lemmas``, ``run_iso``, ``run_vaught``, ``run_basis``).  A failing
+check always carries a witness, minimal under greedy deletion where it is
 set-valued.  Identical seeds and sizes reproduce identical reports.
 """
 
@@ -30,14 +32,25 @@ EDGE_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
 # tuple pairs drawn per n for the comparison scan's level profile
 PROFILE_DRAWS = 200
+# the comparison scan's largest structure size
+COMPARISON_MAX_N = 3
+# a suite run's defaults: caps on group order g, point count x and the
+# comparison scan's structure size n, and the ensemble size
+DEFAULT_SIZES = {"g": 8, "x": 6, "n": COMPARISON_MAX_N}
+DEFAULT_COUNT = 200
 
 
 @dataclass
 class CheckResult:
+    """A check fails iff it carries a witness."""
+
     name: str
-    passed: bool
     witness: str | None = None
     stats: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def record(self) -> str:
         return hj.check_record(self.name, self.passed, self.witness)
@@ -47,6 +60,17 @@ class CheckResult:
 class VerificationReport:
     suite: str
     checks: list[CheckResult]
+
+
+def run_law(name: str, law, items, stats: dict | None = None) -> CheckResult:
+    """Check ``law(item) -> witness | None`` on the items in order up to the
+    first that fails: its witness, prefixed ``sys<i>:`` with its index i
+    (just ``sys<i>`` if empty), and ``stats``, which the law may update."""
+    for si, item in enumerate(items):
+        witness = law(item)
+        if witness is not None:
+            return CheckResult(name, f"sys{si}" + (witness and f":{witness}"), stats or {})
+    return CheckResult(name, None, stats or {})
 
 
 def shrink_point_set(points: frozenset[int], still_fails) -> frozenset[int]:
@@ -65,6 +89,25 @@ def shrink_point_set(points: frozenset[int], still_fails) -> frozenset[int]:
 
 def _fmt_set(sys, points) -> str:
     return "{" + ",".join(sys.points[x] for x in sorted(points)) + "}"
+
+
+def _first_pair(sys, differ: np.ndarray) -> str | None:
+    """The first point pair, in index order, where a P x P comparison differs."""
+    if not differ.any():
+        return None
+    x, y = np.argwhere(differ)[0]
+    return f"({sys.points[x]},{sys.points[y]})"
+
+
+def _images(sys) -> np.ndarray:
+    """``gx[g, x]``: the point g carries x to."""
+    return np.array([[sys.act(g, x) for x in range(len(sys.points))]
+                     for g in range(len(sys.group))])
+
+
+def _same_orbit(sys) -> np.ndarray:
+    orbit_of = np.array(orc.orbit_partition(sys).orbit_of)
+    return orbit_of[:, None] == orbit_of[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +141,8 @@ def _oracle_cost(nx: int, ng: int) -> float:
     return nx * nx * 4.5 ** ng
 
 
-def random_finite_discrete(rng: random.Random, max_g: int = 8, max_x: int = 6,
+def random_finite_discrete(rng: random.Random, max_g: int = DEFAULT_SIZES["g"],
+                           max_x: int = DEFAULT_SIZES["x"],
                            cost_cap: float | None = None) -> FiniteDiscreteAction:
     """One seeded system: a small permutation group under an all-subsets basis."""
     gcap = max_g
@@ -113,18 +157,13 @@ def random_finite_discrete(rng: random.Random, max_g: int = 8, max_x: int = 6,
         if cost_cap is not None and _oracle_cost(n, len(els)) > cost_cap:
             gcap = max(1, min(gcap, len(els)) - 1)
             continue
-        labels = []
-        k = 1
-        for p in els:
-            if p == tuple(range(n)):
-                labels.append("e")
-            else:
-                labels.append(f"g{k}")
-                k += 1
+        # the identity is the least permutation, so it comes first
+        labels = ["e"] + [f"g{k}" for k in range(1, len(els))]
         return FiniteDiscreteAction(n, list(zip(labels, els)), ALL_SUBSETS)
 
 
-def ensemble(seed: int, count: int, max_g: int = 8, max_x: int = 6,
+def ensemble(seed: int, count: int, max_g: int = DEFAULT_SIZES["g"],
+             max_x: int = DEFAULT_SIZES["x"],
              total_cost: float = 8.0e6) -> list[FiniteDiscreteAction]:
     """The seeded system ensemble; a running cost budget keeps the naive
     oracle comparison affordable while still admitting systems at the caps."""
@@ -189,13 +228,16 @@ def _build_tables(systems) -> tuple[list[hj.LevelTable], CheckResult | None]:
     """One table per system, or the failing check of the first system whose
     base relation makes a level grow."""
     tables = []
-    for si, sys in enumerate(systems):
+
+    def builds(sys):
         try:
             tables.append(hj.leq_table(sys))
         except InvalidBaseRelationError as exc:
-            return tables, CheckResult("level_monotonicity", False,
-                                       f"sys{si}:{hj.quad_witness(sys, *exc.witness)}")
-    return tables, None
+            return hj.quad_witness(sys, *exc.witness)
+        return None
+
+    check = run_law("level_monotonicity", builds, systems)
+    return tables, None if check.passed else check
 
 
 # table bytes (0 false, 1 true) to oracle cells (1 false, 2 true)
@@ -234,111 +276,98 @@ def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
 def leq_oracle_check(systems, tables) -> CheckResult:
     """Engine tables against the literal recursion: every system, every
     quadruple, every level up to one past stabilization.  Exact match."""
-    oracle_bad = None
-    quads = 0
-    for si, (sys, table) in enumerate(zip(systems, tables, strict=True)):
-        mismatch, compared = oracle_mismatch(sys, table)
-        quads += compared
-        if mismatch:
-            oracle_bad = f"sys{si}:{mismatch}"
-            break
-    return CheckResult("leq_oracle_equivalence", oracle_bad is None, oracle_bad,
-                       {"quadruples": quads})
+    stats = {"quadruples": 0}
+
+    def matches_oracle(pair):
+        mismatch, compared = oracle_mismatch(*pair)
+        stats["quadruples"] += compared
+        return mismatch
+
+    return run_law("leq_oracle_equivalence", matches_oracle,
+                   zip(systems, tables, strict=True), stats)
+
+
+def _first_growth(table, image, tag: str) -> str | None:
+    """The first level up to stab + 1, and its first entry (q0, q'), where
+    ``image`` of the relation on (point, basis set) pairs outgrows it."""
+    nq = table.npoints * table.nbasis
+    for a in range(1, table.stab + 2):
+        t = table.level(a).reshape(nq, nq)
+        grown = (image(t.astype(np.float32)) > 0) & ~t
+        if grown.any():
+            i, j = np.argwhere(grown)[0]
+            return f"level={a}:q0={i},{tag}={j}"
+    return None
 
 
 def run_lemmas(tables) -> list[CheckResult]:
     """The chain, translation and equivalence laws of each table."""
-    checks = []
-    trans_bad = None
-    mono_ok = True
-    setmono_bad = None
-    transl_bad = None
-    equiv_bad = None
-    invsets_bad = None
-    invsets_checked = 0
-    for si, table in enumerate(tables):
+    invsets = {"systems": 0}
+
+    def leq_transitivity(table):
+        return _first_growth(table, lambda t: t @ t, "q2")
+
+    def level_monotonicity(table):
+        for a in range(2, table.stab + 2):
+            if (table.level(a) & ~table.level(a - 1)).any():
+                return f"level={a}"
+        return None
+
+    def set_monotonicity(table):
+        kron = np.kron(np.eye(table.npoints, dtype=np.float32),
+                       table.sub.astype(np.float32))
+        return _first_growth(table, lambda t: kron @ t @ kron, "q1")
+
+    def translation_invariance(table):
         sys = table.sys
-        npoints, nbasis = table.npoints, table.nbasis
-        levels = list(range(1, table.stab + 2))
+        if not sys.translation_closed:
+            return None
+        # one gather per level of T_a(x, V, gx, V g^-1) over (g, x, V)
+        gx = _images(sys)
+        tv = np.array([[sys.translate(v, g) for v in range(table.nbasis)]
+                       for g in range(len(sys.group))])
+        xs, vs = np.arange(table.npoints)[:, None], np.arange(table.nbasis)
+        for a in range(1, table.stab + 2):
+            held = table.level(a)[xs, vs, gx[:, :, None], tv[:, None, :]]
+            if not held.all():
+                g, x, v = np.argwhere(~held)[0]
+                return f"level={a}:g={sys.group[g]},x={sys.points[x]},V={sys.basis[v]}"
+        return None
 
-        nq = npoints * nbasis
-        for a in levels:
-            t = table.level(a).reshape(nq, nq)
-            tf = t.astype(np.float32)
-            viol = ((tf @ tf) > 0) & ~t
-            if trans_bad is None and viol.any():
-                i, j = (int(v) for v in np.argwhere(viol)[0])
-                trans_bad = f"sys{si}:level={a}:q0={i},q2={j}"
-        for a in range(1, table.stab + 1):
-            nxt = table.level(a + 1)
-            if (nxt & ~table.level(a)).any():
-                mono_ok = False
-        kron = np.kron(np.eye(npoints, dtype=np.float32), table.sub.astype(np.float32))
-        for a in levels:
-            t = table.level(a).reshape(nq, nq)
-            image = ((kron @ t.astype(np.float32) @ kron) > 0) & ~t
-            if setmono_bad is None and image.any():
-                i, j = (int(v) for v in np.argwhere(image)[0])
-                setmono_bad = f"sys{si}:level={a}:q0={i},q1={j}"
+    def equiv_invariance(table):
+        sys = table.sys
+        gx = _images(sys)
+        for a in range(1, table.stab + 2):
+            eq = table.equiv_matrix(a)
+            if not eq.diagonal().all() or (eq != eq.T).any():
+                return f"level={a}:not reflexive/symmetric"
+            eqf = eq.astype(np.float32)
+            if (((eqf @ eqf) > 0) & ~eq).any():
+                return f"level={a}:not transitive"
+            # held[g, x]: x ~ gx, in (g, x) order
+            held = eq[np.arange(table.npoints), gx]
+            if not held.all():
+                g, x = np.argwhere(~held)[0]
+                return f"level={a}:x={sys.points[x]},g={sys.group[g]}"
+        return None
 
-        if sys.translation_closed and transl_bad is None:
-            # one gather per level of T_a(x, V, gx, V g^-1) over (g, x, V)
-            gs = range(len(sys.group))
-            gx = np.array([[sys.act(g, x) for x in range(npoints)] for g in gs])
-            tv = np.array([[sys.translate(v, g) for v in range(nbasis)] for g in gs])
-            xs, vs = np.arange(npoints)[:, None], np.arange(nbasis)
-            for a in levels:
-                held = table.level(a)[xs, vs, gx[:, :, None], tv[:, None, :]]
-                if not held.all():
-                    g, x, v = np.argwhere(~held)[0]
-                    transl_bad = (f"sys{si}:level={a}:g={sys.group[g]},"
-                                  f"x={sys.points[x]},V={sys.basis[v]}")
-                    break
+    def invariant_sets(table):
+        # a system with more orbits than the cap is skipped, not counted
+        try:
+            sets = orc.invariant_sets(table.sys)
+        except BudgetError:
+            return None
+        invsets["systems"] += 1
+        member = np.array([[x in s for x in range(table.npoints)] for s in sets])
+        same_sets = (member[:, :, None] == member[:, None, :]).all(axis=0)
+        return _first_pair(table.sys, same_sets != table.equiv_matrix(STAB))
 
-        if equiv_bad is None:
-            for a in levels:
-                eq = table.equiv_matrix(a)
-                if not eq.diagonal().all() or (eq != eq.T).any():
-                    equiv_bad = f"sys{si}:level={a}:not reflexive/symmetric"
-                    break
-                closure = ((eq.astype(np.float32) @ eq.astype(np.float32)) > 0)
-                if (closure & ~eq).any():
-                    equiv_bad = f"sys{si}:level={a}:not transitive"
-                    break
-                for g in range(len(sys.group)):
-                    for x in range(npoints):
-                        if not eq[x, sys.act(g, x)]:
-                            equiv_bad = (f"sys{si}:level={a}:x={sys.points[x]},"
-                                         f"g={sys.group[g]}")
-                            break
-                    if equiv_bad:
-                        break
-                if equiv_bad:
-                    break
-
-        if invsets_bad is None:
-            parts = orc.orbit_partition(sys)
-            if len(parts.blocks) <= 4:
-                invsets_checked += 1
-                sets = orc.invariant_sets(sys)
-                for x in range(npoints):
-                    for y in range(npoints):
-                        same_sets = all((x in s) == (y in s) for s in sets)
-                        if same_sets != table.equiv(x, y, STAB):
-                            invsets_bad = f"sys{si}:({sys.points[x]},{sys.points[y]})"
-                            break
-                    if invsets_bad:
-                        break
-
-    checks.append(CheckResult("leq_transitivity", trans_bad is None, trans_bad))
-    checks.append(CheckResult("level_monotonicity", mono_ok,
-                              None if mono_ok else "chain grew"))
-    checks.append(CheckResult("set_monotonicity", setmono_bad is None, setmono_bad))
-    checks.append(CheckResult("translation_invariance", transl_bad is None, transl_bad))
-    checks.append(CheckResult("equiv_invariance", equiv_bad is None, equiv_bad))
-    checks.append(CheckResult("stabilized_equiv_invariant_sets", invsets_bad is None,
-                              invsets_bad, {"systems": invsets_checked}))
-    return checks
+    return [run_law("leq_transitivity", leq_transitivity, tables),
+            run_law("level_monotonicity", level_monotonicity, tables),
+            run_law("set_monotonicity", set_monotonicity, tables),
+            run_law("translation_invariance", translation_invariance, tables),
+            run_law("equiv_invariance", equiv_invariance, tables),
+            run_law("stabilized_equiv_invariant_sets", invariant_sets, tables, invsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,79 +375,66 @@ def run_lemmas(tables) -> list[CheckResult]:
 
 def run_iso(tables) -> list[CheckResult]:
     """The isomorphism theorem, finite discrete collapse and rank laws."""
-    checks = []
-    iso_bad = None
-    m_bad = None
-    collapse_bad = None
-    rankinv_bad = None
-    part_bad = None
-    cmp_bad = None
-    for si, table in enumerate(tables):
+
+    def isomorphism_theorem(ranked):
+        # x ~ y one level past the larger rank iff x and y share an orbit
+        table, ranks = ranked
+        eqs = np.stack([table.equiv_matrix(a) for a in range(1, ranks.max() + 2)])
+        xs = np.arange(table.npoints)
+        got = eqs[np.maximum.outer(ranks, ranks), xs[:, None], xs]
+        return _first_pair(table.sys, got != _same_orbit(table.sys))
+
+    def minimal_m_finite(table):
+        for x in range(table.npoints):
+            try:
+                hj.minimal_m(table, x)
+            except RankforgeError:  # the family is not a basis
+                return table.sys.points[x]
+        return None
+
+    def finite_discrete_collapse(table):
+        if table.stab != 1:
+            return f"stab={table.stab}"
+        return _first_pair(table.sys, table.equiv_matrix(2) != _same_orbit(table.sys))
+
+    def rank_orbit_invariance(ranked):
+        table, ranks = ranked
         sys = table.sys
-        parts = orc.orbit_partition(sys)
-        npoints = len(sys.points)
-        ranks = [hj.hjorth_rank(table, x) for x in range(npoints)]
-        for x in range(npoints):
-            for y in range(npoints):
-                want = parts.same_orbit(x, y)
-                got = table.equiv(x, y, max(ranks[x], ranks[y]) + 1)
-                if iso_bad is None and want != got:
-                    iso_bad = f"sys{si}:({sys.points[x]},{sys.points[y]})"
-            if m_bad is None:
-                try:
-                    hj.minimal_m(table, x)
-                except RankforgeError:  # the family is not a basis
-                    m_bad = f"sys{si}:{sys.points[x]}"
-        if collapse_bad is None:
-            if table.stab != 1:
-                collapse_bad = f"sys{si}:stab={table.stab}"
-            else:
-                for x in range(npoints):
-                    for y in range(npoints):
-                        if table.equiv(x, y, 2) != parts.same_orbit(x, y):
-                            collapse_bad = f"sys{si}:({sys.points[x]},{sys.points[y]})"
-                            break
-                    if collapse_bad:
-                        break
-        if rankinv_bad is None:
+        # moved[g, x]: g changes the rank of x, in (g, x) order
+        moved = ranks[_images(sys)] != ranks
+        if moved.any():
+            g, x = np.argwhere(moved)[0]
+            return f"x={sys.points[x]},g={sys.group[g]}"
+        return None
+
+    def rank_partition(table):
+        sys = table.sys
+        parts = hj.partition_by_rank(table)
+        if frozenset().union(*(p for _, p in parts)) != frozenset(range(table.npoints)):
+            return "union"
+        for value, block in parts:
             for g in range(len(sys.group)):
-                for x in range(npoints):
-                    if ranks[x] != ranks[sys.act(g, x)]:
-                        rankinv_bad = f"sys{si}:x={sys.points[x]},g={sys.group[g]}"
-                        break
-                if rankinv_bad:
-                    break
-        if part_bad is None:
-            rank_parts = hj.partition_by_rank(table)
-            union = frozenset().union(*(p for _, p in rank_parts)) if rank_parts else frozenset()
-            if union != frozenset(range(npoints)):
-                part_bad = f"sys{si}:union"
-            else:
-                for value, block in rank_parts:
-                    for g in range(len(sys.group)):
-                        if frozenset(sys.act(g, x) for x in block) != block:
-                            part_bad = f"sys{si}:rank={value},g={sys.group[g]}"
-                            break
-                    if part_bad:
-                        break
-        if cmp_bad is None:
-            for x in range(npoints):
-                for y in range(npoints):
-                    c, c2 = hj.compare_ranks(table, x, y), hj.compare_ranks(table, y, x)
-                    flip = {"<": ">", ">": "<", "=": "="}
-                    if c2 != flip[c] or (parts.same_orbit(x, y) and c != "="):
-                        cmp_bad = f"sys{si}:({sys.points[x]},{sys.points[y]})"
-                        break
-                if cmp_bad:
-                    break
-    checks.append(CheckResult("isomorphism_theorem", iso_bad is None, iso_bad))
-    checks.append(CheckResult("minimal_m_finite", m_bad is None, m_bad))
-    checks.append(CheckResult("finite_discrete_collapse", collapse_bad is None,
-                              collapse_bad))
-    checks.append(CheckResult("rank_orbit_invariance", rankinv_bad is None, rankinv_bad))
-    checks.append(CheckResult("rank_partition", part_bad is None, part_bad))
-    checks.append(CheckResult("rank_comparison_consistency", cmp_bad is None, cmp_bad))
-    return checks
+                if frozenset(sys.act(g, x) for x in block) != block:
+                    return f"rank={value},g={sys.group[g]}"
+        return None
+
+    def rank_comparison_consistency(table):
+        # order[x, y]: -1, 0 or 1 as the rank of x is below, at or above y's
+        pts = range(table.npoints)
+        order = np.array([["<=>".index(hj.compare_ranks(table, x, y)) - 1 for y in pts]
+                          for x in pts])
+        bad = (order.T != -order) | (_same_orbit(table.sys) & (order != 0))
+        return _first_pair(table.sys, bad)
+
+    # every table's ranks first: a table without one raises before any law
+    ranked = [(table, np.array([hj.hjorth_rank(table, x) for x in range(table.npoints)]))
+              for table in tables]
+    return [run_law("isomorphism_theorem", isomorphism_theorem, ranked),
+            run_law("minimal_m_finite", minimal_m_finite, tables),
+            run_law("finite_discrete_collapse", finite_discrete_collapse, tables),
+            run_law("rank_orbit_invariance", rank_orbit_invariance, ranked),
+            run_law("rank_partition", rank_partition, tables),
+            run_law("rank_comparison_consistency", rank_comparison_consistency, tables)]
 
 
 def _scott_oracle_mismatch(family, table, pairs, tag: str) -> tuple[str | None, int]:
@@ -441,15 +457,13 @@ def _scott_oracle_mismatch(family, table, pairs, tag: str) -> tuple[str | None, 
 
 
 def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckResult]:
-    checks = []
     rng = random.Random(f"scott:{seed}")
 
     # Oracle equivalence, exhaustive at tiny sizes.
     small = [m for n in (1, 2) for m in _all_structures(EDGE_SIG, n)]
     items = [(i, t) for i, m in enumerate(small) for t in sc.injective_tuples(m.size)]
-    bad, _ = _scott_oracle_mismatch(small, sc.ScottTable(small),
-                                    itertools.combinations(items, 2), "exhaustive")
-    checks.append(CheckResult("scott_oracle_exhaustive_small", bad is None, bad))
+    exhaustive, _ = _scott_oracle_mismatch(small, sc.ScottTable(small),
+                                           itertools.combinations(items, 2), "exhaustive")
 
     # Oracle equivalence over a seeded family, sampled positives and negatives.
     family = []
@@ -474,182 +488,184 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
                 samples.append((block[0], block[1]))
                 break
     bad, queried = _scott_oracle_mismatch(family, ftab, samples, "family")
-    checks.append(CheckResult("scott_oracle_family", bad is None, bad,
-                              {"family": len(family), "queries": queried}))
-    return checks
+    return [CheckResult("scott_oracle_exhaustive_small", exhaustive),
+            CheckResult("scott_oracle_family", bad,
+                        {"family": len(family), "queries": queried})]
 
 
 def scott_structure_checks(seed: int, exhaustive_n: int,
                            ladder_max: int) -> list[CheckResult]:
-    checks = []
+    """Finite-scale isomorphism over canonical representatives, the rank
+    ladder on linear orders and permutation invariance of the rank; the
+    first and last read one seeded rng in turn."""
     rng = random.Random(f"scott:{seed}")
-
-    # Finite-scale isomorphism: stabilized root equivalence == brute isomorphism,
-    # exhaustive over canonical representatives.
     reps = []
     for n in range(1, exhaustive_n + 1):
         reps.extend(canonical_edge_representatives(n))
-    rtab = sc.ScottTable(reps)
-    bad = None
-    roots = {}
-    for i, m in enumerate(reps):
-        token = rtab.class_of(i, (), STAB)
-        if token in roots:
-            bad = f"reps {roots[token]} and {i} share stabilized root class"
-            break
-        roots[token] = i
-    if bad is None:
+
+    def relabeled_copies():
         for i in rng.sample(range(len(reps)), min(60, len(reps))):
             m = reps[i]
-            perm = tuple(rng.sample(range(m.size), m.size))
-            image = permute_structure(m, perm)
+            image = permute_structure(m, tuple(rng.sample(range(m.size), m.size)))
             if not sc.scott_iso_check(m, image):
-                bad = f"rep {i}: relabeled copy not stab-equivalent"
-                break
+                return f"rep {i}: relabeled copy not stab-equivalent"
             if not brute_isomorphic(m, image, (), ()):
-                bad = f"rep {i}: brute force rejects its own relabeling"
-                break
+                return f"rep {i}: brute force rejects its own relabeling"
+        return None
+
+    def distinct_pairs():
         for _ in range(300):
             i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
             if i == j:
                 continue
             if brute_isomorphic(reps[i], reps[j], (), ()):
-                bad = f"distinct reps {i},{j} brute-isomorphic"
-                break
+                return f"distinct reps {i},{j} brute-isomorphic"
             if sc.scott_iso_check(reps[i], reps[j]):
-                bad = f"distinct reps {i},{j} stab-equivalent"
-                break
-    checks.append(CheckResult("scott_iso_finite", bad is None, bad,
-                              {"classes": len(reps)}))
+                return f"distinct reps {i},{j} stab-equivalent"
+        return None
 
-    # Rank ladder on linear orders.
-    bad = None
-    if sc.scott_rank(chain(2)) != 1:
-        bad = "rank(L2) != 1"
-    else:
+    def iso_finite():
+        # stabilized root equivalence == brute isomorphism
+        rtab = sc.ScottTable(reps)
+        roots = {}
+        for i in range(len(reps)):
+            token = rtab.class_of(i, (), STAB)
+            if token in roots:
+                return f"reps {roots[token]} and {i} share stabilized root class"
+            roots[token] = i
+        # both samples are drawn; a failing distinct pair is the witness
+        relabeled = relabeled_copies()
+        return distinct_pairs() or relabeled
+
+    def rank_ladder():
+        if sc.scott_rank(chain(2)) != 1:
+            return "rank(L2) != 1"
         prev = 0
         for m in range(1, ladder_max + 1):
             lm, lm1 = chain(m), chain(m + 1)
             level = sc.distinguishing_level(lm, lm1)
             if level is None:
-                bad = f"L{m} vs L{m + 1} never split"
-                break
+                return f"L{m} vs L{m + 1} never split"
             oc = orc.ScottOracle(lm, lm1)
             if oc.equiv((), (), level) or not oc.equiv((), (), level - 1):
-                bad = f"L{m} vs L{m + 1}: naive oracle disputes level {level}"
-                break
+                return f"L{m} vs L{m + 1}: naive oracle disputes level {level}"
             if level < prev:
-                bad = f"ladder dips at m={m}"
-                break
+                return f"ladder dips at m={m}"
             prev = level
-    checks.append(CheckResult("scott_rank_ladder", bad is None, bad))
+        return None
 
-    # Permutation invariance of the rank.
-    bad = None
-    for _ in range(20):
-        m = _random_structure(rng, rng.randint(1, 4))
-        perm = tuple(rng.sample(range(m.size), m.size))
-        if sc.scott_rank(m) != sc.scott_rank(permute_structure(m, perm)):
-            bad = f"rank not invariant: {sorted(m.facts)} perm {perm}"
-            break
-    checks.append(CheckResult("scott_rank_permutation_invariance", bad is None, bad))
-    return checks
+    def rank_permutation_invariance():
+        for _ in range(20):
+            m = _random_structure(rng, rng.randint(1, 4))
+            perm = tuple(rng.sample(range(m.size), m.size))
+            if sc.scott_rank(m) != sc.scott_rank(permute_structure(m, perm)):
+                return f"rank not invariant: {sorted(m.facts)} perm {perm}"
+        return None
+
+    return [CheckResult("scott_iso_finite", iso_finite(), {"classes": len(reps)}),
+            CheckResult("scott_rank_ladder", rank_ladder()),
+            CheckResult("scott_rank_permutation_invariance", rank_permutation_invariance())]
 
 
 # ---------------------------------------------------------------------------
 # Vaught suite
 
+VAUGHT_CHECKS = ("vaught_invariance", "vaught_duality", "vaught_union_intersection",
+                 "vaught_complexity_collapse", "vaught_basis_intersection",
+                 "star_orbit_equivalence", "fixed_point_characterization")
+
+
 def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
-    """The Vaught transform laws over ``draws`` seeded sets per system."""
-    names = ["vaught_invariance", "vaught_duality", "vaught_union_intersection",
-             "vaught_complexity_collapse", "vaught_basis_intersection",
-             "star_orbit_equivalence", "fixed_point_characterization"]
-    bad: dict[str, str | None] = {name: None for name in names}
+    """The Vaught transform laws over ``draws`` seeded sets per system.  The
+    laws share each system's draws, so each system is one pass, and a law
+    stops drawing once it has failed on this or an earlier system."""
+    found: list[dict[str, str]] = []  # each system's witness of each law it fails
+    closed: set[str] = set()  # the laws failed on an earlier system
     for si, table in enumerate(tables):
         sys = table.sys
         rng = random.Random(f"vaught:{seed}:{si}")
         npoints, nbasis = len(sys.points), len(sys.basis)
         whole = frozenset(range(npoints))
         full = max(range(nbasis), key=lambda v: len(sys.basis_members(v)))
+        bad: dict[str, str] = {}
 
-        def fails_duality(a, u=None):
-            du = full if u is None else u
-            return hj.vaught_delta(sys, a, du) != whole - hj.vaught_star(sys, whole - a, du)
+        def open_(name):
+            return name not in closed and name not in bad
+
+        def fails_duality(a, u):
+            return hj.vaught_delta(sys, a, u) != whole - hj.vaught_star(sys, whole - a, u)
+
+        def is_invariant(pts):
+            return all(frozenset(sys.act(g, x) for x in pts) == pts
+                       for g in range(len(sys.group)))
 
         for _ in range(draws):
             a = frozenset(x for x in range(npoints) if rng.random() < 0.5)
             b = frozenset(x for x in range(npoints) if rng.random() < 0.5)
             u = rng.randrange(nbasis)
 
-            if bad["vaught_invariance"] is None:
+            if open_("vaught_invariance"):
                 star, delta = hj.vaught_star(sys, a, full), hj.vaught_delta(sys, a, full)
+                if not (is_invariant(star) and is_invariant(delta)
+                        and is_invariant(a) == (a == delta)
+                        and is_invariant(a) == (a == star)):
+                    bad["vaught_invariance"] = f"A={_fmt_set(sys, a)}"
 
-                def is_invariant(pts):
-                    return all(frozenset(sys.act(g, x) for x in pts) == pts
-                               for g in range(len(sys.group)))
-
-                holds = (is_invariant(star) and is_invariant(delta)
-                         and is_invariant(a) == (a == delta)
-                         and is_invariant(a) == (a == star))
-                if not holds:
-                    bad["vaught_invariance"] = f"sys{si}:A={_fmt_set(sys, a)}"
-
-            if bad["vaught_duality"] is None and fails_duality(a, u):
+            if open_("vaught_duality") and fails_duality(a, u):
                 small = shrink_point_set(a, lambda s: fails_duality(s, u))
-                bad["vaught_duality"] = (f"sys{si}:A={_fmt_set(sys, small)},"
-                                         f"U={sys.basis[u]}")
+                bad["vaught_duality"] = f"A={_fmt_set(sys, small)},U={sys.basis[u]}"
 
-            if bad["vaught_union_intersection"] is None:
+            if open_("vaught_union_intersection"):
                 if (hj.vaught_delta(sys, a | b, u)
                         != hj.vaught_delta(sys, a, u) | hj.vaught_delta(sys, b, u)
                         or hj.vaught_star(sys, a & b, u)
                         != hj.vaught_star(sys, a, u) & hj.vaught_star(sys, b, u)):
                     bad["vaught_union_intersection"] = (
-                        f"sys{si}:A={_fmt_set(sys, a)},B={_fmt_set(sys, b)},"
-                        f"U={sys.basis[u]}")
+                        f"A={_fmt_set(sys, a)},B={_fmt_set(sys, b)},U={sys.basis[u]}")
 
-            if bad["vaught_complexity_collapse"] is None:
+            if open_("vaught_complexity_collapse"):
                 # every subset of a finite discrete space is clopen, so the
                 # complexity clause holds vacuously; assert well-definedness
                 if not (hj.vaught_star(sys, a, u) <= whole
                         and hj.vaught_delta(sys, a, u) <= whole):
-                    bad["vaught_complexity_collapse"] = f"sys{si}"
+                    bad["vaught_complexity_collapse"] = ""
 
-            if bad["vaught_basis_intersection"] is None:
-                subs = [w for w in range(nbasis)
-                        if sys.basis_members(w) <= sys.basis_members(u)]
+            if open_("vaught_basis_intersection"):
                 meet = whole
-                for w in subs:
-                    meet &= hj.vaught_delta(sys, a, w)
+                for w in range(nbasis):
+                    if sys.basis_members(w) <= sys.basis_members(u):
+                        meet &= hj.vaught_delta(sys, a, w)
                 if meet != hj.vaught_star(sys, a, u):
                     bad["vaught_basis_intersection"] = (
-                        f"sys{si}:A={_fmt_set(sys, a)},U={sys.basis[u]}")
+                        f"A={_fmt_set(sys, a)},U={sys.basis[u]}")
 
-            if bad["star_orbit_equivalence"] is None:
+            if open_("star_orbit_equivalence"):
                 y, x = rng.randrange(npoints), rng.randrange(npoints)
                 w, v = rng.randrange(nbasis), rng.randrange(nbasis)
                 direct, via = hj.star_orbit_equivalence_check(table, y, w, x, v)
                 if direct != via:
                     bad["star_orbit_equivalence"] = (
-                        f"sys{si}:(y={sys.points[y]},W={sys.basis[w]},"
+                        f"(y={sys.points[y]},W={sys.basis[w]},"
                         f"x={sys.points[x]},V={sys.basis[v]})")
 
-        if bad["fixed_point_characterization"] is None:
-            picks = sorted(rng.sample(range(nbasis), min(4, nbasis)))
-            for u in picks:
+        if open_("fixed_point_characterization"):
+            for u in sorted(rng.sample(range(nbasis), min(4, nbasis))):
                 result = hj.fixed_point_set(table, u)
                 if result.applicable and not result.agree:
                     bad["fixed_point_characterization"] = (
-                        f"sys{si}:U={sys.basis[u]}:direct={_fmt_set(sys, result.direct)}"
+                        f"U={sys.basis[u]}:direct={_fmt_set(sys, result.direct)}"
                         f",table={_fmt_set(sys, result.via_table)}")
                     break
-    return [CheckResult(name, bad[name] is None, bad[name]) for name in names]
+        closed |= bad.keys()
+        found.append(bad)
+    return [run_law(name, lambda bad, name=name: bad.get(name), found)
+            for name in VAUGHT_CHECKS]
 
 
 # ---------------------------------------------------------------------------
 # Comparison suite (back-and-forth vs table levels on the logic action)
 
-def comparison_scan(max_n: int = 3, max_tuple: int = 2, seed: int = 0,
+def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int = 0,
                     signature: Signature = EDGE_SIG):
     """Exhaustive implication scan: for every ordered pair of structures and
     every stab-equivalent tuple pair (the only pairs the implication
@@ -738,12 +754,28 @@ def comparison_witness(counterexamples) -> str | None:
     return f"n={n}:M{i}{t}~M{j}{u}->b={b}"
 
 
-def run_comparison(seed: int = 0, max_n: int = 3) -> VerificationReport:
-    checks = []
-    counterexamples, profile, scanned = comparison_scan(max_n=max_n, seed=seed)
-    checks.append(CheckResult("scott_implies_hjorth", not counterexamples,
-                              comparison_witness(counterexamples),
-                              {"scanned": scanned}))
+def _symbolic_window_drift(seed: int) -> str | None:
+    """The first seeded pair of symbolic systems, windows (s, k) and
+    (s + 1, k + 1) over the same two points, that disagree on a cc entry of
+    the smaller basis."""
+    rng = random.Random(f"symwin:{seed}")
+    for _ in range(40):
+        s = rng.randint(1, 2)
+        k = rng.randint(0, s)
+        pts = [_random_supp(rng, s), _random_supp(rng, s)]
+        small = SymbolicLogicAction(EDGE_SIG, s, k, pts, Budgets(s=8, k=8))
+        big = SymbolicLogicAction(EDGE_SIG, s + 1, k + 1, pts, Budgets(s=8, k=8))
+        into = [big.basis_of(*d) for d in small.descriptors]
+        nbasis = len(small.basis)
+        for v0, v1, x0, x1 in itertools.product(range(nbasis), range(nbasis),
+                                                range(2), range(2)):
+            if small.cc(x0, v0, x1, v1) != big.cc(x0, into[v0], x1, into[v1]):
+                return f"s={s},k={k}:{small.basis[v0]}vs{small.basis[v1]}"
+    return None
+
+
+def run_comparison(seed: int = 0, max_n: int = COMPARISON_MAX_N) -> VerificationReport:
+    counterexamples, _, scanned = comparison_scan(max_n=max_n, seed=seed)
 
     # Cross-validation against the truncated group is evidence, not a law:
     # the full-group closure keeps limit points (facts relabeled off to
@@ -780,110 +812,86 @@ def run_comparison(seed: int = 0, max_n: int = 3) -> VerificationReport:
             if sample is None:
                 sample = (f"s={s}:M={sorted(m1.facts)}:N={sorted(m2.facts)}:"
                           f"V[{a1}->{b1}]vs[{a2}->{b2}]")
-    checks.append(CheckResult("symbolic_finite_cc_crosscheck", True, None,
-                              {"cases": tried, "divergences": divergences,
-                               "sample_divergence": sample}))
-
-    bad = None
-    rng2 = random.Random(f"symwin:{seed}")
-    for _ in range(40):
-        s = rng2.randint(1, 2)
-        k = rng2.randint(0, s)
-        pts = [_random_supp(rng2, s), _random_supp(rng2, s)]
-        small = SymbolicLogicAction(EDGE_SIG, s, k, pts, Budgets(s=8, k=8))
-        big = SymbolicLogicAction(EDGE_SIG, s + 1, k + 1, pts, Budgets(s=8, k=8))
-        for v0 in range(len(small.basis)):
-            for v1 in range(len(small.basis)):
-                bv0 = big.basis_of(*small.descriptors[v0])
-                bv1 = big.basis_of(*small.descriptors[v1])
-                for x0 in range(2):
-                    for x1 in range(2):
-                        if small.cc(x0, v0, x1, v1) != big.cc(x0, bv0, x1, bv1):
-                            bad = f"s={s},k={k}:{small.basis[v0]}vs{small.basis[v1]}"
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(CheckResult("symbolic_window_drift", bad is None, bad))
-    return VerificationReport("comparison", checks)
+    return VerificationReport("comparison", [
+        CheckResult("scott_implies_hjorth", comparison_witness(counterexamples),
+                    {"scanned": scanned}),
+        CheckResult("symbolic_finite_cc_crosscheck", None,
+                    {"cases": tried, "divergences": divergences,
+                     "sample_divergence": sample}),
+        CheckResult("symbolic_window_drift", _symbolic_window_drift(seed))])
 
 
 # ---------------------------------------------------------------------------
 # Basis suite
 
 def run_basis(tables, seed: int) -> list[CheckResult]:
-    """Rank bounds under a change of basis and under a clopen subgroup."""
-    checks = []
-    shift_bad = None
-    subgroup_bad = None
-    for si, table in enumerate(tables):
-        sys = table.sys
-        rng = random.Random(f"basis:{seed}:{si}")
-        ngroup = len(sys.group)
-        singles = [frozenset([g]) for g in range(ngroup)]
-        extras = []
+    """Rank bounds under a change of basis and under a clopen subgroup.  Each
+    system's rng draws its extra basis sets first, then its subgroup
+    generators."""
+
+    def with_seeded_basis(table, rng):
+        # singletons, up to four seeded sets of two or more elements, the group
+        ngroup = len(table.sys.group)
+        alt_sets = [frozenset([g]) for g in range(ngroup)]
         for _ in range(min(4, ngroup)):
             pick = frozenset(g for g in range(ngroup) if rng.random() < 0.5)
-            if len(pick) >= 2 and pick not in extras:
-                extras.append(pick)
-        whole = frozenset(range(ngroup))
-        alt_sets = singles + [s for s in extras if s not in singles]
-        if whole not in alt_sets:
-            alt_sets.append(whole)
-        alt = sys.with_basis(alt_sets)
-        if shift_bad is None:
-            shifts = hj.basis_shift_check(table, hj.leq_table(alt))
-            for x, d in shifts.items():
-                if d > 1:
-                    shift_bad = f"sys{si}:x={sys.points[x]}:shift={d}"
-                    break
+            if len(pick) >= 2 and pick not in alt_sets:
+                alt_sets.append(pick)
+        if frozenset(range(ngroup)) not in alt_sets:
+            alt_sets.append(frozenset(range(ngroup)))
+        return table, table.sys.with_basis(alt_sets), rng
 
-        if subgroup_bad is None:
-            gens = rng.sample(range(ngroup), min(2, ngroup))
-            sub = mulclose([sys.perms[g] for g in gens] + [tuple(range(sys.size))],
-                           cap=ngroup)
-            labels = [sys.group[sys.perms.index(p)] for p in sub]
-            subsystem = FiniteDiscreteAction(sys.size, list(zip(labels, sub)),
-                                             ALL_SUBSETS)
-            sub_table = hj.leq_table(subsystem)
-            max_g = max(hj.hjorth_rank(table, x) for x in range(sys.size))
-            max_o = max(hj.hjorth_rank(sub_table, x) for x in range(sys.size))
-            if max_o > max_g + 1:
-                subgroup_bad = f"sys{si}:O={{{','.join(labels)}}}:{max_o}>{max_g}+1"
-    checks.append(CheckResult("basis_shift_bound", shift_bad is None, shift_bad))
-    checks.append(CheckResult("clopen_subgroup_bound", subgroup_bad is None,
-                              subgroup_bad))
-    return checks
+    def shift_bound(item):
+        table, alt, _ = item
+        for x, d in hj.basis_shift_check(table, hj.leq_table(alt)).items():
+            if d > 1:
+                return f"x={table.sys.points[x]}:shift={d}"
+        return None
+
+    def subgroup_bound(item):
+        table, _, rng = item
+        sys = table.sys
+        ngroup = len(sys.group)
+        gens = rng.sample(range(ngroup), min(2, ngroup))
+        sub = mulclose([sys.perms[g] for g in gens] + [tuple(range(sys.size))], cap=ngroup)
+        labels = [sys.group[sys.perms.index(p)] for p in sub]
+        sub_table = hj.leq_table(FiniteDiscreteAction(sys.size, list(zip(labels, sub)),
+                                                      ALL_SUBSETS))
+        max_g = max(hj.hjorth_rank(table, x) for x in range(sys.size))
+        max_o = max(hj.hjorth_rank(sub_table, x) for x in range(sys.size))
+        if max_o > max_g + 1:
+            return f"O={{{','.join(labels)}}}:{max_o}>{max_g}+1"
+        return None
+
+    items = [with_seeded_basis(table, random.Random(f"basis:{seed}:{si}"))
+             for si, table in enumerate(tables)]
+    return [run_law("basis_shift_bound", shift_bound, items),
+            run_law("clopen_subgroup_bound", subgroup_bound, items)]
 
 
 SUITES = ("lemmas", "iso", "vaught", "comparison", "basis")
 
 
-def run_suite(suite: str, seed: int, sizes: dict, count: int = 200,
+def run_suite(suite: str, seed: int, sizes: dict, count: int = DEFAULT_COUNT,
               on_report=None) -> list[VerificationReport]:
-    """Run one named suite (or 'all') over a seeded ensemble.  The ensemble's
-    tables are built once and shared by the suites that read them; if a build
-    fails, its failure is the only check of each of those suites.  Each report
-    is passed to ``on_report``, if given, as soon as its suite finishes, so a
+    """Run one named suite (or 'all') over a seeded ensemble, each size
+    missing from ``sizes`` at its default.  The ensemble's tables are built
+    once and shared by the suites that read them; if a build fails, its
+    failure is the only check of each of those suites.  Each report is
+    passed to ``on_report``, if given, as soon as its suite finishes, so a
     fault in a later suite does not lose it."""
-    max_g = sizes.get("g", 8)
-    max_x = sizes.get("x", 6)
-    max_n = sizes.get("n", 3)
+    sizes = {**DEFAULT_SIZES, **sizes}
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
     wanted = SUITES if suite == "all" else (suite,)
     if set(wanted) - {"comparison"}:
-        systems = ensemble(seed, count, max_g, max_x)
+        systems = ensemble(seed, count, sizes["g"], sizes["x"])
         tables, failure = _build_tables(systems)
     reports = []
     for name in wanted:
         if name == "comparison":
-            checks = run_comparison(seed=seed, max_n=min(max_n, 3)).checks
+            checks = run_comparison(seed=seed,
+                                    max_n=min(sizes["n"], COMPARISON_MAX_N)).checks
         elif failure is not None:
             checks = [failure]
         elif name == "lemmas":

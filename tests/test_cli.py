@@ -260,6 +260,15 @@ def test_compare_budget_env(capsys):
     assert code == 3
 
 
+def test_verify_default_sizes_are_capped_by_the_budget(monkeypatch, capsys):
+    # defaults g<=8, x<=6, n<=3 and 200 systems; the budget lowers g and n
+    monkeypatch.setenv("RANKFORGE_BUDGET", "g=3,n=2")
+    assert main(["verify", "comparison", "--format", "records"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "CONFIG command=verify suite=comparison seed=0 sizes=g<=3,x<=6,n<=2 "
+        "count=200 format=records")
+
+
 def test_sizes_flag_parsing(capsys):
     code = main(["verify", "basis", "--seed", "1", "--count", "4",
                  "--sizes", "g≤4,x≤4,n≤2", "--format", "records"])

@@ -139,6 +139,13 @@ def test_vaught_needs_action():
 
     with pytest.raises(UnsupportedOperationError):
         hj.vaught_star(Bare(), {0}, 0)
+    with pytest.raises(UnsupportedOperationError):
+        hj.vaught_delta(Bare(), {0}, 0)
+    table = hj.leq_table(Bare())
+    with pytest.raises(UnsupportedOperationError):
+        hj.star_orbit_equivalence_check(table, 0, 0, 0, 0)
+    with pytest.raises(UnsupportedOperationError):
+        hj.fixed_point_set(table, 0)
 
 
 def test_star_orbit_equivalence(sys1, basis_index):

@@ -8,7 +8,8 @@ import pytest
 from rankforge import hjorth as hj
 from rankforge import scott as sc
 from rankforge import verify as vf
-from rankforge.actions import FiniteLogicAction, _all_structures
+from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction,
+                               _all_structures)
 from rankforge.common import STAB
 from rankforge.hjorth import LevelTable, leq_table
 from rankforge.oracle import LeqOracle
@@ -258,6 +259,14 @@ def test_suite_witnesses_on_a_non_basis_family():
         "sys1:(y=2,W={e,r,r2},x=0,V={e,r,r2})"
 
 
+def test_invariant_sets_law_skips_systems_past_the_orbit_cap():
+    # five fixed points are five orbits, one more than invariant_sets allows
+    trivial = FiniteDiscreteAction(5, [("e", (0, 1, 2, 3, 4))], ALL_SUBSETS)
+    tables = [leq_table(trivial), leq_table(make_sys1()), leq_table(trivial)]
+    check = by_name(vf.run_lemmas(tables))["stabilized_equiv_invariant_sets"]
+    assert check.passed and check.stats == {"systems": 1}
+
+
 def test_rank_check_witnesses(monkeypatch):
     # a rank raised at point 1 breaks orbit invariance of the first system
     tables = [leq_table(s) for s in vf.ensemble(3, 6)]
@@ -268,6 +277,108 @@ def test_rank_check_witnesses(monkeypatch):
     assert iso["rank_orbit_invariance"].witness == "sys0:x=0,g=g1"
     assert iso["rank_partition"].witness == "sys0:rank=1,g=g1"
     assert iso["rank_comparison_consistency"].witness == "sys0:(0,1)"
+
+
+def test_rank_orbit_invariance_witness_is_first_in_g_x_order(monkeypatch):
+    # a rank raised at point 5: g1 carries 1 to 5 and g2 carries 0 to 5, so
+    # (g, x) order meets (g1, 1) first where (x, g) order would meet (g2, 0)
+    tables = [leq_table(s) for s in vf.ensemble(3, 6)]
+    sys = tables[0].sys
+    assert (sys.act(1, 1), sys.act(2, 0)) == (5, 5)
+    rank = hj.hjorth_rank
+    monkeypatch.setattr(hj, "hjorth_rank",
+                        lambda table, x: rank(table, x) + (x == 5))
+    iso = by_name(vf.run_iso(tables))
+    assert iso["rank_orbit_invariance"].witness == "sys0:x=1,g=g1"
+    assert iso["rank_comparison_consistency"].witness == "sys0:(0,5)"
+
+
+def _with_entries(table, level, quads, value):
+    """The table with a corrupted copy of one level: each quadruple
+    (x0, V0, x1, V1) set to ``value``."""
+    arr = table.levels[level - 1].copy()
+    for quad in quads:
+        arr[quad] = value
+    table.levels[level - 1] = arr
+    return table
+
+
+@pytest.mark.parametrize("cleared, failing", [
+    # (2,{e,s}) <= (2,{e}) cleared: it is the chain's step from q0=8 to q2=6
+    ([(2, 2, 2, 0)], {"leq_transitivity": "sys1:level=1:q0=8,q2=6"}),
+    # (0,{e}) <= (0,{e,s}) cleared as well: the entry first in index order
+    # is the witness of both laws
+    ([(2, 2, 2, 0), (0, 0, 0, 2)], {"leq_transitivity": "sys1:level=1:q0=0,q2=2",
+                                    "set_monotonicity": "sys1:level=1:q0=0,q1=2"}),
+])
+def test_chain_law_witnesses_on_a_corrupted_level(cleared, failing):
+    table = _with_entries(leq_table(make_sys1()), 1, cleared, False)
+    checks = vf.run_lemmas([leq_table(make_sys1()), table])
+    assert {c.name: c.witness for c in checks if not c.passed} == failing
+
+
+@pytest.mark.parametrize("level, quad, failing", [
+    # level 2 of the stab-2 table given an entry false at level 1
+    (2, (0, 0, 0, 2), {"leq_transitivity": "sys1:level=2:q0=0,q2=3",
+                       "level_monotonicity": "sys1:level=2",
+                       "set_monotonicity": "sys1:level=2:q0=0,q1=10"}),
+    # a third level, level 2 again plus an entry true only at level 1
+    (3, (0, 0, 0, 10), {"leq_transitivity": "sys1:level=3:q0=0,q2=11",
+                        "level_monotonicity": "sys1:level=3"}),
+])
+def test_level_monotonicity_names_the_system_and_the_level_that_grew(level, quad,
+                                                                       failing):
+    table = leq_table(make_stab2_system())
+    if level == 3:
+        table.levels.append(table.levels[1])
+        table.stab = 3
+    table = _with_entries(table, level, [quad], True)
+    checks = vf.run_lemmas([leq_table(make_sys1()), table])
+    assert {c.name: c.witness for c in checks if not c.passed} == failing
+
+
+def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
+    # the stab-2 system fails three checks as sys0; each system's rng is
+    # read in a fixed order (Vaught: the shared sets, then star points while
+    # that law is open, then fixed-point picks; basis: the extra sets, then
+    # the subgroup generators), which the patched runs below pin
+    tables = [leq_table(s) for s in [make_stab2_system()] + vf.ensemble(3, 6)]
+    checks = (vf.run_lemmas(tables) + vf.run_iso(tables) + vf.run_vaught(tables, 0, 200)
+              + vf.run_basis(tables, 0))
+    failing = {c.name: c.witness for c in checks if not c.passed}
+    assert failing == {
+        "finite_discrete_collapse": "sys0:stab=2",
+        "vaught_basis_intersection": "sys0:A={0,1,2},U={g0,g1,g2,g4,g5}",
+        "star_orbit_equivalence":
+            "sys0:(y=3,W={g0,g1,g3,g4,g5},x=1,V={g1,g2,g3,g4,g5})",
+    }
+    assert [c.name for c in checks] == [
+        "leq_transitivity", "level_monotonicity", "set_monotonicity",
+        "translation_invariance", "equiv_invariance", "stabilized_equiv_invariant_sets",
+        "isomorphism_theorem", "minimal_m_finite", "finite_discrete_collapse",
+        "rank_orbit_invariance", "rank_partition", "rank_comparison_consistency",
+        "vaught_invariance", "vaught_duality", "vaught_union_intersection",
+        "vaught_complexity_collapse", "vaught_basis_intersection",
+        "star_orbit_equivalence", "fixed_point_characterization",
+        "basis_shift_bound", "clopen_subgroup_bound"]
+    assert {c.name: c.stats for c in checks if c.stats} == \
+        {"stabilized_equiv_invariant_sets": {"systems": 7}}
+
+    # every fixed-point pick disagrees: the first pick of sys0 is the witness
+    monkeypatch.setattr(hj, "fixed_point_set", lambda table, u: hj.FixedPointSets(
+        frozenset(), frozenset({0}), True))
+    vaught = by_name(vf.run_vaught(tables, 0, 200))
+    assert vaught["fixed_point_characterization"].witness == \
+        "sys0:U={g0,g1,g4}:direct={},table={0}"
+
+    # ranks raised on tables of groups of order <= 2 that are not ensemble
+    # tables: the first system whose drawn subgroup is that small fails
+    rank = hj.hjorth_rank
+    monkeypatch.setattr(hj, "hjorth_rank", lambda table, x: rank(table, x) + 3 * (
+        all(table is not t for t in tables) and len(table.sys.group) <= 2))
+    basis = by_name(vf.run_basis(tables, 0))
+    assert basis["basis_shift_bound"].witness == "sys4:x=0:shift=3"
+    assert basis["clopen_subgroup_bound"].witness == "sys2:O={e,g3}:4>1+1"
 
 
 def test_mulclose_checks_generators_against_cap():
