@@ -204,9 +204,14 @@ def parse_action_file(text: str, budgets: Budgets | None = None) -> FiniteDiscre
              for no, raw in enumerate(text.splitlines(), start=1)]
     lines = [(no, line) for no, line in lines if line]
     pos = 0
+    seen: set[str] = set()
     while pos < len(lines):
         no, line = lines[pos]
         words = line.split()
+        if words[0] in ("space", "group", "basis"):
+            if words[0] in seen:
+                raise ParseError(f"repeated {words[0]} directive", no)
+            seen.add(words[0])
         if words[:2] == ["space", "size"] and len(words) == 3:
             if not words[2].isdigit():
                 raise ParseError("size must be an integer", no)

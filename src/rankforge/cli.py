@@ -124,7 +124,29 @@ def cmd_scott_rank(args, budgets: Budgets) -> int:
     return EXIT_PASS
 
 
+def _check_system_options(args):
+    """Refuse, before any record, a missing action file and every option
+    the chosen system would ignore."""
+    if args.logic and args.symbolic:
+        raise RankforgeError("--logic and --symbolic exclude each other")
+    if args.logic or args.symbolic:
+        kind = "--logic" if args.logic else "--symbolic"
+        given = {"an action file": args.file, "--basis": args.basis,
+                 "--support": args.support if args.logic else None,
+                 "--n": args.n if args.symbolic else None}
+    elif not args.file:
+        raise RankforgeError("an action file (or --logic/--symbolic) is required")
+    else:
+        kind = "an action file"
+        given = {"--structures": args.structures, "--n": args.n, "--k": args.k,
+                 "--support": args.support}
+    for option, value in given.items():
+        if value is not None:
+            raise RankforgeError(f"{option} does not apply to {kind}")
+
+
 def _build_system(args, budgets: Budgets):
+    _check_system_options(args)
     if args.logic or args.symbolic:
         if not args.structures:
             raise RankforgeError("--structures is required for logic systems")
@@ -154,8 +176,6 @@ def _build_system(args, budgets: Budgets):
         ids = [by_struct.get(m, sysb.points[i])
                for i, m in enumerate(sysb.structures)]
         return sysb, ids
-    if not args.file:
-        raise RankforgeError("an action file (or --logic/--symbolic) is required")
     with open(args.file, encoding="utf-8") as handle:
         sysb = parse_action_file(handle.read(), budgets)
     if args.basis:

@@ -169,6 +169,7 @@ class LevelTable:
 
         self.stab: int | None = None
         self._equiv: dict[int, np.ndarray] = {}
+        self._held: np.ndarray | None = None
 
         img = sys.image_tensor()
         blocks = _orbit_blocks(img, sub) if img is not None else [np.arange(npoints)]
@@ -328,6 +329,23 @@ class LevelTable:
     def equiv(self, x: int, y: int, alpha) -> bool:
         return bool(self.equiv_matrix(alpha)[x, y])
 
+    def rank_condition(self) -> np.ndarray:
+        """``held[a-1, x]`` for every level a <= stab and point x of a table
+        run to stabilization, computed once for all points: whether
+        relation steps at x go up for free at level a, i.e.
+        T_a(x,V0,x,V1) forces T_{a+1}(x,W0,x,W1) whenever W0 shrinks V0
+        and W1 expands V1."""
+        if self._held is None:
+            xs = np.arange(self.npoints)
+            # diag[a-1, x, V0, V1] = T_a(x,V0,x,V1); T_{stab+1} is T_stab
+            diag = np.stack([arr[xs, :, xs, :] for arr in self.levels])
+            reach = (self._subf @ diag.astype(np.float32)) > 0     # [W0,V1]: some V0
+            reach = (reach.astype(np.float32) @ self._subf) > 0    # [W0,W1]: some V1
+            nxt = np.concatenate([diag[1:], diag[-1:]])
+            self._held = ~(reach & ~nxt).any(axis=(2, 3))
+            self._held.setflags(write=False)
+        return self._held
+
 
 def leq_table(sys: ActionSystem, max_level: int | None = None,
               budgets: Budgets | None = None) -> LevelTable:
@@ -336,36 +354,23 @@ def leq_table(sys: ActionSystem, max_level: int | None = None,
                       table_pairs_budget=(budgets or Budgets()).table_pairs)
 
 
-def _rank_condition(table: LevelTable, x: int, alpha: int) -> bool:
-    """Whether relation steps at x go up for free at level alpha:
-    T_alpha(x,V0,x,V1) forces T_{alpha+1}(x,W0,x,W1) whenever W0 shrinks V0
-    and W1 expands V1."""
-    cur = table.level(alpha)[x, :, x, :]
-    nxt = table.level(alpha + 1)[x, :, x, :]
-    subf = table._subf
-    reach = (subf @ cur.astype(np.float32)) > 0           # [W0,V1]: some V0
-    reach = (reach.astype(np.float32) @ subf) > 0         # [W0,W1]: some V1
-    return not bool((reach & ~nxt).any())
-
-
 def hjorth_rank(table: LevelTable, x: int) -> int:
     """Least level >= 1 satisfying the step-up condition at x, at most
     ``table.stab``."""
     if not table.stabilized:
         raise RankforgeError("rank needs a table run to stabilization")
-    for alpha in range(1, table.stab + 1):
-        if _rank_condition(table, x, alpha):
-            return alpha
-    raise RankforgeError(f"no rank level found for point {table.sys.points[x]} "
-                         "(base relation violates set monotonicity)")
+    held = table.rank_condition()[:, x]
+    if not held.any():
+        raise RankforgeError(f"no rank level found for point {table.sys.points[x]} "
+                             "(base relation violates set monotonicity)")
+    return int(np.argmax(held)) + 1
 
 
 def rank_condition_profile(table: LevelTable, x: int) -> set[int]:
     """All levels <= stab at which the rank condition holds at x."""
     if not table.stabilized:
         raise RankforgeError("profile needs a table run to stabilization")
-    return {alpha for alpha in range(1, table.stab + 1)
-            if _rank_condition(table, x, alpha)}
+    return {int(a) + 1 for a in np.flatnonzero(table.rank_condition()[:, x])}
 
 
 def orbit_of(sys: ActionSystem, x: int) -> frozenset[int]:
@@ -384,20 +389,13 @@ def orbit_of(sys: ActionSystem, x: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def orbit_check_via_rank(table: LevelTable, x: int, y: int,
-                         cross_check: bool = False) -> bool:
-    """Orbit equivalence decided through the rank: equivalence one level past
-    the larger of the two ranks."""
-    sys = table.sys
-    delta = max(hjorth_rank(table, x), hjorth_rank(table, y))
-    verdict = table.equiv(x, y, delta + 1)
-    if cross_check and sys.has_action:
-        truth = y in orbit_of(sys, x)
-        if truth != verdict:
-            raise RankforgeError(
-                f"rank-based orbit check disagrees with the orbit oracle on "
-                f"({sys.points[x]},{sys.points[y]}): engine={verdict} orbit={truth}")
-    return verdict
+def orbit_check_via_rank(table: LevelTable) -> np.ndarray:
+    """Orbit equivalence of every point pair decided through the rank:
+    ``[x, y]`` is equivalence one level past the larger of the two ranks."""
+    ranks = np.array([hjorth_rank(table, x) for x in range(table.npoints)])
+    eqs = np.stack([table.equiv_matrix(a) for a in range(1, ranks.max() + 2)])
+    xs = np.arange(table.npoints)
+    return eqs[np.maximum.outer(ranks, ranks), xs[:, None], xs]
 
 
 def minimal_m(table: LevelTable, x: int) -> int:

@@ -213,11 +213,12 @@ def orbit_partition(sys) -> OrbitPartition:
     return OrbitPartition(tuple(orbit_of))
 
 
-def invariant_sets(sys, max_orbits: int = 4) -> list[frozenset[int]]:
-    """Every union of orbits, the empty union included."""
+def invariant_sets(sys) -> list[frozenset[int]]:
+    """Every union of orbits, the empty union included, for at most four
+    orbits."""
     blocks = orbit_partition(sys).blocks
-    if len(blocks) > max_orbits:
-        raise BudgetError(f"{len(blocks)} orbits exceed the cap of {max_orbits}")
+    if len(blocks) > 4:
+        raise BudgetError(f"{len(blocks)} orbits exceed the cap of 4")
     out = []
     for picks in itertools.product((False, True), repeat=len(blocks)):
         member: set[int] = set()

@@ -126,6 +126,19 @@ def one_block_levels(sys: hj.ActionSystem, max_level: int | None = None):
     return None, levels
 
 
+def rank_condition_reference(table: hj.LevelTable, x: int, alpha: int) -> bool:
+    """The rank's step-up condition at one point and level, from that point's
+    diagonal blocks alone: T_alpha(x,V0,x,V1) forces T_{alpha+1}(x,W0,x,W1)
+    whenever W0 shrinks V0 and W1 expands V1.  Kept as the reference for the
+    batched pass of ``LevelTable.rank_condition``."""
+    cur = table.level(alpha)[x, :, x, :]
+    nxt = table.level(alpha + 1)[x, :, x, :]
+    subf = table.sub.astype(np.float32)
+    reach = (subf @ cur.astype(np.float32)) > 0           # [W0,V1]: some V0
+    reach = (reach.astype(np.float32) @ subf) > 0         # [W0,W1]: some V1
+    return not bool((reach & ~nxt).any())
+
+
 def encode_action_trace(sys: hj.ActionSystem, x: int) -> tuple[int, ...]:
     """Bit trace of the action at x: bit (k, l) set iff basis set k carries x
     to point l; pairs run in diagonal order, length |basis| * |points|."""

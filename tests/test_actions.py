@@ -54,6 +54,20 @@ def test_parse_action_file_errors():
         parse_action_file(SYS1_FILE, Budgets(x=2))
 
 
+@pytest.mark.parametrize("text,line,directive", [
+    ("space size 2\nspace size 3\ngroup\nelem e : 0 1\nend\n", 2, "space"),
+    ("space size 2\ngroup\nelem e : 0 1\nend\ngroup\nelem s : 1 0\nend\n",
+     5, "group"),
+    ("space size 2\ngroup\nelem e : 0 1\nelem s : 1 0\nend\n"
+     "basis all-subsets\n# a comment line\nbasis singletons+G\n", 8, "basis"),
+], ids=["space", "group", "basis"])
+def test_parse_action_file_rejects_repeated_directives(text, line, directive):
+    with pytest.raises(ParseError) as err:
+        parse_action_file(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: repeated {directive} directive"
+
+
 def test_trivial_group_every_rank_one():
     trivial = parse_action_file("space size 4\ngroup\nelem e : 0 1 2 3\nend\n"
                                 "basis all-subsets\n")

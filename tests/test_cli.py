@@ -375,6 +375,53 @@ def test_hjorth_logic_k_over_budget_exit_3(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--logic", "--structures", "{structs}", "--n", "2", "--basis", "all-subsets"],
+     "--basis does not apply to --logic"),
+    (["{action}", "--logic", "--structures", "{structs}", "--n", "2"],
+     "an action file does not apply to --logic"),
+    (["--symbolic", "--structures", "{supp}", "--basis", "singletons+G"],
+     "--basis does not apply to --symbolic"),
+    (["{action}", "--symbolic", "--structures", "{supp}"],
+     "an action file does not apply to --symbolic"),
+    (["{action}", "--structures", "{structs}"], "--structures does not apply"),
+    (["{action}", "--n", "3"], "--n does not apply to an action file"),
+    (["{action}", "--k", "0"], "--k does not apply to an action file"),
+    (["{action}", "--support", "2"], "--support does not apply to an action file"),
+    (["--logic", "--structures", "{structs}", "--n", "2", "--support", "2"],
+     "--support does not apply to --logic"),
+    (["--symbolic", "--structures", "{supp}", "--n", "3"],
+     "--n does not apply to --symbolic"),
+    (["--logic", "--symbolic", "--structures", "{supp}"],
+     "--logic and --symbolic exclude each other"),
+], ids=["logic-basis", "logic-file", "symbolic-basis", "symbolic-file",
+        "file-structures", "file-n", "file-k", "file-support", "logic-support",
+        "symbolic-n", "logic-symbolic"])
+def test_hjorth_rejects_options_that_do_not_apply(tmp_path, action_path, args,
+                                                  message, capsys):
+    structs, supp = tmp_path / "structs.txt", tmp_path / "supp.txt"
+    structs.write_text("signature\nrel edge 2\nend\nstructure A size 2\nend\n")
+    supp.write_text(SUPP_FILE)
+    argv = [a.format(action=action_path, structs=structs, supp=supp) for a in args]
+    code = main(["hjorth", *argv, "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_hjorth_repeated_action_directive_exits_2(tmp_path, capsys):
+    # a second group block used to append its elements to the first
+    p = tmp_path / "twice.act"
+    p.write_text("space size 2\ngroup\nelem e : 0 1\nend\ngroup\nelem s : 1 0\n"
+                 "end\nbasis all-subsets\nbasis singletons+G\n")
+    code = main(["hjorth", str(p), "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: line 5: repeated group directive\n"
+
+
 @pytest.mark.parametrize("args", [
     ["scott-rank", "{path}"],
     ["hjorth", "{path}"],

@@ -9,9 +9,11 @@ from rankforge.actions import ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicActi
 from rankforge.common import (STAB, BudgetError, InvalidBaseRelationError,
                               RankforgeError, UnsupportedOperationError)
 from rankforge import hjorth as hj
+from rankforge.oracle import orbit_partition
 
 from conftest import (EDGE_SIG, CorruptedSystem, edge_structures,
-                      make_non_basis_family, make_sys1, one_block_levels,
+                      make_non_basis_family, make_stab2_system, make_sys1,
+                      one_block_levels, rank_condition_reference,
                       relabel_hjorth_system, scott_hjorth_comparison)
 
 
@@ -101,11 +103,46 @@ def test_profile_contains_stab(sys1):
         assert table.stab in hj.rank_condition_profile(table, x)
 
 
+@pytest.fixture(scope="module")
+def rank_tables():
+    """Tables of ensembles 0, 3 and 7 (60 systems each), the stab-2 system,
+    the non-basis family and relabeling systems with k = 2 and 3."""
+    systems = [sys for seed in (0, 3, 7) for sys in vf.ensemble(seed, 60)]
+    systems += [make_stab2_system(), make_non_basis_family(),
+                FiniteLogicAction(EDGE_SIG, 2, 2),
+                FiniteLogicAction(EDGE_SIG, 3, 2, edge_structures(1, 2)),
+                relabel_hjorth_system()]
+    return [hj.leq_table(sys) for sys in systems]
+
+
+def test_rank_condition_matches_per_point_reference(rank_tables):
+    assert max(table.stab for table in rank_tables) == 2
+    for table in rank_tables:
+        for x in range(table.npoints):
+            want = {a for a in range(1, table.stab + 1)
+                    if rank_condition_reference(table, x, a)}
+            assert hj.rank_condition_profile(table, x) == want
+            assert hj.hjorth_rank(table, x) == min(want)
+    stab2 = rank_tables[180]
+    assert [hj.hjorth_rank(stab2, x) for x in range(5)] == [2, 2, 1, 2, 1]
+    assert [hj.rank_condition_profile(stab2, x) for x in (0, 2)] == [{2}, {1, 2}]
+
+
+def test_orbit_check_via_rank_matches_orbit_oracle(rank_tables):
+    # the non-basis family is left out: its levels never reach its one orbit
+    assert (hj.orbit_check_via_rank(rank_tables[181]) == np.eye(3, dtype=bool)).all()
+    for table in rank_tables[:181] + rank_tables[182:]:
+        orbit = np.array(orbit_partition(table.sys).orbit_of)
+        verdict = hj.orbit_check_via_rank(table)
+        assert verdict.dtype == bool
+        assert (verdict == (orbit[:, None] == orbit[None, :])).all()
+
+
 def test_orbit_check_and_minimal_m(sys1):
     table = hj.leq_table(sys1)
-    assert hj.orbit_check_via_rank(table, 0, 1, cross_check=True)
-    assert not hj.orbit_check_via_rank(table, 0, 2, cross_check=True)
-    assert hj.orbit_check_via_rank(table, 2, 2)
+    verdict = hj.orbit_check_via_rank(table)
+    assert verdict.shape == (3, 3)
+    assert verdict[0, 1] and not verdict[0, 2] and verdict[2, 2]
     assert hj.minimal_m(table, 2) in (0, 1)
     transitive = hj.leq_table(FiniteDiscreteAction(
         2, [("e", (0, 1)), ("s", (1, 0))], ALL_SUBSETS))
@@ -249,7 +286,7 @@ def test_table_functions_store_nothing_on_the_system(make):
         hj.hjorth_rank(table, x)
         hj.rank_condition_profile(table, x)
         hj.minimal_m(table, x)
-        hj.orbit_check_via_rank(table, x, 0, cross_check=True)
+        assert hj.orbit_check_via_rank(table)[x, 0] == (0 in hj.orbit_of(sys, x))
         hj.compare_ranks(table, x, 0)
         hj.star_orbit_equivalence_check(table, x, 0, 0, nbasis - 1)
     hj.partition_by_rank(table)

@@ -323,4 +323,4 @@ def test_invariant_sets_counts(sys1):
     from rankforge.actions import ALL_SUBSETS, FiniteDiscreteAction
     trivial = FiniteDiscreteAction(5, [("e", (0, 1, 2, 3, 4))], ALL_SUBSETS)
     with pytest.raises(BudgetError):
-        invariant_sets(trivial, max_orbits=4)
+        invariant_sets(trivial)

@@ -279,6 +279,22 @@ def test_rank_check_witnesses(monkeypatch):
     assert iso["rank_comparison_consistency"].witness == "sys0:(0,1)"
 
 
+def test_isomorphism_theorem_checks_orbit_check_via_rank(monkeypatch):
+    # one pair flipped in the engine's verdict of the third system
+    tables = [leq_table(s) for s in vf.ensemble(3, 6)]
+    check = hj.orbit_check_via_rank
+
+    def flipped(table):
+        verdict = check(table).copy()
+        if table is tables[2]:
+            verdict[1, 2] = not verdict[1, 2]
+        return verdict
+
+    assert by_name(vf.run_iso(tables))["isomorphism_theorem"].passed
+    monkeypatch.setattr(hj, "orbit_check_via_rank", flipped)
+    assert by_name(vf.run_iso(tables))["isomorphism_theorem"].witness == "sys2:(1,2)"
+
+
 def test_rank_orbit_invariance_witness_is_first_in_g_x_order(monkeypatch):
     # a rank raised at point 5: g1 carries 1 to 5 and g2 carries 0 to 5, so
     # (g, x) order meets (g1, 1) first where (x, g) order would meet (g2, 0)
