@@ -30,9 +30,12 @@ points of different components.  Proof, by induction on the level:
 
 T_{a+1} on S x S reads only T_a on S x S, and T_1 there only the image
 rows of S.  So each component (an orbit block) is built and swept on its
-own, a block that stops changing is left out of later sweeps, and each
-level is written into one dense table, false off the blocks.  A system
-without images is one block.
+own, and a block that stops changing is left out of later sweeps.  Each
+level is stored as its per-block tables, and the dense table over all
+points, false off the blocks, is assembled only when a caller asks for
+it; the equivalences, the rank condition and single entries are read
+from the blocks.  A system without images is one block, whose table is
+the dense one.
 
 Everything downstream -- the two-sided equivalences, the rank (least level
 where the relation at a point steps up for free modulo shrinking/expanding
@@ -145,6 +148,13 @@ class ActionSystem:
 class LevelTable:
     """The stratified tables T_1, T_2, ... for one system, as bit tables.
 
+    ``blocks`` holds the sorted point indices of each orbit block, and
+    ``levels`` one entry per computed level: the list of its block tables,
+    block i's a (n_i,B,n_i,B) array over the points ``blocks[i]``.  A block
+    that stopped changing shares its array with the level before.  Entries
+    between blocks are false (module docstring), so ``leq``,
+    ``equiv_matrix`` and ``rank_condition`` read the blocks alone, and
+    ``level`` assembles the dense (P,B,P,B) table only when called.
     Each sweep derives the next table from the immutable previous one, so
     entries within a sweep are order-independent; sweeps are barriers.
     Finished tables are read-only and safe to share.
@@ -179,7 +189,14 @@ class LevelTable:
             cur = [self._base_level(img[np.ix_(b, np.arange(nbasis), b)])
                    for b in blocks]
         del img
-        self.levels: list[np.ndarray] = [self._assemble(blocks, cur)]
+        self.blocks = blocks
+        # point x is entry _local[x] of block _owner[x]
+        self._owner = np.zeros(npoints, dtype=np.intp)
+        self._local = np.arange(npoints)
+        for i, b in enumerate(blocks):
+            self._owner[b] = i
+            self._local[b] = np.arange(len(b))
+        self.levels: list[list[np.ndarray]] = [list(cur)]
         live = range(len(blocks))
 
         while max_level is None or len(self.levels) < max_level:
@@ -207,19 +224,10 @@ class LevelTable:
                 break
             # a block that stopped changing never changes again
             live = changed
-            self.levels.append(self._assemble(blocks, cur))
-        for arr in self.levels:
-            arr.setflags(write=False)
-
-    def _assemble(self, blocks: list[np.ndarray], cur: list[np.ndarray]) -> np.ndarray:
-        """One level as a dense (P,B,P,B) table, false off the orbit blocks."""
-        if len(blocks) == 1:
-            return cur[0]
-        basis = np.arange(self.nbasis)
-        level = np.zeros((self.npoints, self.nbasis) * 2, dtype=bool)
-        for b, part in zip(blocks, cur):
-            level[np.ix_(b, basis, b, basis)] = part
-        return level
+            self.levels.append(list(cur))
+        for parts in self.levels:
+            for arr in parts:
+                arr.setflags(write=False)
 
     def _base_level(self, img: np.ndarray | None) -> np.ndarray:
         """T_1 on the points of one orbit block, from their image rows
@@ -250,12 +258,10 @@ class LevelTable:
 
     def _sweep(self, prev: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         """The next level of one orbit block, and its first entry in
-        (x0,V0,x1,V1) order that ``prev`` lacks (None when nothing grew),
-        tested row block by row block."""
+        (x0,V0,x1,V1) order that ``prev`` lacks (None when nothing grew)."""
         npoints, nbasis = prev.shape[0], self.nbasis
         subf = self._subf
         out = np.empty(prev.shape, dtype=bool)
-        grown = None
         # T_{a+1}(x0,.,x1,.) reads only prev[x1], so the float32 operand and
         # product cover one block of x1 at a time
         step = max(1, _BLOCK // (npoints * nbasis * nbasis))
@@ -271,13 +277,16 @@ class LevelTable:
             a[...] = (p == 0).transpose(0, 1, 3, 2)
             np.matmul(a.reshape(-1, nbasis), subf, out=p.reshape(-1, nbasis))
             out[:, :, lo:hi, :] = (p == 0).transpose(1, 3, 0, 2)
-            # row blocks split x1, so the first growth is the least across them
-            more = out[:, :, lo:hi, :] > prev[:, :, lo:hi, :]
-            if more.any():
-                x0, v0, x1, v1 = np.unravel_index(np.argmax(more), more.shape)
-                first = (int(x0), int(v0), lo + int(x1), int(v1))
-                grown = first if grown is None else min(grown, first)
-        return out, grown
+        del operand, product, a, p
+        # growth is tested once the float32 buffers are freed, in blocks of
+        # x0: the first block with any growth holds the first entry
+        for lo in range(0, npoints, step):
+            more = out[lo:lo + step] > prev[lo:lo + step]
+            first = np.argmax(more)
+            if more.flat[first]:
+                x0, v0, x1, v1 = np.unravel_index(first, more.shape)
+                return out, (lo + int(x0), int(v0), int(x1), int(v1))
+        return out, None
 
     @property
     def stabilized(self) -> bool:
@@ -300,8 +309,19 @@ class LevelTable:
         return alpha - 1
 
     def level(self, alpha) -> np.ndarray:
-        """The table at one level; past stabilization, the stabilized one."""
-        return self.levels[self._level_index(alpha)]
+        """The dense (P,B,P,B) table at one level; past stabilization, the
+        stabilized one.  A one-block table returns its block itself; other
+        tables assemble a new one, false off the blocks, on each call and
+        keep none, so a caller holds at most the dense levels it reads."""
+        parts = self.levels[self._level_index(alpha)]
+        if len(self.blocks) == 1:
+            return parts[0]
+        basis = np.arange(self.nbasis)
+        dense = np.zeros((self.npoints, self.nbasis) * 2, dtype=bool)
+        for b, part in zip(self.blocks, parts):
+            dense[np.ix_(b, basis, b, basis)] = part
+        dense.setflags(write=False)
+        return dense
 
     def leq(self, x0: int, v0: int, x1: int, v1: int, alpha) -> bool:
         for x in (x0, x1):
@@ -310,7 +330,12 @@ class LevelTable:
         for v in (v0, v1):
             if not 0 <= v < self.nbasis:
                 raise IndexError(f"unknown basis index {v}")
-        return bool(self.level(alpha)[x0, v0, x1, v1])
+        parts = self.levels[self._level_index(alpha)]
+        if len(self.blocks) == 1:
+            return bool(parts[0][x0, v0, x1, v1])
+        i = self._owner[x0]
+        return bool(i == self._owner[x1]
+                    and parts[i][self._local[x0], v0, self._local[x1], v1])
 
     def equiv_matrix(self, alpha) -> np.ndarray:
         """Two-sided coverage of all point pairs at one level, computed once
@@ -319,9 +344,11 @@ class LevelTable:
         index = self._level_index(alpha)
         eq = self._equiv.get(index)
         if eq is None:
-            # cover[x0,x1]: every V1 has some V0 with T(x0,V0,x1,V1)
-            cover = self.levels[index].any(axis=1).all(axis=2)
-            eq = cover & cover.T
+            eq = np.zeros((self.npoints, self.npoints), dtype=bool)
+            for b, part in zip(self.blocks, self.levels[index]):
+                # cover[x0,x1]: every V1 has some V0 with T(x0,V0,x1,V1)
+                cover = part.any(axis=1).all(axis=2)
+                eq[np.ix_(b, b)] = cover & cover.T
             eq.setflags(write=False)
             self._equiv[index] = eq
         return eq
@@ -336,9 +363,13 @@ class LevelTable:
         T_a(x,V0,x,V1) forces T_{a+1}(x,W0,x,W1) whenever W0 shrinks V0
         and W1 expands V1."""
         if self._held is None:
-            xs = np.arange(self.npoints)
             # diag[a-1, x, V0, V1] = T_a(x,V0,x,V1); T_{stab+1} is T_stab
-            diag = np.stack([arr[xs, :, xs, :] for arr in self.levels])
+            diag = np.empty((len(self.levels), self.npoints, self.nbasis, self.nbasis),
+                            dtype=bool)
+            for a, parts in enumerate(self.levels):
+                for b, part in zip(self.blocks, parts):
+                    xs = np.arange(len(b))
+                    diag[a, b] = part[xs, :, xs, :]
             reach = (self._subf @ diag.astype(np.float32)) > 0     # [W0,V1]: some V0
             reach = (reach.astype(np.float32) @ self._subf) > 0    # [W0,W1]: some V1
             nxt = np.concatenate([diag[1:], diag[-1:]])

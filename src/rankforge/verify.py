@@ -568,8 +568,8 @@ def scott_structure_checks(seed: int, exhaustive_n: int,
 # Vaught suite
 
 VAUGHT_CHECKS = ("vaught_invariance", "vaught_duality", "vaught_union_intersection",
-                 "vaught_complexity_collapse", "vaught_basis_intersection",
-                 "star_orbit_equivalence", "fixed_point_characterization")
+                 "vaught_basis_intersection", "star_orbit_equivalence",
+                 "fixed_point_characterization")
 
 
 def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
@@ -619,13 +619,6 @@ def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
                         != hj.vaught_star(sys, a, u) & hj.vaught_star(sys, b, u)):
                     bad["vaught_union_intersection"] = (
                         f"A={_fmt_set(sys, a)},B={_fmt_set(sys, b)},U={sys.basis[u]}")
-
-            if open_("vaught_complexity_collapse"):
-                # every subset of a finite discrete space is clopen, so the
-                # complexity clause holds vacuously; assert well-definedness
-                if not (hj.vaught_star(sys, a, u) <= whole
-                        and hj.vaught_delta(sys, a, u) <= whole):
-                    bad["vaught_complexity_collapse"] = ""
 
             if open_("vaught_basis_intersection"):
                 meet = whole

@@ -139,6 +139,24 @@ def rank_condition_reference(table: hj.LevelTable, x: int, alpha: int) -> bool:
     return not bool((reach & ~nxt).any())
 
 
+def set_level(table: hj.LevelTable, level: int, arr: np.ndarray) -> hj.LevelTable:
+    """Fault injection: ``table`` with the dense (P,B,P,B) array ``arr`` as
+    its level ``level``; one past the last level appends it, and the table
+    then stabilizes there.  The table is first put in one-block form, one
+    block over all points with each level its dense table, so entries off
+    the orbit blocks can be set too; the memos of the old levels go."""
+    levels = [table.level(a) for a in range(1, table.max_level() + 1)]
+    if level == len(levels) + 1:
+        levels.append(arr)
+        table.stab = level
+    else:
+        levels[level - 1] = arr
+    table.blocks = [np.arange(table.npoints)]
+    table.levels = [[dense] for dense in levels]
+    table._equiv, table._held = {}, None
+    return table
+
+
 def encode_action_trace(sys: hj.ActionSystem, x: int) -> tuple[int, ...]:
     """Bit trace of the action at x: bit (k, l) set iff basis set k carries x
     to point l; pairs run in diagonal order, length |basis| * |points|."""

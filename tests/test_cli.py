@@ -104,6 +104,21 @@ def test_scott_rank_unknown_structure_exits_2(struct_path, capsys):
     assert "RANK point=L2 delta=1 stab=1" in capsys.readouterr().out
 
 
+def test_scott_rank_keeps_records_before_a_non_finite_structure(tmp_path, capsys):
+    # the finite structure is ranked before the supported one is reached
+    p = tmp_path / "mixed.txt"
+    p.write_text("signature\nrel edge 2\nend\n"
+                 "structure F size 2\nedge 0 1\nend\n"
+                 "supported S support 2\nedge 0 1\nend\n")
+    code = main(["scott-rank", str(p), "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    config, *records = captured.out.splitlines()
+    assert config.startswith("CONFIG command=scott-rank")
+    assert records == ["RANK point=F delta=1 stab=1"]
+    assert captured.err == "error: S is not a finite structure\n"
+
+
 def test_hjorth_records(action_path, capsys):
     code = main(["hjorth", action_path, "--format", "records"])
     out = capsys.readouterr().out

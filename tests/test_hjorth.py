@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -327,9 +328,14 @@ def test_translation_invariance_all_levels(sys1):
 
 def test_level_arrays_monotone(sys1):
     table = hj.leq_table(sys1)
-    for k in range(len(table.levels) - 1):
-        assert not (table.levels[k + 1] & ~table.levels[k]).any()
-    assert isinstance(table.levels[0], np.ndarray)
+    for a in range(1, table.max_level()):
+        assert not (table.level(a + 1) & ~table.level(a)).any()
+    assert isinstance(table.level(1), np.ndarray)
+
+
+def dense_levels(table):
+    """Every computed level of a table as its dense (P,B,P,B) array."""
+    return [table.level(a) for a in range(1, table.max_level() + 1)]
 
 
 def build_outcome(sys):
@@ -339,7 +345,7 @@ def build_outcome(sys):
         table = hj.leq_table(sys)
     except InvalidBaseRelationError as err:
         return err.witness, str(err)
-    return table.stab, table.levels
+    return table.stab, dense_levels(table)
 
 
 # Every system here fits one block by default.  Block 1 gives one row per
@@ -369,12 +375,13 @@ def test_blocked_build_matches_one_block(make, block, monkeypatch):
 
 
 def test_level_table_memory_peak():
-    # 210 points x 16 basis sets in 41 orbit blocks: each level is P^2 bytes
-    # for P = 3,360 pairs.  Built block by block, T_1 and its sweep peak at
-    # 1.05 P^2 (the dense level and one block's buffers).  One block over all
-    # points, its T_1 and sweep built in row blocks, peaked at 2.91 P^2 (two
-    # levels and the 4 MB float32 row buffers); a whole-table growth test
-    # took 3.0 P^2 and whole P x P float32 products 10.3 P^2.
+    # 210 points x 16 basis sets in 41 orbit blocks: a dense level is P^2
+    # bytes for P = 3,360 pairs.  Kept per block, T_1 and its sweep peak at
+    # 0.095 P^2; assembling each level into one dense table peaked at
+    # 1.05 P^2.  One block over all points, its T_1 and sweep built in row
+    # blocks, peaked at 2.91 P^2 (two levels and the 4 MB float32 row
+    # buffers); a whole-table growth test took 3.0 P^2 and whole P x P
+    # float32 products 10.3 P^2.
     sys = FiniteLogicAction(EDGE_SIG, 3, 3, edge_structures(3, 4))
     pairs = len(sys.points) * len(sys.basis)
     assert pairs == 3360
@@ -387,6 +394,7 @@ def test_level_table_memory_peak():
     assert table.stab == 1
     assert peak <= 2.95 * pairs ** 2
     assert peak <= 1.25 * pairs ** 2
+    assert peak <= 0.15 * pairs ** 2
 
 
 def make_two_orbits() -> FiniteDiscreteAction:
@@ -448,7 +456,7 @@ def assert_matches_one_block(sys, max_level=None):
     assert table.stab == want[0]
     assert table.stabilized == (want[0] is not None)
     assert len(table.levels) == len(want[1])
-    for got, level in zip(table.levels, want[1]):
+    for got, level in zip(dense_levels(table), want[1]):
         assert got.dtype == bool and np.array_equal(got, level)
 
 
@@ -512,4 +520,79 @@ def test_one_leq_table_builds_one_level_table(make, monkeypatch):
     table = hj.leq_table(sys)
     assert built == [table]
     shape = (len(sys.points), len(sys.basis)) * 2
-    assert all(level.shape == shape for level in table.levels)
+    assert all(level.shape == shape for level in dense_levels(table))
+
+
+def dense_rank_condition(table):
+    """``rank_condition`` read off the dense levels: every point's diagonal
+    blocks, closed under containment, tested against the next level."""
+    xs = np.arange(table.npoints)
+    diag = np.stack([level[xs, :, xs, :] for level in dense_levels(table)])
+    subf = table.sub.astype(np.float32)
+    reach = (subf @ diag.astype(np.float32)) > 0
+    reach = (reach.astype(np.float32) @ subf) > 0
+    nxt = np.concatenate([diag[1:], diag[-1:]])
+    return ~(reach & ~nxt).any(axis=(2, 3))
+
+
+def leq_quads(table, rng):
+    """Every quadruple of a small table; on a large one, 4,000 seeded
+    draws, every other one with both points in one orbit block."""
+    npoints, nbasis = table.npoints, table.nbasis
+    if (npoints * nbasis) ** 2 <= 20_000:
+        return itertools.product(range(npoints), range(nbasis), repeat=2)
+    block_of = {x: b for b in table.blocks for x in b.tolist()}
+    quads = []
+    for k in range(4000):
+        x0 = rng.randrange(npoints)
+        x1 = (rng.choice(block_of[x0].tolist()) if k % 2
+              else rng.randrange(npoints))
+        quads.append((x0, rng.randrange(nbasis), x1, rng.randrange(nbasis)))
+    return quads
+
+
+@pytest.mark.parametrize("tables", [
+    lambda: [hj.leq_table(s) for s in vf.ensemble(3, 6)],
+    lambda: [hj.leq_table(make_stab2_system())],
+    lambda: [hj.leq_table(relabel_hjorth_system())],
+    # the 3-point orbit changes at level 2 while the fixed point's block,
+    # shared with level 1, does not
+    lambda: [hj.leq_table(make_uneven_orbits())],
+    # emptying the image of (0,{e}) makes one block, whose level 2 grows
+    lambda: [hj.leq_table(make_interleaved((0, 0, 0)), max_level=1)],
+], ids=["ensemble-3", "stab2", "relabel-244", "uneven-orbits", "emptied-image"])
+def test_block_readers_match_dense_levels(tables):
+    rng = random.Random(0)
+    for table in tables():
+        assert sorted(np.concatenate(table.blocks).tolist()) == list(range(table.npoints))
+        assert np.array_equal(table.rank_condition(), dense_rank_condition(table))
+        alphas = [*range(1, table.max_level() + 1)]
+        if table.stabilized:
+            alphas += [table.max_level() + 1, STAB]
+        for alpha in alphas:
+            dense = table.level(alpha)
+            cover = dense.any(axis=1).all(axis=2)
+            assert np.array_equal(table.equiv_matrix(alpha), cover & cover.T)
+            for quad in leq_quads(table, rng):
+                assert table.leq(*quad, alpha) == dense[quad]
+
+
+def test_rank_pass_builds_no_dense_level():
+    # one dense level of the relabel-hjorth table is pairs^2 bytes (15.2 MB);
+    # the build, every point's rank and m, and the rank partition read the
+    # 44 orbit blocks alone and peak at 0.09 pairs^2
+    sys = relabel_hjorth_system()
+    pairs = len(sys.points) * len(sys.basis)
+    assert pairs == 3904
+    tracemalloc.start()
+    try:
+        table = hj.leq_table(sys)
+        for x in range(table.npoints):
+            hj.hjorth_rank(table, x)
+            hj.minimal_m(table, x)
+        hj.partition_by_rank(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.blocks) == 44
+    assert peak <= 0.25 * pairs ** 2

@@ -49,7 +49,7 @@ def test_logic_action_above_64_points():
     assert len(sysb.points) == 84 and len(sysb.basis) == 10
     assert_image_matches_action(sysb)
     table = hj.leq_table(sysb, max_level=1)
-    assert np.array_equal(table.levels[0], per_entry_t1(sysb))
+    assert np.array_equal(table.level(1), per_entry_t1(sysb))
 
 
 @pytest.mark.parametrize("basis", [ALL_SUBSETS, SINGLETONS_PLUS_G,
@@ -62,7 +62,7 @@ def test_discrete_action_bases(basis):
     sysb = parse_action_file(text)
     assert_image_matches_action(sysb)
     table = hj.leq_table(sysb, max_level=1)
-    assert np.array_equal(table.levels[0], per_entry_t1(sysb))
+    assert np.array_equal(table.level(1), per_entry_t1(sysb))
 
 
 @pytest.mark.parametrize("sysb", [
@@ -98,8 +98,8 @@ def test_corrupted_system_flips_its_entry():
     quad = (0, 0, 2, 2)
     corrupted = CorruptedSystem(base, quad)
     assert corrupted.image_tensor() is None
-    flipped = hj.leq_table(corrupted, max_level=1).levels[0]
-    clean = hj.leq_table(base, max_level=1).levels[0]
+    flipped = hj.leq_table(corrupted, max_level=1).level(1)
+    clean = hj.leq_table(base, max_level=1).level(1)
     assert np.argwhere(flipped != clean).tolist() == [list(quad)]
     with pytest.raises(InvalidBaseRelationError) as err:
         hj.leq_table(CorruptedSystem(base, (0, 0, 2, 0)))

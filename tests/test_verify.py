@@ -16,7 +16,7 @@ from rankforge.oracle import LeqOracle
 from rankforge.structures import FinStructure, Signature
 
 from conftest import (EDGE_SIG, CorruptedSystem, make_non_basis_family, make_stab2_system,
-                      make_sys1)
+                      make_sys1, set_level)
 
 
 @pytest.fixture(scope="module")
@@ -312,11 +312,22 @@ def test_rank_orbit_invariance_witness_is_first_in_g_x_order(monkeypatch):
 def _with_entries(table, level, quads, value):
     """The table with a corrupted copy of one level: each quadruple
     (x0, V0, x1, V1) set to ``value``."""
-    arr = table.levels[level - 1].copy()
+    arr = table.level(level).copy()
     for quad in quads:
         arr[quad] = value
-    table.levels[level - 1] = arr
-    return table
+    return set_level(table, level, arr)
+
+
+def test_corruption_reaches_entries_off_the_orbit_blocks():
+    # sys1's points 0,1 and 2 are two orbit blocks; the block readers see an
+    # entry set between them once the table is in one-block form
+    table = leq_table(make_sys1())
+    assert [b.tolist() for b in table.blocks] == [[0, 1], [2]]
+    assert not table.leq(0, 0, 2, 0, 1)
+    table = _with_entries(table, 1, [(0, 0, 2, 0)], True)
+    assert len(table.blocks) == 1
+    assert table.leq(0, 0, 2, 0, 1) and table.level(1)[0, 0, 2, 0]
+    assert not table.leq(2, 0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("cleared, failing", [
@@ -346,8 +357,7 @@ def test_level_monotonicity_names_the_system_and_the_level_that_grew(level, quad
                                                                        failing):
     table = leq_table(make_stab2_system())
     if level == 3:
-        table.levels.append(table.levels[1])
-        table.stab = 3
+        set_level(table, 3, table.level(2))
     table = _with_entries(table, level, [quad], True)
     checks = vf.run_lemmas([leq_table(make_sys1()), table])
     assert {c.name: c.witness for c in checks if not c.passed} == failing
@@ -374,8 +384,8 @@ def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
         "isomorphism_theorem", "minimal_m_finite", "finite_discrete_collapse",
         "rank_orbit_invariance", "rank_partition", "rank_comparison_consistency",
         "vaught_invariance", "vaught_duality", "vaught_union_intersection",
-        "vaught_complexity_collapse", "vaught_basis_intersection",
-        "star_orbit_equivalence", "fixed_point_characterization",
+        "vaught_basis_intersection", "star_orbit_equivalence",
+        "fixed_point_characterization",
         "basis_shift_bound", "clopen_subgroup_bound"]
     assert {c.name: c.stats for c in checks if c.stats} == \
         {"stabilized_equiv_invariant_sets": {"systems": 7}}
@@ -519,8 +529,7 @@ def _flip_stabilized(monkeypatch, flips):
             if m in sysb.structures and n in sysb.structures:
                 level[sysb.point_of(m), sysb.basis_of(t, bbar),
                       sysb.point_of(n), sysb.basis_of(u, bbar)] ^= True
-        table.levels[-1] = level
-        return table
+        return set_level(table, table.max_level(), level)
 
     monkeypatch.setattr(hj, "leq_table", faulty)
 
@@ -741,12 +750,11 @@ def test_translation_gather_matches_per_entry_loop(small_ensemble, entries, leve
     clean = leq_table(sys)
     table = leq_table(sys)
     if level == 2:  # a second, equal level: the chain stabilizes at 2
-        table.levels.append(table.levels[0])
-        table.stab = 2
-    arr = table.levels[level - 1].copy()
+        set_level(table, 2, table.level(1))
+    arr = table.level(level).copy()
     for g, x, v in entries:
         arr[x, v, sys.act(g, x), sys.translate(v, g)] = False
-    table.levels[level - 1] = arr
+    set_level(table, level, arr)
     got = by_name(vf.run_lemmas([clean, table]))["translation_invariance"]
     assert not got.passed
     assert got.witness == per_entry_translation(1, table) == witness
