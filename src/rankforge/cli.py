@@ -275,7 +275,7 @@ def cmd_verify(args, budgets: Budgets) -> int:
                                          sorted(check.stats.items())))
 
     reports = vf.run_suite(args.suite, args.seed, sizes, count=args.count,
-                           on_report=emit)
+                           on_report=emit, budgets=budgets)
     failed = sum(not c.passed for r in reports for c in r.checks)
     out.text(f"{'PASS' if not failed else 'FAIL'} "
              f"({sum(len(r.checks) for r in reports)} checks, {failed} failed)")
@@ -284,6 +284,8 @@ def cmd_verify(args, budgets: Budgets) -> int:
 
 def cmd_compare(args, budgets: Budgets) -> int:
     out = Output(args.format)
+    if args.empty_signature and args.rel:
+        raise RankforgeError("--rel does not apply to --empty-signature")
     cap = min(vf.COMPARISON_MAX_N, budgets.n)
     if args.n > cap:
         raise BudgetError(f"comparison scan n={args.n} exceeds budget n={cap}")
@@ -297,7 +299,7 @@ def cmd_compare(args, budgets: Budgets) -> int:
                              format=args.format))
     counterexamples, profile, scanned = vf.comparison_scan(
         max_n=args.n, max_tuple=args.max_tuple, seed=args.seed,
-        signature=signature)
+        signature=signature, budgets=budgets)
     out.both(hj.check_record("scott_implies_hjorth", not counterexamples,
                              vf.comparison_witness(counterexamples)))
     out.text(f"scanned {scanned} instances, {len(counterexamples)} counterexamples")

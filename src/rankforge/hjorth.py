@@ -47,6 +47,7 @@ transforms at finite-discrete scale read the action alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -157,16 +158,19 @@ class LevelTable:
     ``level`` assembles the dense (P,B,P,B) table only when called.
     Each sweep derives the next table from the immutable previous one, so
     entries within a sweep are order-independent; sweeps are barriers.
-    Finished tables are read-only and safe to share.
+    Finished tables are read-only and safe to share.  A system of more
+    (point, basis set) pairs than ``budgets.table_pairs`` raises
+    ``BudgetError`` before anything is built.
     """
 
     def __init__(self, sys: ActionSystem, max_level: int | None = None,
-                 table_pairs_budget: int = Budgets.table_pairs):
+                 budgets: Budgets | None = None):
         npoints, nbasis = len(sys.points), len(sys.basis)
-        if npoints * nbasis > table_pairs_budget:
+        limit = (budgets or Budgets()).table_pairs
+        if npoints * nbasis > limit:
             raise BudgetError(
                 f"{npoints} points x {nbasis} basis sets = {npoints * nbasis} pairs "
-                f"exceed the table budget of {table_pairs_budget}")
+                f"exceed the table budget of {limit}")
         self.sys = sys
         self.npoints = npoints
         self.nbasis = nbasis
@@ -183,11 +187,7 @@ class LevelTable:
 
         img = sys.image_tensor()
         blocks = _orbit_blocks(img, sub) if img is not None else [np.arange(npoints)]
-        if len(blocks) == 1:
-            cur = [self._base_level(img)]
-        else:
-            cur = [self._base_level(img[np.ix_(b, np.arange(nbasis), b)])
-                   for b in blocks]
+        cur = [self._base_level(img, b) for b in blocks]
         del img
         self.blocks = blocks
         # point x is entry _local[x] of block _owner[x]
@@ -229,32 +229,28 @@ class LevelTable:
             for arr in parts:
                 arr.setflags(write=False)
 
-    def _base_level(self, img: np.ndarray | None) -> np.ndarray:
-        """T_1 on the points of one orbit block, from their image rows
-        ``img[S, :, S]``; a system without images is one block, built one
-        cc call per entry."""
-        sys, nbasis = self.sys, self.nbasis
-        if img is not None:
-            npoints = img.shape[0]
-            # (x0,V0) <= (x1,V1) iff no y is in the first image but not the second
-            f = img.reshape(npoints * nbasis, -1).astype(np.float32)
-            miss = (1 - f).T
-            t1 = np.empty((len(f), len(f)), dtype=bool)
-            step = max(1, _BLOCK // len(f))
-            product = np.empty((min(step, len(f)), len(f)), dtype=np.float32)
-            for lo in range(0, len(f), step):
-                hi = min(lo + step, len(f))
-                np.matmul(f[lo:hi], miss, out=product[:hi - lo])
-                np.equal(product[:hi - lo], 0, out=t1[lo:hi])
-            return t1.reshape(npoints, nbasis, npoints, nbasis)
-        npoints = self.npoints
-        t1 = np.zeros((npoints, nbasis, npoints, nbasis), dtype=bool)
-        for x0 in range(npoints):
-            for v0 in range(nbasis):
-                for x1 in range(npoints):
-                    for v1 in range(nbasis):
-                        t1[x0, v0, x1, v1] = sys.cc(x0, v0, x1, v1)
-        return t1
+    def _base_level(self, img: np.ndarray | None, points: np.ndarray) -> np.ndarray:
+        """T_1 on the points of one orbit block: one subset test per pair of
+        their image rows ``img[S, :, S]``, or, for a system without images
+        (one block over all points), one cc call per entry."""
+        nbasis, n = self.nbasis, len(points)
+        if img is None:
+            quads = itertools.product(points.tolist(), range(nbasis), repeat=2)
+            t1 = np.fromiter((self.sys.cc(*q) for q in quads), dtype=bool,
+                             count=(n * nbasis) ** 2)
+            return t1.reshape(n, nbasis, n, nbasis)
+        # (x0,V0) <= (x1,V1) iff no y is in the first image but not the second
+        f = img[np.ix_(points, np.arange(nbasis), points)].reshape(n * nbasis, n)
+        f = f.astype(np.float32)
+        miss = (1 - f).T
+        t1 = np.empty((len(f), len(f)), dtype=bool)
+        step = max(1, _BLOCK // len(f))
+        product = np.empty((min(step, len(f)), len(f)), dtype=np.float32)
+        for lo in range(0, len(f), step):
+            hi = min(lo + step, len(f))
+            np.matmul(f[lo:hi], miss, out=product[:hi - lo])
+            np.equal(product[:hi - lo], 0, out=t1[lo:hi])
+        return t1.reshape(n, nbasis, n, nbasis)
 
     def _sweep(self, prev: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         """The next level of one orbit block, and its first entry in
@@ -310,9 +306,11 @@ class LevelTable:
 
     def level(self, alpha) -> np.ndarray:
         """The dense (P,B,P,B) table at one level; past stabilization, the
-        stabilized one.  A one-block table returns its block itself; other
-        tables assemble a new one, false off the blocks, on each call and
-        keep none, so a caller holds at most the dense levels it reads."""
+        stabilized one.  A one-block table returns its block itself, so
+        every comparison-scan table (one orbit) and every single-orbit
+        ensemble table is read without a copy; other tables assemble a new
+        one, false off the blocks, on each call and keep none, so a caller
+        holds at most the dense levels it reads."""
         parts = self.levels[self._level_index(alpha)]
         if len(self.blocks) == 1:
             return parts[0]
@@ -331,8 +329,6 @@ class LevelTable:
             if not 0 <= v < self.nbasis:
                 raise IndexError(f"unknown basis index {v}")
         parts = self.levels[self._level_index(alpha)]
-        if len(self.blocks) == 1:
-            return bool(parts[0][x0, v0, x1, v1])
         i = self._owner[x0]
         return bool(i == self._owner[x1]
                     and parts[i][self._local[x0], v0, self._local[x1], v1])
@@ -380,9 +376,9 @@ class LevelTable:
 
 def leq_table(sys: ActionSystem, max_level: int | None = None,
               budgets: Budgets | None = None) -> LevelTable:
-    """Compute the level tables to stabilization (or a level bound)."""
-    return LevelTable(sys, max_level=max_level,
-                      table_pairs_budget=(budgets or Budgets()).table_pairs)
+    """Compute the level tables to stabilization (or a level bound), under
+    the ``table_pairs`` budget of ``budgets`` (the defaults when None)."""
+    return LevelTable(sys, max_level=max_level, budgets=budgets)
 
 
 def hjorth_rank(table: LevelTable, x: int) -> int:

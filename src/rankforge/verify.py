@@ -224,14 +224,15 @@ def canonical_edge_representatives(n: int) -> list[FinStructure]:
 # ---------------------------------------------------------------------------
 # Lemma suite
 
-def _build_tables(systems) -> tuple[list[hj.LevelTable], CheckResult | None]:
+def _build_tables(systems, budgets: Budgets | None = None
+                  ) -> tuple[list[hj.LevelTable], CheckResult | None]:
     """One table per system, or the failing check of the first system whose
     base relation makes a level grow."""
     tables = []
 
     def builds(sys):
         try:
-            tables.append(hj.leq_table(sys))
+            tables.append(hj.leq_table(sys, budgets=budgets))
         except InvalidBaseRelationError as exc:
             return hj.quad_witness(sys, *exc.witness)
         return None
@@ -494,34 +495,21 @@ def scott_structure_checks(seed: int, exhaustive_n: int,
                            ladder_max: int) -> list[CheckResult]:
     """Finite-scale isomorphism over canonical representatives, the rank
     ladder on linear orders and permutation invariance of the rank; the
-    first and last read one seeded rng in turn."""
+    first and last read one seeded rng in turn, and the first reports its
+    first failure in draw order."""
     rng = random.Random(f"scott:{seed}")
     reps = []
     for n in range(1, exhaustive_n + 1):
         reps.extend(canonical_edge_representatives(n))
 
-    def relabeled_copies():
-        for i in rng.sample(range(len(reps)), min(60, len(reps))):
-            m = reps[i]
-            image = permute_structure(m, tuple(rng.sample(range(m.size), m.size)))
-            if not sc.scott_iso_check(m, image):
-                return f"rep {i}: relabeled copy not stab-equivalent"
-            if not brute_isomorphic(m, image, (), ()):
-                return f"rep {i}: brute force rejects its own relabeling"
-        return None
-
-    def distinct_pairs():
-        for _ in range(300):
-            i, j = rng.randrange(len(reps)), rng.randrange(len(reps))
-            if i == j:
-                continue
-            if brute_isomorphic(reps[i], reps[j], (), ()):
-                return f"distinct reps {i},{j} brute-isomorphic"
-            if sc.scott_iso_check(reps[i], reps[j]):
-                return f"distinct reps {i},{j} stab-equivalent"
-        return None
-
     def iso_finite():
+        # every copy and pair is drawn before any is judged, so the rng
+        # stream left to the later checks does not depend on a verdict
+        copies = []
+        for i in rng.sample(range(len(reps)), min(60, len(reps))):
+            perm = tuple(rng.sample(range(reps[i].size), reps[i].size))
+            copies.append((i, permute_structure(reps[i], perm)))
+        pairs = [(rng.randrange(len(reps)), rng.randrange(len(reps))) for _ in range(300)]
         # stabilized root equivalence == brute isomorphism
         rtab = sc.ScottTable(reps)
         roots = {}
@@ -530,9 +518,19 @@ def scott_structure_checks(seed: int, exhaustive_n: int,
             if token in roots:
                 return f"reps {roots[token]} and {i} share stabilized root class"
             roots[token] = i
-        # both samples are drawn; a failing distinct pair is the witness
-        relabeled = relabeled_copies()
-        return distinct_pairs() or relabeled
+        for i, image in copies:
+            if not sc.scott_iso_check(reps[i], image):
+                return f"rep {i}: relabeled copy not stab-equivalent"
+            if not brute_isomorphic(reps[i], image, (), ()):
+                return f"rep {i}: brute force rejects its own relabeling"
+        for i, j in pairs:
+            if i == j:
+                continue
+            if brute_isomorphic(reps[i], reps[j], (), ()):
+                return f"distinct reps {i},{j} brute-isomorphic"
+            if sc.scott_iso_check(reps[i], reps[j]):
+                return f"distinct reps {i},{j} stab-equivalent"
+        return None
 
     def rank_ladder():
         if sc.scott_rank(chain(2)) != 1:
@@ -575,7 +573,9 @@ VAUGHT_CHECKS = ("vaught_invariance", "vaught_duality", "vaught_union_intersecti
 def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
     """The Vaught transform laws over ``draws`` seeded sets per system.  The
     laws share each system's draws, so each system is one pass, and a law
-    stops drawing once it has failed on this or an earlier system."""
+    stops checking once it has failed on this or an earlier system.  Every
+    draw is made whatever the verdicts, so each system's draws are fixed by
+    the seed."""
     found: list[dict[str, str]] = []  # each system's witness of each law it fails
     closed: set[str] = set()  # the laws failed on an earlier system
     for si, table in enumerate(tables):
@@ -629,9 +629,11 @@ def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
                     bad["vaught_basis_intersection"] = (
                         f"A={_fmt_set(sys, a)},U={sys.basis[u]}")
 
+            # drawn whether the law is open or not, so no later draw
+            # depends on a verdict
+            y, x = rng.randrange(npoints), rng.randrange(npoints)
+            w, v = rng.randrange(nbasis), rng.randrange(nbasis)
             if open_("star_orbit_equivalence"):
-                y, x = rng.randrange(npoints), rng.randrange(npoints)
-                w, v = rng.randrange(nbasis), rng.randrange(nbasis)
                 direct, via = hj.star_orbit_equivalence_check(table, y, w, x, v)
                 if direct != via:
                     bad["star_orbit_equivalence"] = (
@@ -656,7 +658,7 @@ def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
 # Comparison suite (back-and-forth vs table levels on the logic action)
 
 def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int = 0,
-                    signature: Signature = EDGE_SIG):
+                    signature: Signature = EDGE_SIG, budgets: Budgets | None = None):
     """Exhaustive implication scan: for every ordered pair of structures and
     every stab-equivalent tuple pair (the only pairs the implication
     constrains), the matching coset pairs must be stabilized-related.
@@ -669,7 +671,8 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
     the system of its first structure: a permutation action's table is
     block-diagonal by orbit (V.x lies in the orbit of x, so a cross-orbit
     entry is false at T_1 and stays false), so a draw whose second structure
-    is not a point of that system reaches table level 0.
+    is not a point of that system reaches table level 0.  Each orbit table
+    is built under ``budgets``; the 512-structure cap per n is the scan's own.
     """
     rng = random.Random(f"compare:{seed}")
     counterexamples = []
@@ -701,7 +704,7 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
             by_orbit.setdefault(orbit, []).append(members)
         for classes in by_orbit.values():
             sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0][0]]])
-            ptab = hj.leq_table(sysp)
+            ptab = hj.leq_table(sysp, budgets=budgets)
             stab = ptab.level(STAB)
             for members in classes:
                 bbars = list(itertools.permutations(range(n), len(members[0][1])))
@@ -764,8 +767,10 @@ def _symbolic_window_drift(seed: int) -> str | None:
     return None
 
 
-def run_comparison(seed: int = 0, max_n: int = COMPARISON_MAX_N) -> VerificationReport:
-    counterexamples, _, scanned = comparison_scan(max_n=max_n, seed=seed)
+def run_comparison(seed: int = 0, max_n: int = COMPARISON_MAX_N,
+                   budgets: Budgets | None = None) -> VerificationReport:
+    counterexamples, _, scanned = comparison_scan(max_n=max_n, seed=seed,
+                                                  budgets=budgets)
 
     # Cross-validation against the truncated group is evidence, not a law:
     # the full-group closure keeps limit points (facts relabeled off to
@@ -814,10 +819,10 @@ def run_comparison(seed: int = 0, max_n: int = COMPARISON_MAX_N) -> Verification
 # ---------------------------------------------------------------------------
 # Basis suite
 
-def run_basis(tables, seed: int) -> list[CheckResult]:
-    """Rank bounds under a change of basis and under a clopen subgroup.  Each
-    system's rng draws its extra basis sets first, then its subgroup
-    generators."""
+def run_basis(tables, seed: int, budgets: Budgets | None = None) -> list[CheckResult]:
+    """Rank bounds under a change of basis and under a clopen subgroup, each
+    new table built under ``budgets``.  Each system's rng draws its extra
+    basis sets first, then its subgroup generators."""
 
     def with_seeded_basis(table, rng):
         # singletons, up to four seeded sets of two or more elements, the group
@@ -833,7 +838,8 @@ def run_basis(tables, seed: int) -> list[CheckResult]:
 
     def shift_bound(item):
         table, alt, _ = item
-        for x, d in hj.basis_shift_check(table, hj.leq_table(alt)).items():
+        alt_table = hj.leq_table(alt, budgets=budgets)
+        for x, d in hj.basis_shift_check(table, alt_table).items():
             if d > 1:
                 return f"x={table.sys.points[x]}:shift={d}"
         return None
@@ -845,8 +851,8 @@ def run_basis(tables, seed: int) -> list[CheckResult]:
         gens = rng.sample(range(ngroup), min(2, ngroup))
         sub = mulclose([sys.perms[g] for g in gens] + [tuple(range(sys.size))], cap=ngroup)
         labels = [sys.group[sys.perms.index(p)] for p in sub]
-        sub_table = hj.leq_table(FiniteDiscreteAction(sys.size, list(zip(labels, sub)),
-                                                      ALL_SUBSETS))
+        subsys = FiniteDiscreteAction(sys.size, list(zip(labels, sub)), ALL_SUBSETS)
+        sub_table = hj.leq_table(subsys, budgets=budgets)
         max_g = max(hj.hjorth_rank(table, x) for x in range(sys.size))
         max_o = max(hj.hjorth_rank(sub_table, x) for x in range(sys.size))
         if max_o > max_g + 1:
@@ -863,25 +869,26 @@ SUITES = ("lemmas", "iso", "vaught", "comparison", "basis")
 
 
 def run_suite(suite: str, seed: int, sizes: dict, count: int = DEFAULT_COUNT,
-              on_report=None) -> list[VerificationReport]:
+              on_report=None, budgets: Budgets | None = None) -> list[VerificationReport]:
     """Run one named suite (or 'all') over a seeded ensemble, each size
-    missing from ``sizes`` at its default.  The ensemble's tables are built
-    once and shared by the suites that read them; if a build fails, its
-    failure is the only check of each of those suites.  Each report is
-    passed to ``on_report``, if given, as soon as its suite finishes, so a
-    fault in a later suite does not lose it."""
+    missing from ``sizes`` at its default, and every level table it builds
+    under ``budgets``.  The ensemble's tables are built once and shared by
+    the suites that read them; if a build fails, its failure is the only
+    check of each of those suites.  Each report is passed to
+    ``on_report``, if given, as soon as its suite finishes, so a fault in a
+    later suite does not lose it."""
     sizes = {**DEFAULT_SIZES, **sizes}
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
     wanted = SUITES if suite == "all" else (suite,)
     if set(wanted) - {"comparison"}:
         systems = ensemble(seed, count, sizes["g"], sizes["x"])
-        tables, failure = _build_tables(systems)
+        tables, failure = _build_tables(systems, budgets)
     reports = []
     for name in wanted:
         if name == "comparison":
-            checks = run_comparison(seed=seed,
-                                    max_n=min(sizes["n"], COMPARISON_MAX_N)).checks
+            checks = run_comparison(seed=seed, max_n=min(sizes["n"], COMPARISON_MAX_N),
+                                    budgets=budgets).checks
         elif failure is not None:
             checks = [failure]
         elif name == "lemmas":
@@ -892,7 +899,7 @@ def run_suite(suite: str, seed: int, sizes: dict, count: int = DEFAULT_COUNT,
         elif name == "vaught":
             checks = run_vaught(tables, seed, 200)
         else:
-            checks = run_basis(tables, seed)
+            checks = run_basis(tables, seed, budgets)
         report = VerificationReport(name, checks)
         if on_report is not None:
             on_report(report)

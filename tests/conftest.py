@@ -143,8 +143,9 @@ def set_level(table: hj.LevelTable, level: int, arr: np.ndarray) -> hj.LevelTabl
     """Fault injection: ``table`` with the dense (P,B,P,B) array ``arr`` as
     its level ``level``; one past the last level appends it, and the table
     then stabilizes there.  The table is first put in one-block form, one
-    block over all points with each level its dense table, so entries off
-    the orbit blocks can be set too; the memos of the old levels go."""
+    block over all points with each level its dense table, and every point
+    indexed into that block, so entries off the orbit blocks can be set
+    too; the memos of the old levels go."""
     levels = [table.level(a) for a in range(1, table.max_level() + 1)]
     if level == len(levels) + 1:
         levels.append(arr)
@@ -152,6 +153,8 @@ def set_level(table: hj.LevelTable, level: int, arr: np.ndarray) -> hj.LevelTabl
     else:
         levels[level - 1] = arr
     table.blocks = [np.arange(table.npoints)]
+    table._owner = np.zeros(table.npoints, dtype=np.intp)
+    table._local = np.arange(table.npoints)
     table.levels = [[dense] for dense in levels]
     table._equiv, table._held = {}, None
     return table

@@ -266,6 +266,15 @@ def test_compare_empty_signature_degenerate(capsys):
     assert "CHECK name=scott_implies_hjorth verdict=pass" in out
 
 
+def test_compare_empty_signature_with_rel_usage_error(capsys):
+    code = main(["compare", "--empty-signature", "--rel", "edge:2", "--n", "1",
+                 "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --rel does not apply to --empty-signature\n"
+
+
 def test_compare_budget_env(capsys):
     os.environ["RANKFORGE_BUDGET"] = "n=2"
     try:
@@ -310,6 +319,27 @@ def test_hjorth_table_pairs_budget_env(action_path):
     assert "RANK" not in proc.stdout
     # records stream: the CONFIG record printed before the failure stays
     assert proc.stdout.startswith("CONFIG command=hjorth ")
+
+
+@pytest.mark.parametrize("args, budget, config", [
+    # the first ensemble table is 5 points x 63 basis sets = 315 pairs
+    (["verify", "lemmas", "--seed", "7", "--count", "3"], 50, "verify"),
+    # the second ensemble table is 5 points x 15 basis sets = 75 pairs
+    (["verify", "basis", "--seed", "0", "--count", "3"], 50, "verify"),
+    # every orbit table of the scan at n=2 is 6 pairs
+    (["verify", "comparison", "--sizes", "n<=2"], 5, "verify"),
+    (["compare", "--n", "2"], 5, "compare"),
+], ids=["verify-lemmas", "verify-basis", "verify-comparison", "compare"])
+def test_table_pairs_budget_env_bounds_every_table(args, budget, config):
+    proc = run_cli([*args, "--format", "records"],
+                   {"RANKFORGE_BUDGET": f"table_pairs={budget}"})
+    assert proc.returncode == 3
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert f"table budget of {budget}" in errors[0]
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith(f"CONFIG command={config} ")
+    assert "CHECK" not in proc.stdout
 
 
 @pytest.mark.parametrize("args", [

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from rankforge import verify as vf
-from rankforge.actions import ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction
-from rankforge.common import (STAB, BudgetError, InvalidBaseRelationError,
+from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction,
+                               SymbolicLogicAction)
+from rankforge.common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
                               RankforgeError, UnsupportedOperationError)
 from rankforge import hjorth as hj
 from rankforge.oracle import orbit_partition
+from rankforge.structures import SuppStructure
 
 from conftest import (EDGE_SIG, CorruptedSystem, edge_structures,
                       make_non_basis_family, make_stab2_system, make_sys1,
                       one_block_levels, rank_condition_reference,
-                      relabel_hjorth_system, scott_hjorth_comparison)
+                      relabel_hjorth_system, scott_hjorth_comparison, set_level)
 
 
 def test_level_table_base_level(sys1, basis_index):
@@ -301,9 +303,13 @@ def test_table_functions_store_nothing_on_the_system(make):
 
 
 def test_table_budget():
+    # 4 points x 1 basis set = 4 pairs
     big = FiniteDiscreteAction(4, [("e", (0, 1, 2, 3))], ALL_SUBSETS)
-    with pytest.raises(BudgetError):
-        hj.LevelTable(big, table_pairs_budget=2)
+    with pytest.raises(BudgetError, match="exceed the table budget of 2"):
+        hj.LevelTable(big, budgets=Budgets(table_pairs=2))
+    with pytest.raises(BudgetError, match="exceed the table budget of 3"):
+        hj.leq_table(big, budgets=Budgets(table_pairs=3))
+    assert hj.leq_table(big, budgets=Budgets(table_pairs=4)).stab == 1
 
 
 def test_records_format():
@@ -435,8 +441,7 @@ def make_interleaved(*flips) -> FlippedImages:
 
 
 def orbit_blocks(sys) -> list[list[int]]:
-    table = hj.leq_table(sys, max_level=1)
-    return [b.tolist() for b in hj._orbit_blocks(sys.image_tensor(), table.sub)]
+    return [b.tolist() for b in hj.leq_table(sys, max_level=1).blocks]
 
 
 def reference_outcome(sys, max_level=None):
@@ -460,6 +465,14 @@ def assert_matches_one_block(sys, max_level=None):
         assert got.dtype == bool and np.array_equal(got, level)
 
 
+def make_symbolic(*structures) -> SymbolicLogicAction:
+    """The windowed symbolic action (s = 2, k = 1) on supported edge
+    structures, each given by its edge list."""
+    return SymbolicLogicAction(EDGE_SIG, 2, 1, [
+        SuppStructure(EDGE_SIG, 2, frozenset(("edge", e) for e in edges))
+        for edges in structures])
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_orbit_blocked_build_matches_one_block_on_ensembles(seed):
     for sys in vf.ensemble(seed, 20):
@@ -472,11 +485,17 @@ def test_orbit_blocked_build_matches_one_block_on_ensembles(seed):
     (lambda: FiniteLogicAction(EDGE_SIG, 3, 3, edge_structures(3, 4)), 41),
     (make_two_orbits, 3),
     (make_uneven_orbits, 2),
+    # C3 acting on itself: one orbit, stabilizing above level 1
+    (make_non_basis_family, 1),
     # emptying the image of (0,{e}) puts T_1 entries across orbits, so the
     # build falls back to one block
     (lambda: make_interleaved((0, 0, 0)), 1),
-], ids=["relabel-244", "edge-210", "two-orbits", "uneven-orbits",
-        "emptied-image"])
+    # no image tensor: one block, one cc call per entry; the second
+    # system's level 2 grows
+    (lambda: make_symbolic([(0, 0), (0, 1)], [(1, 0), (1, 1)]), 1),
+    (lambda: make_symbolic([(0, 1)], [(0, 1), (1, 1)], []), 1),
+], ids=["relabel-244", "edge-210", "two-orbits", "uneven-orbits", "one-orbit",
+        "emptied-image", "symbolic", "symbolic-aborting"])
 def test_orbit_blocked_build_matches_one_block(make, nblocks):
     sys = make()
     assert len(orbit_blocks(sys)) == nblocks
@@ -551,6 +570,14 @@ def leq_quads(table, rng):
     return quads
 
 
+def with_point0_flipped(table):
+    """The table with every level-1 entry of point 0 flipped, through
+    ``set_level``."""
+    flipped = table.level(1).copy()
+    flipped[0] = ~flipped[0]
+    return set_level(table, 1, flipped)
+
+
 @pytest.mark.parametrize("tables", [
     lambda: [hj.leq_table(s) for s in vf.ensemble(3, 6)],
     lambda: [hj.leq_table(make_stab2_system())],
@@ -560,7 +587,13 @@ def leq_quads(table, rng):
     lambda: [hj.leq_table(make_uneven_orbits())],
     # emptying the image of (0,{e}) makes one block, whose level 2 grows
     lambda: [hj.leq_table(make_interleaved((0, 0, 0)), max_level=1)],
-], ids=["ensemble-3", "stab2", "relabel-244", "uneven-orbits", "emptied-image"])
+    # one orbit: level() returns the block itself
+    lambda: [hj.leq_table(make_non_basis_family())],
+    # set_level puts a one-block and a three-block table in one-block form
+    lambda: [with_point0_flipped(hj.leq_table(make_non_basis_family())),
+             with_point0_flipped(hj.leq_table(make_two_orbits()))],
+], ids=["ensemble-3", "stab2", "relabel-244", "uneven-orbits", "emptied-image",
+        "one-orbit", "set-level"])
 def test_block_readers_match_dense_levels(tables):
     rng = random.Random(0)
     for table in tables():

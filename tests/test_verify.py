@@ -10,7 +10,7 @@ from rankforge import scott as sc
 from rankforge import verify as vf
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction,
                                _all_structures)
-from rankforge.common import STAB
+from rankforge.common import STAB, BudgetError, Budgets
 from rankforge.hjorth import LevelTable, leq_table
 from rankforge.oracle import LeqOracle
 from rankforge.structures import FinStructure, Signature
@@ -365,9 +365,10 @@ def test_level_monotonicity_names_the_system_and_the_level_that_grew(level, quad
 
 def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
     # the stab-2 system fails three checks as sys0; each system's rng is
-    # read in a fixed order (Vaught: the shared sets, then star points while
-    # that law is open, then fixed-point picks; basis: the extra sets, then
-    # the subgroup generators), which the patched runs below pin
+    # read in a fixed order whatever the verdicts (Vaught: each draw's
+    # shared sets and star points, then the fixed-point picks; basis: the
+    # extra sets, then the subgroup generators), which the patched runs
+    # below pin
     tables = [leq_table(s) for s in [make_stab2_system()] + vf.ensemble(3, 6)]
     checks = (vf.run_lemmas(tables) + vf.run_iso(tables) + vf.run_vaught(tables, 0, 200)
               + vf.run_basis(tables, 0))
@@ -395,7 +396,7 @@ def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
         frozenset(), frozenset({0}), True))
     vaught = by_name(vf.run_vaught(tables, 0, 200))
     assert vaught["fixed_point_characterization"].witness == \
-        "sys0:U={g0,g1,g4}:direct={},table={0}"
+        "sys0:U={g0,g1,g5}:direct={},table={0}"
 
     # ranks raised on tables of groups of order <= 2 that are not ensemble
     # tables: the first system whose drawn subgroup is that small fails
@@ -405,6 +406,60 @@ def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
     basis = by_name(vf.run_basis(tables, 0))
     assert basis["basis_shift_bound"].witness == "sys4:x=0:shift=3"
     assert basis["clopen_subgroup_bound"].witness == "sys2:O={e,g3}:4>1+1"
+
+
+SCOTT_RANK = sc.scott_rank
+
+
+def ranked_structures(monkeypatch, seed, exhaustive_n):
+    """The verdicts of ``scott_structure_checks`` and every structure that
+    its rank checks hand to ``scott_rank``, in call order: the rng stream
+    that ``scott_iso_finite`` leaves to them."""
+    ranked = []
+    monkeypatch.setattr(sc, "scott_rank", lambda m: ranked.append(m) or SCOTT_RANK(m))
+    checks = vf.scott_structure_checks(seed, exhaustive_n, 6)
+    return {c.name: c.witness for c in checks}, ranked
+
+
+class MergedRoots(sc.ScottTable):
+    """A Scott table of more than two structures whose stabilized root
+    classes are all one class."""
+
+    def class_of(self, i, tup, alpha):
+        if len(self.family) > 2 and tuple(tup) == () and alpha == STAB:
+            return ("root",)
+        return super().class_of(i, tup, alpha)
+
+
+def flip_every_37th_iso_check(monkeypatch):
+    calls = [0]
+    iso = sc.scott_iso_check
+
+    def flipped(m, n):
+        calls[0] += 1
+        return iso(m, n) != (calls[0] % 37 == 0)
+
+    monkeypatch.setattr(sc, "scott_iso_check", flipped)
+
+
+@pytest.mark.parametrize("seed, exhaustive_n, fault, witness", [
+    # call 37 judges the 37th relabeled copy; the distinct pairs, drawn
+    # after every copy, are not judged
+    (7, 4, flip_every_37th_iso_check, "rep 100: relabeled copy not stab-equivalent"),
+    # the root-class check fails before any sample is judged, and every
+    # copy and pair is still drawn
+    (3, 3, lambda mp: mp.setattr(sc, "ScottTable", MergedRoots),
+     "reps 0 and 1 share stabilized root class"),
+], ids=["flipped-iso-check", "merged-roots"])
+def test_scott_iso_finite_draws_every_sample_before_judging(monkeypatch, seed,
+                                                            exhaustive_n, fault,
+                                                            witness):
+    clean, clean_ranked = ranked_structures(monkeypatch, seed, exhaustive_n)
+    assert all(w is None for w in clean.values())
+    fault(monkeypatch)
+    faulty, faulty_ranked = ranked_structures(monkeypatch, seed, exhaustive_n)
+    assert faulty == {**clean, "scott_iso_finite": witness}
+    assert faulty_ranked == clean_ranked and len(clean_ranked) == 41
 
 
 def test_mulclose_checks_generators_against_cap():
@@ -489,6 +544,29 @@ def test_run_suite_dispatch():
     assert len(reports) == 1 and reports[0].suite == "basis"
     with pytest.raises(ValueError):
         vf.run_suite("nope", seed=0, sizes={})
+
+
+@pytest.mark.parametrize("suite, sizes, tables", [
+    # three ensemble tables, then each system's alternate-basis and
+    # subgroup tables
+    ("basis", {}, 9),
+    # one table per S_n-orbit of edge structures: 2 at n=1, 10 at n=2
+    ("comparison", {"n": 2}, 12),
+], ids=["basis", "comparison"])
+def test_every_table_build_gets_the_callers_budgets(monkeypatch, suite, sizes, tables):
+    budgets = Budgets(table_pairs=5000)
+    given = []
+    build = hj.leq_table
+
+    def spy(sys, max_level=None, budgets=None):
+        given.append(budgets)
+        return build(sys, max_level, budgets)
+
+    monkeypatch.setattr(hj, "leq_table", spy)
+    vf.run_suite(suite, seed=0, sizes=sizes, count=3, budgets=budgets)
+    assert len(given) == tables and all(b is budgets for b in given)
+    with pytest.raises(BudgetError, match="exceed the table budget of 1$"):
+        vf.run_suite(suite, seed=0, sizes=sizes, count=3, budgets=Budgets(table_pairs=1))
 
 
 def test_comparison_scan_builds_one_system_per_orbit(monkeypatch):
