@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import hjorth as hj
 from . import scott as sc
 from . import verify as vf
@@ -98,8 +100,11 @@ class Output:
         if self.fmt == "text":
             print(line)
 
-    def both(self, line: str):
-        print(line)
+    def check(self, result: vf.CheckResult):
+        """A check's CHECK record, in either format, and in text its stats."""
+        print(result.record())
+        if result.stats and self.fmt == "text":
+            print("  " + " ".join(f"{k}={v}" for k, v in sorted(result.stats.items())))
 
 
 def cmd_scott_rank(args, budgets: Budgets) -> int:
@@ -112,14 +117,14 @@ def cmd_scott_rank(args, budgets: Budgets) -> int:
         if args.structure not in structures:
             raise RankforgeError(f"no structure {args.structure} in {args.file}")
         structures = {args.structure: structures[args.structure]}
+    for ident, struct in structures.items():
+        if not isinstance(struct, FinStructure):
+            raise RankforgeError(f"{ident} is not a finite structure")
     out.record(config_record(command="scott-rank", input=args.file,
                              format=args.format))
     for ident, struct in structures.items():
-        if not isinstance(struct, FinStructure):
-            print(f"error: {ident} is not a finite structure", file=sys.stderr)
-            return EXIT_USAGE
         rank = sc.scott_rank(struct)
-        out.record(hj.rank_record(ident, rank, rank))
+        out.record(f"RANK point={ident} delta={rank} stab={rank}")
         out.text(f"{ident}: rank {rank} (levels stabilize at {rank})")
     return EXIT_PASS
 
@@ -201,32 +206,25 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
     try:
         table = hj.leq_table(sysb, max_level=args.max_level, budgets=budgets)
     except InvalidBaseRelationError as exc:
-        out.both(hj.check_record("level_monotonicity", False,
-                                 hj.quad_witness(sysb, *exc.witness)))
+        out.check(vf.CheckResult("level_monotonicity",
+                                 vf.quad_witness(sysb, *exc.witness)))
         return EXIT_FAIL
 
-    if args.dump:
-        for level in range(1, table.max_level() + 1):
-            arr = table.level(level)
-            for x0 in range(table.npoints):
-                for v0 in range(table.nbasis):
-                    for x1 in range(table.npoints):
-                        for v1 in range(table.nbasis):
-                            out.record(hj.leq_record(
-                                level, sysb.points[x0], sysb.basis[v0],
-                                sysb.points[x1], sysb.basis[v1],
-                                bool(arr[x0, v0, x1, v1])))
+    if args.dump and args.format == "records":
+        levels = [table.level(a) for a in range(1, table.max_level() + 1)]
+        for a, x0, v0, x1, v1 in np.ndindex(len(levels), *levels[0].shape):
+            out.record(f"LEQ level={a + 1} x0={sysb.points[x0]} V0={sysb.basis[v0]} "
+                       f"x1={sysb.points[x1]} V1={sysb.basis[v1]} "
+                       f"val={int(levels[a][x0, v0, x1, v1])}")
 
     if not table.stabilized:
-        out.both(hj.check_record("stabilization", False,
-                                 f"truncated@{table.max_level()}"))
+        out.check(vf.CheckResult("stabilization", f"truncated@{table.max_level()}"))
         return EXIT_FAIL
 
     failures = 0
     if args.oracle:
         mismatch, _ = vf.oracle_mismatch(sysb, table)
-        out.both(hj.check_record("leq_oracle_equivalence", mismatch is None,
-                                 mismatch))
+        out.check(vf.CheckResult("leq_oracle_equivalence", mismatch))
         failures += mismatch is not None
 
     wanted = (range(len(sysb.points)) if args.point is None
@@ -240,10 +238,10 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
                 m = hj.minimal_m(table, x)
             except RankforgeError:  # the family is not a basis
                 no_m = no_m or point_ids[x]
-        out.record(hj.rank_record(point_ids[x], rank, table.stab, m))
+        out.record(f"RANK point={point_ids[x]} delta={rank} stab={table.stab} m={m}")
         out.text(f"point {point_ids[x]}: rank {rank}, stab {table.stab}, m {m}")
     if no_m is not None:
-        out.both(hj.check_record("minimal_m_finite", False, no_m))
+        out.check(vf.CheckResult("minimal_m_finite", no_m))
         failures += 1
     for value, block in hj.partition_by_rank(table):
         names = ";".join(point_ids[x] for x in sorted(block))
@@ -260,7 +258,11 @@ def cmd_verify(args, budgets: Budgets) -> int:
         if cap > budget:
             raise BudgetError(f"--sizes {key}<={cap} exceeds budget {key}={budget}")
     for key, default in vf.DEFAULT_SIZES.items():
-        sizes.setdefault(key, min(default, getattr(budgets, key)))
+        budget = getattr(budgets, key)
+        if key not in sizes and budget < _SIZE_MIN[key]:
+            raise BudgetError(f"budget {key}={budget} is below the least size "
+                              f"of {key}, {_SIZE_MIN[key]}")
+        sizes.setdefault(key, min(default, budget))
     out.record(config_record(command="verify", suite=args.suite, seed=args.seed,
                              sizes=_sizes_str(sizes), count=args.count,
                              format=args.format))
@@ -269,10 +271,7 @@ def cmd_verify(args, budgets: Budgets) -> int:
 
     def emit(report):
         for check in report.checks:
-            out.both(check.record())
-            if check.stats and args.format == "text":
-                out.text("  " + " ".join(f"{k}={v}" for k, v in
-                                         sorted(check.stats.items())))
+            out.check(check)
 
     reports = vf.run_suite(args.suite, args.seed, sizes, count=args.count,
                            on_report=emit, budgets=budgets)
@@ -300,7 +299,7 @@ def cmd_compare(args, budgets: Budgets) -> int:
     counterexamples, profile, scanned = vf.comparison_scan(
         max_n=args.n, max_tuple=args.max_tuple, seed=args.seed,
         signature=signature, budgets=budgets)
-    out.both(hj.check_record("scott_implies_hjorth", not counterexamples,
+    out.check(vf.CheckResult("scott_implies_hjorth",
                              vf.comparison_witness(counterexamples)))
     out.text(f"scanned {scanned} instances, {len(counterexamples)} counterexamples")
     for (s_level, h_level) in sorted(profile):

@@ -537,25 +537,3 @@ def basis_shift_check(table: LevelTable, alt: LevelTable) -> dict[int, int]:
     return {x: abs(hjorth_rank(table, x) - hjorth_rank(alt, x))
             for x in range(table.npoints)}
 
-
-# ---------------------------------------------------------------------------
-# Record output (stable machine format, one record per line)
-
-
-def leq_record(level: int, x0: str, v0: str, x1: str, v1: str, val: bool) -> str:
-    return f"LEQ level={level} x0={x0} V0={v0} x1={x1} V1={v1} val={int(val)}"
-
-
-def rank_record(point: str, delta: int, stab: int, m: int | str | None = None) -> str:
-    base = f"RANK point={point} delta={delta} stab={stab}"
-    return base if m is None else f"{base} m={m}"
-
-
-def quad_witness(sys: ActionSystem, x0: int, v0: int, x1: int, v1: int) -> str:
-    return (f"(x0={sys.points[x0]},V0={sys.basis[v0]},"
-            f"x1={sys.points[x1]},V1={sys.basis[v1]})")
-
-
-def check_record(name: str, passed: bool, witness: str | None = None) -> str:
-    verdict = "pass" if passed else "fail"
-    return f"CHECK name={name} verdict={verdict} witness={witness or '-'}"

@@ -67,10 +67,6 @@ class ScottOracle:
         return out
 
 
-# a level's cell bytes to one bit per cell: byte 2 (true) -> 1, others -> 0
-_LANE = bytes(1 if i == 2 else 0 for i in range(256))
-
-
 class LeqOracle:
     """The level relation of one action system, from its defining clauses.
 
@@ -78,15 +74,15 @@ class LeqOracle:
     over shrinking basis sets with the argument pairs flipped.  The memo is
     one bytearray per level, allocated when an evaluation first reaches that
     level: cell ((x0*B + V0)*P + x1)*B + V1, for P points and B basis sets,
-    holds 0 while unknown, 1 for false and 2 for true.  It is filled one x0
-    block at a time, the B*P*B cells (x0, ., ., .) of one level, and one
-    done byte per x0 and level marks the blocks filled.  ``query`` answers
-    one cell and ``row`` the P*B cells of one (x0, V0), each from the block
-    of its x0.
+    holds 1 for true and 0 for false, the bytes of a boolean level table.
+    It is filled one x0 block at a time, the B*P*B cells (x0, ., ., .) of
+    one level, and one done byte per x0 and level marks the blocks filled;
+    a cell is read only once its block is.  ``query`` answers one cell and
+    ``row`` the P*B cells of one (x0, V0), each from the block of its x0.
 
     Level 1 calls cc once per cell.  Above it, block (a, alpha) reads, for
     each x1 = b, the filled block (b, alpha - 1): the B cells (b, W1, a, .)
-    become one int with one byte lane per W0, set when (b, W1) <= (a, W0)
+    are one int with one byte lane per W0, 1 when (b, W1) <= (a, W0)
     holds there.  ``reach[V1]`` is the OR of these over W1 <= V1, and
     ``need[V0]`` has the lane of each W0 <= V0 set, so "every W0 <= V0 has
     a W1 <= V1" is ``need[V0] & ~reach[V1] == 0``: the successor clause,
@@ -123,11 +119,12 @@ class LeqOracle:
         self._check(alpha, (x0, v0), (x1, v1))
         nb = self._nbasis
         key = ((x0 * nb + v0) * self._npoints + x1) * nb + v1
-        return self._block(x0, alpha)[key] == 2
+        return self._block(x0, alpha)[key] == 1
 
     def row(self, x0: int, v0: int, alpha: int) -> bytes:
         """The cells (x0, V0, x1, V1) at level alpha for every (x1, V1), in
-        index order, as bytes: 1 for false, 2 for true."""
+        index order, as bytes: 1 for true, 0 for false, so a table's row
+        ``level[x0, V0].tobytes()`` compares with it directly."""
         self._check(alpha, (x0, v0))
         cells = self._block(x0, alpha)
         lo = (x0 * self._nbasis + v0) * self._half
@@ -149,7 +146,8 @@ class LeqOracle:
             pairs = [(x1, v1) for x1 in range(npoints) for v1 in range(nb)]
             for v0 in range(nb):
                 key = lo + v0 * half
-                cells[key:key + half] = bytes([2 if cc(a, v0, x1, v1) else 1
+                # by truth value: bytes() refuses a numpy bool
+                cells[key:key + half] = bytes([1 if cc(a, v0, x1, v1) else 0
                                                for x1, v1 in pairs])
         else:
             subs, need = self._subs, self._need
@@ -157,7 +155,7 @@ class LeqOracle:
                 below = self._block(b, level - 1)
                 # lanes[W1]: byte W0 is 1 iff (b, W1) <= (a, W0) one level down
                 start = b * nb * half + a * nb
-                lanes = [int.from_bytes(below[i:i + nb].translate(_LANE), "little")
+                lanes = [int.from_bytes(below[i:i + nb], "little")
                          for i in range(start, start + nb * half, half)]
                 # misses[V1] = ~reach[V1], reach the OR of lanes[W1] over W1 <= V1
                 misses = []
@@ -168,7 +166,7 @@ class LeqOracle:
                     misses.append(~reach)
                 key = lo + b * nb
                 for n in need:
-                    cells[key:key + nb] = bytes([1 if n & miss else 2 for miss in misses])
+                    cells[key:key + nb] = bytes([0 if n & miss else 1 for miss in misses])
                     key += half
         done[a] = 1
         return cells

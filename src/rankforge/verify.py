@@ -53,7 +53,9 @@ class CheckResult:
         return self.witness is None
 
     def record(self) -> str:
-        return hj.check_record(self.name, self.passed, self.witness)
+        """The CHECK record: the one place a check's verdict is written."""
+        verdict = "pass" if self.passed else "fail"
+        return f"CHECK name={self.name} verdict={verdict} witness={self.witness or '-'}"
 
 
 @dataclass
@@ -85,6 +87,12 @@ def shrink_point_set(points: frozenset[int], still_fails) -> frozenset[int]:
                 current = smaller
                 changed = True
     return current
+
+
+def quad_witness(sys, x0: int, v0: int, x1: int, v1: int) -> str:
+    """A quadruple (x0, V0, x1, V1) of point and basis indices, by name."""
+    return (f"(x0={sys.points[x0]},V0={sys.basis[v0]},"
+            f"x1={sys.points[x1]},V1={sys.basis[v1]})")
 
 
 def _fmt_set(sys, points) -> str:
@@ -234,15 +242,11 @@ def _build_tables(systems, budgets: Budgets | None = None
         try:
             tables.append(hj.leq_table(sys, budgets=budgets))
         except InvalidBaseRelationError as exc:
-            return hj.quad_witness(sys, *exc.witness)
+            return quad_witness(sys, *exc.witness)
         return None
 
     check = run_law("level_monotonicity", builds, systems)
     return tables, None if check.passed else check
-
-
-# table bytes (0 false, 1 true) to oracle cells (1 false, 2 true)
-_AS_CELLS = bytes.maketrans(b"\x00\x01", b"\x01\x02")
 
 
 def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
@@ -263,12 +267,12 @@ def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
             diffs = []
             for a, arr in zip(levels, arrays):
                 got = oc.row(x0, v0, a)
-                want = arr[x0, v0].tobytes().translate(_AS_CELLS)
+                want = arr[x0, v0].tobytes()
                 if got != want:
                     diffs.append((next(i for i in range(half) if got[i] != want[i]), a))
             if diffs:
                 i, a = min(diffs)
-                witness = hj.quad_witness(sys, x0, v0, *divmod(i, table.nbasis))
+                witness = quad_witness(sys, x0, v0, *divmod(i, table.nbasis))
                 return f"{witness}@level={a}", quads + i + 1
             quads += half
     return None, quads

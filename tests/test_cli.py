@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from rankforge import cli
 from rankforge import hjorth as hj
+from rankforge import verify as vf
 from rankforge.cli import main
 
 from conftest import STAB2_ACTION
@@ -58,13 +60,13 @@ def action_path(tmp_path):
     return str(p)
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "rankforge", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_scott_rank_records(struct_path, capsys):
@@ -104,19 +106,72 @@ def test_scott_rank_unknown_structure_exits_2(struct_path, capsys):
     assert "RANK point=L2 delta=1 stab=1" in capsys.readouterr().out
 
 
-def test_scott_rank_keeps_records_before_a_non_finite_structure(tmp_path, capsys):
-    # the finite structure is ranked before the supported one is reached
+def test_scott_rank_refuses_a_non_finite_structure_before_any_record(tmp_path, capsys):
+    # every selected structure is checked before the CONFIG record
     p = tmp_path / "mixed.txt"
     p.write_text("signature\nrel edge 2\nend\n"
-                 "structure F size 2\nedge 0 1\nend\n"
-                 "supported S support 2\nedge 0 1\nend\n")
-    code = main(["scott-rank", str(p), "--format", "records"])
-    captured = capsys.readouterr()
-    assert code == 2
-    config, *records = captured.out.splitlines()
-    assert config.startswith("CONFIG command=scott-rank")
-    assert records == ["RANK point=F delta=1 stab=1"]
-    assert captured.err == "error: S is not a finite structure\n"
+                 "structure A size 2\nedge 0 1\nend\n"
+                 "supported S support 1\nend\n")
+    for extra in ([], ["--structure", "S"]):
+        code = main(["scott-rank", str(p), *extra, "--format", "records"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: S is not a finite structure\n"
+    assert main(["scott-rank", str(p), "--structure", "A", "--format", "records"]) == 0
+
+
+def test_records_format(struct_path, tmp_path, capsys):
+    # each record kind as the cli writes it; every CHECK record is written by
+    # CheckResult.record()
+    assert main(["scott-rank", struct_path, "--format", "records"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["RANK point=L2 delta=1 stab=1"]
+    p = tmp_path / "stab2.act"
+    p.write_text(STAB2_ACTION)
+    assert main(["hjorth", str(p), "--dump", "--format", "records"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    leq = [line for line in out if line.startswith("LEQ ")]
+    # levels 1 and 2 of (5 points x 12 basis sets)^2 entries, in index order
+    # (level, x0, V0, x1, V1)
+    assert len(leq) == 2 * 60 * 60
+    assert leq[:2] == ["LEQ level=1 x0=0 V0={g0,g1,g4} x1=0 V1={g0,g1,g4} val=1",
+                       "LEQ level=1 x0=0 V0={g0,g1,g4} x1=0 V1={g0,g1,g5} val=1"]
+    assert leq[12] == "LEQ level=1 x0=0 V0={g0,g1,g4} x1=1 V1={g0,g1,g4} val=0"
+    assert leq[60] == "LEQ level=1 x0=0 V0={g0,g1,g5} x1=0 V1={g0,g1,g4} val=1"
+    assert leq[3600] == "LEQ level=2 x0=0 V0={g0,g1,g4} x1=0 V1={g0,g1,g4} val=1"
+    assert "LEQ level=2 x0=1 V0={g0,g1,g4} x1=0 V1={g0,g1,g4} val=0" in leq
+    assert leq[-1] == ("LEQ level=2 x0=4 V0={g1,g2,g3,g4,g5} "
+                       "x1=4 V1={g1,g2,g3,g4,g5} val=1")
+    assert "RANK point=0 delta=2 stab=2 m=0" in out
+    assert vf.CheckResult("x").record() == "CHECK name=x verdict=pass witness=-"
+    assert vf.CheckResult("x", "(q)").record() == "CHECK name=x verdict=fail witness=(q)"
+
+
+CHECK_LINE = re.compile(r"CHECK name=\S+ verdict=(pass|fail) witness=(.*)")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "all", "--seed", "7", "--count", "20"], 0),
+    (["hjorth", "{stab2}", "--oracle", "--dump"], 0),
+    (["hjorth", "{action}", "--max-level", "1"], 1),
+    (["hjorth", "{non_basis}"], 1),
+    (["compare", "--n", "2"], 0),
+], ids=["verify-all", "hjorth-oracle", "hjorth-max-level", "hjorth-no-m", "compare"])
+def test_check_passes_exactly_when_it_has_no_witness(args, code, tmp_path, action_path,
+                                                     capsys):
+    stab2, non_basis = tmp_path / "stab2.act", tmp_path / "c3.act"
+    stab2.write_text(STAB2_ACTION)
+    non_basis.write_text("space size 3\ngroup\nelem e : 0 1 2\nelem r : 1 2 0\n"
+                         "elem r2 : 2 0 1\nend\nbasis sets: {e,r} {e,r2} {e,r,r2}\n")
+    argv = [a.format(stab2=stab2, action=action_path, non_basis=non_basis) for a in args]
+    assert main([*argv, "--format", "records"]) == code
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("CHECK ")]
+    assert checks
+    for line in checks:
+        verdict, witness = CHECK_LINE.fullmatch(line).groups()
+        assert (verdict == "pass") == (witness == "-"), line
+    assert any(" verdict=fail " in line for line in checks) == bool(code)
 
 
 def test_hjorth_records(action_path, capsys):
@@ -291,6 +346,20 @@ def test_verify_default_sizes_are_capped_by_the_budget(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "CONFIG command=verify suite=comparison seed=0 sizes=g<=3,x<=6,n<=2 "
         "count=200 format=records")
+
+
+@pytest.mark.parametrize("suite, budget, least", [
+    ("lemmas", "g=0", "g, 1"),  # unchecked, drawing a group never ends
+    ("lemmas", "x=1", "x, 2"),  # unchecked, an empty randrange: exit 4
+    ("comparison", "n=0", "n, 1"),  # unchecked, an empty scan passes
+], ids=["g", "x", "n"])
+def test_verify_budget_below_the_least_size_exit_3(suite, budget, least):
+    # a subprocess with a timeout, so that a hang fails instead of blocking
+    proc = run_cli(["verify", suite, "--count", "1", "--format", "records"],
+                   {"RANKFORGE_BUDGET": budget}, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: budget {budget} is below the least size of {least}\n"
 
 
 def test_sizes_flag_parsing(capsys):

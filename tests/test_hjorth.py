@@ -312,16 +312,6 @@ def test_table_budget():
     assert hj.leq_table(big, budgets=Budgets(table_pairs=4)).stab == 1
 
 
-def test_records_format():
-    assert hj.leq_record(2, "0", "{e}", "1", "{s}", True) == \
-        "LEQ level=2 x0=0 V0={e} x1=1 V1={s} val=1"
-    assert hj.rank_record("L2", 1, 3) == "RANK point=L2 delta=1 stab=3"
-    assert hj.rank_record("0", 1, 1, 0) == "RANK point=0 delta=1 stab=1 m=0"
-    assert hj.check_record("x", True) == "CHECK name=x verdict=pass witness=-"
-    assert hj.check_record("x", False, "(q)") == \
-        "CHECK name=x verdict=fail witness=(q)"
-
-
 def test_translation_invariance_all_levels(sys1):
     table = hj.leq_table(sys1)
     for alpha in (1, 2, STAB):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,7 +141,7 @@ def assert_rows_match(oracle, reference, sys, levels):
     for level in levels:
         for x0 in range(npoints):
             for v0 in range(nb):
-                want = bytes(2 if reference._rec(x0, v0, x1, v1, level) else 1
+                want = bytes(int(reference._rec(x0, v0, x1, v1, level))
                              for x1 in range(npoints) for v1 in range(nb))
                 assert oracle.row(x0, v0, level) == want, (x0, v0, level)
 
@@ -166,6 +167,32 @@ def test_row_matches_dict_memo_recursion_after_queries(sys):
     for query in queries[:len(queries) // 2]:
         assert oracle.query(*query) == reference._rec(*query), query
     assert_rows_match(oracle, reference, sys, [4, 2, 3, 1])
+
+
+@pytest.mark.parametrize("make_sys", [make_sys1, make_stab2_system,
+                                      make_non_basis_family])
+def test_row_is_the_stabilized_table_row_bytes(make_sys):
+    # the memo holds the table's own bytes, 1 for true and 0 for false
+    sys = make_sys()
+    table = leq_table(sys)
+    oracle = LeqOracle(sys)
+    for level in range(1, table.stab + 2):
+        arr = table.level(level)
+        for x0 in range(table.npoints):
+            for v0 in range(table.nbasis):
+                assert oracle.row(x0, v0, level) == arr[x0, v0].tobytes(), (x0, v0, level)
+
+
+class NumpyBoolSystem(RecordingSystem):
+    """A system whose cc answers numpy bools, which bytes() refuses."""
+
+    def cc(self, *quad):
+        return np.bool_(super().cc(*quad))
+
+
+def test_numpy_bool_cc_is_stored_by_truth_value():
+    sys = make_stab2_system()
+    assert_rows_match(LeqOracle(NumpyBoolSystem(sys)), DictMemoLeq(sys), sys, [1, 2, 3])
 
 
 class FailingOnceSystem(RecordingSystem):

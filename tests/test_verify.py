@@ -117,7 +117,7 @@ def per_quadruple_mismatch(sys, table):
                     quads += 1
                     for a, row in zip(levels, rows):
                         if oc.query(x0, v0, x1, v1, a) != row[x1][v1]:
-                            witness = hj.quad_witness(sys, x0, v0, x1, v1)
+                            witness = vf.quad_witness(sys, x0, v0, x1, v1)
                             return f"{witness}@level={a}", quads
     return None, quads
 
@@ -178,7 +178,7 @@ def test_level2_flip_on_the_stab2_system_is_a_level2_witness():
     quad = tuple(int(i) for i in np.argwhere(table.level(1) != table.level(2))[0])
     assert quad == (0, 0, 0, 10)
     flipped = _Flipped(table, [(2, quad)])
-    witness = f"{hj.quad_witness(sys, *quad)}@level=2"
+    witness = f"{vf.quad_witness(sys, *quad)}@level=2"
     assert vf.oracle_mismatch(sys, flipped) == (witness, 11)
     assert per_quadruple_mismatch(sys, flipped) == (witness, 11)
     check = vf.leq_oracle_check([sys], [flipped])
