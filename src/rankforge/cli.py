@@ -159,40 +159,45 @@ def _build_system(args, budgets: Budgets):
             sig, structures = parse_structures_file(handle.read())
         if not structures:
             raise RankforgeError("structure file holds no structures")
+        points = list(structures.values())
         if args.symbolic:
             support = args.support if args.support is not None else budgets.s
             k = args.k if args.k is not None else budgets.k
-            points = list(structures.values())
             if not all(isinstance(m, SuppStructure) for m in points):
                 raise RankforgeError("--symbolic needs supported structures")
-            return (SymbolicLogicAction(sig, support, k, points, budgets),
-                    list(structures))
+            sysb = SymbolicLogicAction(sig, support, k, points, budgets)
+            sysb.points = list(structures)
+            return sysb
         n = args.n if args.n is not None else budgets.n
         if n > budgets.n:
             raise BudgetError(f"n={n} exceeds budget n={budgets.n}")
         k = args.k if args.k is not None else min(n, budgets.k)
         if k > budgets.k:
             raise BudgetError(f"k={k} exceeds budget k={budgets.k}")
-        points = list(structures.values())
         if not all(isinstance(m, FinStructure) and m.size == n for m in points):
             raise RankforgeError(f"--logic needs finite structures of size {n}")
         sysb = FiniteLogicAction(sig, n, k, points)
+        # points are named once, by file id; a point the closure adds keeps
+        # M<i>, primed until no file id uses it
         by_struct = {m: ident for ident, m in structures.items()}
-        ids = [by_struct.get(m, sysb.points[i])
-               for i, m in enumerate(sysb.structures)]
-        return sysb, ids
+        names = []
+        for name, m in zip(sysb.points, sysb.structures):
+            while m not in by_struct and name in structures:
+                name += "'"
+            names.append(by_struct.get(m, name))
+        sysb.points = names
+        return sysb
     with open(args.file, encoding="utf-8") as handle:
         sysb = parse_action_file(handle.read(), budgets)
     if args.basis:
         sysb = sysb.with_basis(args.basis)
-    return sysb, None
+    return sysb
 
 
 def cmd_hjorth(args, budgets: Budgets) -> int:
     out = Output(args.format)
-    sysb, ids = _build_system(args, budgets)
-    point_ids = ids or list(sysb.points)
-    if args.point is not None and args.point not in point_ids:
+    sysb = _build_system(args, budgets)
+    if args.point is not None and args.point not in sysb.points:
         print(f"error: unknown point {args.point}", file=sys.stderr)
         return EXIT_USAGE
     out.record(config_record(command="hjorth", input=args.file or args.structures,
@@ -228,7 +233,7 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
         failures += mismatch is not None
 
     wanted = (range(len(sysb.points)) if args.point is None
-              else [point_ids.index(args.point)])
+              else [sysb.points.index(args.point)])
     no_m = None
     for x in wanted:
         rank = hj.hjorth_rank(table, x)
@@ -237,14 +242,14 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
             try:
                 m = hj.minimal_m(table, x)
             except RankforgeError:  # the family is not a basis
-                no_m = no_m or point_ids[x]
-        out.record(f"RANK point={point_ids[x]} delta={rank} stab={table.stab} m={m}")
-        out.text(f"point {point_ids[x]}: rank {rank}, stab {table.stab}, m {m}")
+                no_m = no_m or sysb.points[x]
+        out.record(f"RANK point={sysb.points[x]} delta={rank} stab={table.stab} m={m}")
+        out.text(f"point {sysb.points[x]}: rank {rank}, stab {table.stab}, m {m}")
     if no_m is not None:
         out.check(vf.CheckResult("minimal_m_finite", no_m))
         failures += 1
     for value, block in hj.partition_by_rank(table):
-        names = ";".join(point_ids[x] for x in sorted(block))
+        names = ";".join(sysb.points[x] for x in sorted(block))
         out.record(f"PART rank={value} points={names}")
         out.text(f"rank {value}: {names}")
     return EXIT_FAIL if failures else EXIT_PASS
@@ -263,6 +268,8 @@ def cmd_verify(args, budgets: Budgets) -> int:
             raise BudgetError(f"budget {key}={budget} is below the least size "
                               f"of {key}, {_SIZE_MIN[key]}")
         sizes.setdefault(key, min(default, budget))
+    # the CONFIG record names every size, so each suite refuses this
+    vf.check_scan_size(sizes["n"])
     out.record(config_record(command="verify", suite=args.suite, seed=args.seed,
                              sizes=_sizes_str(sizes), count=args.count,
                              format=args.format))
@@ -285,9 +292,9 @@ def cmd_compare(args, budgets: Budgets) -> int:
     out = Output(args.format)
     if args.empty_signature and args.rel:
         raise RankforgeError("--rel does not apply to --empty-signature")
-    cap = min(vf.COMPARISON_MAX_N, budgets.n)
-    if args.n > cap:
-        raise BudgetError(f"comparison scan n={args.n} exceeds budget n={cap}")
+    vf.check_scan_size(args.n)
+    if args.n > budgets.n:
+        raise BudgetError(f"comparison scan n={args.n} exceeds budget n={budgets.n}")
     if args.empty_signature:
         signature = Signature(())
     else:

@@ -48,7 +48,6 @@ transforms at finite-discrete scale read the action alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -464,55 +463,28 @@ def star_orbit_equivalence_check(table: LevelTable, y: int, w: int,
     return direct, table.leq(y, w, x, v, STAB)
 
 
-@dataclass(frozen=True)
-class FixedPointSets:
-    """Direct fixed-point set and its table characterization."""
-
-    direct: frozenset[int]
-    via_table: frozenset[int]
-    applicable: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.direct == self.via_table
-
-
-def fixed_point_set(table: LevelTable, u: int) -> FixedPointSets:
-    """Points fixed by some element of U, two ways: by direct enumeration and
-    as the points carrying a stabilized pair (V, W) with W^-1 V inside U.
-
-    The characterization needs arbitrarily small neighborhoods; with every
-    singleton in the basis it always applies, otherwise the result is marked
-    not applicable (the direct set is still exact).
-    """
+def fixed_point_set(table: LevelTable, u: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Points fixed by some element of U, two ways: ``(direct, via_table)``,
+    by direct enumeration and as the points carrying a stabilized pair
+    (V, W) with W^-1 V inside U.  The two agree when every singleton is a
+    basis set (arbitrarily small neighborhoods), which the caller checks."""
     sys = table.sys
     members = sys.basis_members(u)
-    npoints = len(sys.points)
-    direct = frozenset(x for x in range(npoints)
+    direct = frozenset(x for x in range(table.npoints)
                        if any(sys.act(g, x) == x for g in members))
 
-    ngroup = len(sys.group)
+    group = range(len(sys.group))
     inv, comp = sys.group_law()
-    nbasis = len(sys.basis)
-    basis_sets = [sys.basis_members(v) for v in range(nbasis)]
-    singles = {frozenset([g]) for g in range(ngroup)}
-    applicable = singles <= set(basis_sets)
-
-    member_of = np.zeros((nbasis, ngroup), dtype=bool)
-    for v, vset in enumerate(basis_sets):
-        for g in vset:
-            member_of[v, g] = True
-    # bad[V,W]: some w in W, v in V with w^-1 v outside U
-    bad = np.zeros((nbasis, nbasis), dtype=bool)
-    for g in range(ngroup):
-        for h in range(ngroup):
-            if comp[inv[g]][h] not in members:
-                bad |= np.outer(member_of[:, h], member_of[:, g])
-    good = ~bad
+    # in_basis[V, g]: g in V; outside[v, w]: w^-1 v outside U
+    in_basis = np.array([[g in sys.basis_members(v) for g in group]
+                         for v in range(len(sys.basis))], dtype=np.int64)
+    outside = np.array([[comp[inv[w]][v] not in members for w in group]
+                        for v in group], dtype=np.int64)
+    # good[V, W]: w^-1 v inside U for every v in V and w in W
+    good = in_basis @ outside @ in_basis.T == 0
     t = table.level(STAB)
-    via = frozenset(x for x in range(npoints)
-                    if bool((t[x, :, x, :] & good).any()))
-    return FixedPointSets(direct, via, applicable)
+    via = frozenset(x for x in range(table.npoints) if (t[x, :, x, :] & good).any())
+    return direct, via
 
 
 def partition_by_rank(table: LevelTable) -> list[tuple[int, frozenset[int]]]:

@@ -1,10 +1,11 @@
 """Property and lemma suites with machine-readable verdicts.
 
-Each check is a law: ``law(table) -> witness | None`` on one level table
-(its system is ``table.sys``).  :func:`run_law` checks a law on the tables
-in order and returns the result of the first that fails, its witness
-prefixed ``sys<i>:``; it alone names systems.  :func:`run_suite` builds a
-seeded ensemble's tables once and hands them to the table suites
+Each check is a law: ``law(item) -> witness | None`` on one level table
+(its system is ``table.sys``), or, in the seeded suites, one table with its
+system's draws, all made before any law runs.  :func:`run_law` checks a law
+on the items in order and returns the result of the first that fails, its
+witness prefixed ``sys<i>:``; it alone names systems.  :func:`run_suite`
+builds a seeded ensemble's tables once and hands them to the table suites
 (``run_lemmas``, ``run_iso``, ``run_vaught``, ``run_basis``).  A failing
 check always carries a witness, minimal under greedy deletion where it is
 set-valued.  Identical seeds and sizes reproduce identical reports.
@@ -12,6 +13,7 @@ set-valued.  Identical seeds and sizes reproduce identical reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ EDGE_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
 # tuple pairs drawn per n for the comparison scan's level profile
 PROFILE_DRAWS = 200
-# the comparison scan's largest structure size
+# the comparison scan's largest structure size, its own cap
 COMPARISON_MAX_N = 3
 # a suite run's defaults: caps on group order g, point count x and the
 # comparison scan's structure size n, and the ensemble size
@@ -293,10 +295,12 @@ def leq_oracle_check(systems, tables) -> CheckResult:
 
 
 def _first_growth(table, image, tag: str) -> str | None:
-    """The first level up to stab + 1, and its first entry (q0, q'), where
-    ``image`` of the relation on (point, basis set) pairs outgrows it."""
+    """The first level up to stab, and its first entry (q0, q'), where
+    ``image`` of the relation on (point, basis set) pairs outgrows it.  Each
+    level past stab is the stored stab level; only the oracle comparisons,
+    which compute stab + 1 on their own, check it."""
     nq = table.npoints * table.nbasis
-    for a in range(1, table.stab + 2):
+    for a in range(1, table.stab + 1):
         t = table.level(a).reshape(nq, nq)
         grown = (image(t.astype(np.float32)) > 0) & ~t
         if grown.any():
@@ -313,7 +317,7 @@ def run_lemmas(tables) -> list[CheckResult]:
         return _first_growth(table, lambda t: t @ t, "q2")
 
     def level_monotonicity(table):
-        for a in range(2, table.stab + 2):
+        for a in range(2, table.stab + 1):
             if (table.level(a) & ~table.level(a - 1)).any():
                 return f"level={a}"
         return None
@@ -332,7 +336,7 @@ def run_lemmas(tables) -> list[CheckResult]:
         tv = np.array([[sys.translate(v, g) for v in range(table.nbasis)]
                        for g in range(len(sys.group))])
         xs, vs = np.arange(table.npoints)[:, None], np.arange(table.nbasis)
-        for a in range(1, table.stab + 2):
+        for a in range(1, table.stab + 1):
             held = table.level(a)[xs, vs, gx[:, :, None], tv[:, None, :]]
             if not held.all():
                 g, x, v = np.argwhere(~held)[0]
@@ -342,7 +346,7 @@ def run_lemmas(tables) -> list[CheckResult]:
     def equiv_invariance(table):
         sys = table.sys
         gx = _images(sys)
-        for a in range(1, table.stab + 2):
+        for a in range(1, table.stab + 1):
             eq = table.equiv_matrix(a)
             if not eq.diagonal().all() or (eq != eq.T).any():
                 return f"level={a}:not reflexive/symmetric"
@@ -498,22 +502,25 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
 def scott_structure_checks(seed: int, exhaustive_n: int,
                            ladder_max: int) -> list[CheckResult]:
     """Finite-scale isomorphism over canonical representatives, the rank
-    ladder on linear orders and permutation invariance of the rank; the
-    first and last read one seeded rng in turn, and the first reports its
-    first failure in draw order."""
+    ladder on linear orders and permutation invariance of the rank.  One
+    seeded rng first draws the first check's relabeled copies and pairs,
+    then the last check's structures and relabelings; the checks only read
+    them, and the first reports its first failure in draw order."""
     rng = random.Random(f"scott:{seed}")
     reps = []
     for n in range(1, exhaustive_n + 1):
         reps.extend(canonical_edge_representatives(n))
+    copies = []
+    for i in rng.sample(range(len(reps)), min(60, len(reps))):
+        perm = tuple(rng.sample(range(reps[i].size), reps[i].size))
+        copies.append((i, permute_structure(reps[i], perm)))
+    pairs = [(rng.randrange(len(reps)), rng.randrange(len(reps))) for _ in range(300)]
+    relabeled = []
+    for _ in range(20):
+        m = _random_structure(rng, rng.randint(1, 4))
+        relabeled.append((m, tuple(rng.sample(range(m.size), m.size))))
 
     def iso_finite():
-        # every copy and pair is drawn before any is judged, so the rng
-        # stream left to the later checks does not depend on a verdict
-        copies = []
-        for i in rng.sample(range(len(reps)), min(60, len(reps))):
-            perm = tuple(rng.sample(range(reps[i].size), reps[i].size))
-            copies.append((i, permute_structure(reps[i], perm)))
-        pairs = [(rng.randrange(len(reps)), rng.randrange(len(reps))) for _ in range(300)]
         # stabilized root equivalence == brute isomorphism
         rtab = sc.ScottTable(reps)
         roots = {}
@@ -554,9 +561,7 @@ def scott_structure_checks(seed: int, exhaustive_n: int,
         return None
 
     def rank_permutation_invariance():
-        for _ in range(20):
-            m = _random_structure(rng, rng.randint(1, 4))
-            perm = tuple(rng.sample(range(m.size), m.size))
+        for m, perm in relabeled:
             if sc.scott_rank(m) != sc.scott_rank(permute_structure(m, perm)):
                 return f"rank not invariant: {sorted(m.facts)} perm {perm}"
         return None
@@ -569,93 +574,118 @@ def scott_structure_checks(seed: int, exhaustive_n: int,
 # ---------------------------------------------------------------------------
 # Vaught suite
 
-VAUGHT_CHECKS = ("vaught_invariance", "vaught_duality", "vaught_union_intersection",
-                 "vaught_basis_intersection", "star_orbit_equivalence",
-                 "fixed_point_characterization")
-
-
-def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
-    """The Vaught transform laws over ``draws`` seeded sets per system.  The
-    laws share each system's draws, so each system is one pass, and a law
-    stops checking once it has failed on this or an earlier system.  Every
-    draw is made whatever the verdicts, so each system's draws are fixed by
-    the seed."""
-    found: list[dict[str, str]] = []  # each system's witness of each law it fails
-    closed: set[str] = set()  # the laws failed on an earlier system
+def vaught_draws(tables, seed: int, draws: int) -> list[tuple]:
+    """Each table with its system's seeded draws, made before any law reads
+    them: ``draws`` tuples (A, B, U, y, x, W, V) of point sets, points and
+    basis indices, then the fixed-point law's sorted picks of U."""
+    items = []
     for si, table in enumerate(tables):
-        sys = table.sys
         rng = random.Random(f"vaught:{seed}:{si}")
-        npoints, nbasis = len(sys.points), len(sys.basis)
-        whole = frozenset(range(npoints))
-        full = max(range(nbasis), key=lambda v: len(sys.basis_members(v)))
-        bad: dict[str, str] = {}
-
-        def open_(name):
-            return name not in closed and name not in bad
-
-        def fails_duality(a, u):
-            return hj.vaught_delta(sys, a, u) != whole - hj.vaught_star(sys, whole - a, u)
-
-        def is_invariant(pts):
-            return all(frozenset(sys.act(g, x) for x in pts) == pts
-                       for g in range(len(sys.group)))
-
+        npoints, nbasis = table.npoints, table.nbasis
+        drawn = []
         for _ in range(draws):
             a = frozenset(x for x in range(npoints) if rng.random() < 0.5)
             b = frozenset(x for x in range(npoints) if rng.random() < 0.5)
             u = rng.randrange(nbasis)
-
-            if open_("vaught_invariance"):
-                star, delta = hj.vaught_star(sys, a, full), hj.vaught_delta(sys, a, full)
-                if not (is_invariant(star) and is_invariant(delta)
-                        and is_invariant(a) == (a == delta)
-                        and is_invariant(a) == (a == star)):
-                    bad["vaught_invariance"] = f"A={_fmt_set(sys, a)}"
-
-            if open_("vaught_duality") and fails_duality(a, u):
-                small = shrink_point_set(a, lambda s: fails_duality(s, u))
-                bad["vaught_duality"] = f"A={_fmt_set(sys, small)},U={sys.basis[u]}"
-
-            if open_("vaught_union_intersection"):
-                if (hj.vaught_delta(sys, a | b, u)
-                        != hj.vaught_delta(sys, a, u) | hj.vaught_delta(sys, b, u)
-                        or hj.vaught_star(sys, a & b, u)
-                        != hj.vaught_star(sys, a, u) & hj.vaught_star(sys, b, u)):
-                    bad["vaught_union_intersection"] = (
-                        f"A={_fmt_set(sys, a)},B={_fmt_set(sys, b)},U={sys.basis[u]}")
-
-            if open_("vaught_basis_intersection"):
-                meet = whole
-                for w in range(nbasis):
-                    if sys.basis_members(w) <= sys.basis_members(u):
-                        meet &= hj.vaught_delta(sys, a, w)
-                if meet != hj.vaught_star(sys, a, u):
-                    bad["vaught_basis_intersection"] = (
-                        f"A={_fmt_set(sys, a)},U={sys.basis[u]}")
-
-            # drawn whether the law is open or not, so no later draw
-            # depends on a verdict
             y, x = rng.randrange(npoints), rng.randrange(npoints)
             w, v = rng.randrange(nbasis), rng.randrange(nbasis)
-            if open_("star_orbit_equivalence"):
-                direct, via = hj.star_orbit_equivalence_check(table, y, w, x, v)
-                if direct != via:
-                    bad["star_orbit_equivalence"] = (
-                        f"(y={sys.points[y]},W={sys.basis[w]},"
-                        f"x={sys.points[x]},V={sys.basis[v]})")
+            drawn.append((a, b, u, y, x, w, v))
+        items.append((table, drawn, sorted(rng.sample(range(nbasis), min(4, nbasis)))))
+    return items
 
-        if open_("fixed_point_characterization"):
-            for u in sorted(rng.sample(range(nbasis), min(4, nbasis))):
-                result = hj.fixed_point_set(table, u)
-                if result.applicable and not result.agree:
-                    bad["fixed_point_characterization"] = (
-                        f"U={sys.basis[u]}:direct={_fmt_set(sys, result.direct)}"
-                        f",table={_fmt_set(sys, result.via_table)}")
-                    break
-        closed |= bad.keys()
-        found.append(bad)
-    return [run_law(name, lambda bad, name=name: bad.get(name), found)
-            for name in VAUGHT_CHECKS]
+
+def vaught_invariance(item) -> str | None:
+    table, drawn, _ = item
+    sys = table.sys
+    full = max(range(table.nbasis), key=lambda v: len(sys.basis_members(v)))
+
+    def invariant(pts):
+        return all(frozenset(sys.act(g, x) for x in pts) == pts
+                   for g in range(len(sys.group)))
+
+    for a, *_ in drawn:
+        star, delta = hj.vaught_star(sys, a, full), hj.vaught_delta(sys, a, full)
+        if not (invariant(star) and invariant(delta)
+                and invariant(a) == (a == delta) and invariant(a) == (a == star)):
+            return f"A={_fmt_set(sys, a)}"
+    return None
+
+
+def vaught_duality(item) -> str | None:
+    table, drawn, _ = item
+    sys = table.sys
+    whole = frozenset(range(table.npoints))
+
+    def fails(a, u):
+        return hj.vaught_delta(sys, a, u) != whole - hj.vaught_star(sys, whole - a, u)
+
+    for a, _, u, *_ in drawn:
+        if fails(a, u):
+            small = shrink_point_set(a, lambda s: fails(s, u))
+            return f"A={_fmt_set(sys, small)},U={sys.basis[u]}"
+    return None
+
+
+def vaught_union_intersection(item) -> str | None:
+    table, drawn, _ = item
+    sys = table.sys
+    for a, b, u, *_ in drawn:
+        if (hj.vaught_delta(sys, a | b, u)
+                != hj.vaught_delta(sys, a, u) | hj.vaught_delta(sys, b, u)
+                or hj.vaught_star(sys, a & b, u)
+                != hj.vaught_star(sys, a, u) & hj.vaught_star(sys, b, u)):
+            return f"A={_fmt_set(sys, a)},B={_fmt_set(sys, b)},U={sys.basis[u]}"
+    return None
+
+
+def vaught_basis_intersection(item) -> str | None:
+    table, drawn, _ = item
+    sys = table.sys
+    for a, _, u, *_ in drawn:
+        meet = frozenset(range(table.npoints))
+        for w in range(table.nbasis):
+            if sys.basis_members(w) <= sys.basis_members(u):
+                meet &= hj.vaught_delta(sys, a, w)
+        if meet != hj.vaught_star(sys, a, u):
+            return f"A={_fmt_set(sys, a)},U={sys.basis[u]}"
+    return None
+
+
+def star_orbit_equivalence(item) -> str | None:
+    table, drawn, _ = item
+    sys = table.sys
+    for *_, y, x, w, v in drawn:
+        direct, via = hj.star_orbit_equivalence_check(table, y, w, x, v)
+        if direct != via:
+            return (f"(y={sys.points[y]},W={sys.basis[w]},"
+                    f"x={sys.points[x]},V={sys.basis[v]})")
+    return None
+
+
+def fixed_point_characterization(item) -> str | None:
+    # the hypothesis, arbitrarily small neighbourhoods: every singleton is a
+    # basis set; a system without it is skipped
+    table, _, picks = item
+    sys = table.sys
+    singles = {frozenset([g]) for g in range(len(sys.group))}
+    if not singles <= {sys.basis_members(v) for v in range(table.nbasis)}:
+        return None
+    for u in picks:
+        direct, via = hj.fixed_point_set(table, u)
+        if direct != via:
+            return (f"U={sys.basis[u]}:direct={_fmt_set(sys, direct)}"
+                    f",table={_fmt_set(sys, via)}")
+    return None
+
+
+def run_vaught(tables, seed: int, draws: int) -> list[CheckResult]:
+    """The Vaught transform laws, each named after its check, on ``draws``
+    seeded draws per system (:func:`vaught_draws`)."""
+    items = vaught_draws(tables, seed, draws)
+    return [run_law(law.__name__, law, items)
+            for law in (vaught_invariance, vaught_duality, vaught_union_intersection,
+                        vaught_basis_intersection, star_orbit_equivalence,
+                        fixed_point_characterization)]
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +773,13 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
     return counterexamples, profile, scanned
 
 
+def check_scan_size(n: int) -> None:
+    """Refuse a comparison scan over structures larger than the scan's cap."""
+    if n > COMPARISON_MAX_N:
+        raise BudgetError(f"comparison scan n={n} exceeds the scan's cap "
+                          f"n<={COMPARISON_MAX_N}")
+
+
 def comparison_witness(counterexamples) -> str | None:
     """The first counterexample of a comparison scan, or None."""
     if not counterexamples:
@@ -823,50 +860,57 @@ def run_comparison(seed: int = 0, max_n: int = COMPARISON_MAX_N,
 # ---------------------------------------------------------------------------
 # Basis suite
 
-def run_basis(tables, seed: int, budgets: Budgets | None = None) -> list[CheckResult]:
-    """Rank bounds under a change of basis and under a clopen subgroup, each
-    new table built under ``budgets``.  Each system's rng draws its extra
-    basis sets first, then its subgroup generators."""
-
-    def with_seeded_basis(table, rng):
-        # singletons, up to four seeded sets of two or more elements, the group
-        ngroup = len(table.sys.group)
-        alt_sets = [frozenset([g]) for g in range(ngroup)]
-        for _ in range(min(4, ngroup)):
-            pick = frozenset(g for g in range(ngroup) if rng.random() < 0.5)
+def basis_draws(tables, seed: int) -> list[tuple]:
+    """Each table with two systems built from its system's seeded draws, all
+    made before any law reads them: the system under another basis (the
+    singletons, up to four drawn sets of two or more elements, the group),
+    then the subgroup of up to two drawn elements, under all subsets."""
+    items = []
+    for si, table in enumerate(tables):
+        rng = random.Random(f"basis:{seed}:{si}")
+        sys = table.sys
+        group = range(len(sys.group))
+        alt_sets = [frozenset([g]) for g in group]
+        for _ in range(min(4, len(group))):
+            pick = frozenset(g for g in group if rng.random() < 0.5)
             if len(pick) >= 2 and pick not in alt_sets:
                 alt_sets.append(pick)
-        if frozenset(range(ngroup)) not in alt_sets:
-            alt_sets.append(frozenset(range(ngroup)))
-        return table, table.sys.with_basis(alt_sets), rng
-
-    def shift_bound(item):
-        table, alt, _ = item
-        alt_table = hj.leq_table(alt, budgets=budgets)
-        for x, d in hj.basis_shift_check(table, alt_table).items():
-            if d > 1:
-                return f"x={table.sys.points[x]}:shift={d}"
-        return None
-
-    def subgroup_bound(item):
-        table, _, rng = item
-        sys = table.sys
-        ngroup = len(sys.group)
-        gens = rng.sample(range(ngroup), min(2, ngroup))
-        sub = mulclose([sys.perms[g] for g in gens] + [tuple(range(sys.size))], cap=ngroup)
+        if frozenset(group) not in alt_sets:
+            alt_sets.append(frozenset(group))
+        gens = [sys.perms[g] for g in rng.sample(group, min(2, len(group)))]
+        sub = mulclose(gens + [tuple(range(sys.size))], cap=len(group))
         labels = [sys.group[sys.perms.index(p)] for p in sub]
-        subsys = FiniteDiscreteAction(sys.size, list(zip(labels, sub)), ALL_SUBSETS)
-        sub_table = hj.leq_table(subsys, budgets=budgets)
-        max_g = max(hj.hjorth_rank(table, x) for x in range(sys.size))
-        max_o = max(hj.hjorth_rank(sub_table, x) for x in range(sys.size))
-        if max_o > max_g + 1:
-            return f"O={{{','.join(labels)}}}:{max_o}>{max_g}+1"
-        return None
+        items.append((table, sys.with_basis(alt_sets),
+                      FiniteDiscreteAction(sys.size, list(zip(labels, sub)), ALL_SUBSETS)))
+    return items
 
-    items = [with_seeded_basis(table, random.Random(f"basis:{seed}:{si}"))
-             for si, table in enumerate(tables)]
-    return [run_law("basis_shift_bound", shift_bound, items),
-            run_law("clopen_subgroup_bound", subgroup_bound, items)]
+
+def basis_shift_bound(item, budgets: Budgets | None = None) -> str | None:
+    table, alt, _ = item
+    alt_table = hj.leq_table(alt, budgets=budgets)
+    for x, d in hj.basis_shift_check(table, alt_table).items():
+        if d > 1:
+            return f"x={table.sys.points[x]}:shift={d}"
+    return None
+
+
+def clopen_subgroup_bound(item, budgets: Budgets | None = None) -> str | None:
+    table, _, sub = item
+    sub_table = hj.leq_table(sub, budgets=budgets)
+    max_g = max(hj.hjorth_rank(table, x) for x in range(table.npoints))
+    max_o = max(hj.hjorth_rank(sub_table, x) for x in range(table.npoints))
+    if max_o > max_g + 1:
+        return f"O={{{','.join(sub.group)}}}:{max_o}>{max_g}+1"
+    return None
+
+
+def run_basis(tables, seed: int, budgets: Budgets | None = None) -> list[CheckResult]:
+    """Rank bounds under a change of basis and under a clopen subgroup on
+    each system's draws (:func:`basis_draws`), each new table built under
+    ``budgets``; each law is named after its check."""
+    items = basis_draws(tables, seed)
+    return [run_law(law.__name__, functools.partial(law, budgets=budgets), items)
+            for law in (basis_shift_bound, clopen_subgroup_bound)]
 
 
 SUITES = ("lemmas", "iso", "vaught", "comparison", "basis")
@@ -891,8 +935,7 @@ def run_suite(suite: str, seed: int, sizes: dict, count: int = DEFAULT_COUNT,
     reports = []
     for name in wanted:
         if name == "comparison":
-            checks = run_comparison(seed=seed, max_n=min(sizes["n"], COMPARISON_MAX_N),
-                                    budgets=budgets).checks
+            checks = run_comparison(seed=seed, max_n=sizes["n"], budgets=budgets).checks
         elif failure is not None:
             checks = [failure]
         elif name == "lemmas":

@@ -269,7 +269,34 @@ def test_hjorth_symbolic_reports_violation(tmp_path, capsys):
                  "--support", "3", "--k", "2", "--format", "records"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "CHECK name=level_monotonicity verdict=fail witness=(" in out
+    # the witness names each point by its file id
+    assert "CHECK name=level_monotonicity verdict=fail " \
+        "witness=(x0=M,V0=V[02->01],x1=M,V1=V[1->2])" in out
+
+
+@pytest.mark.parametrize("ident, flags, names", [
+    # the file's structure A and its relabeling, which no file id names
+    ("A", ["--dump"], ["A", "M1"]),
+    # the relabeling's own name M1 is a file id, so it is primed
+    ("M1", [], ["M1", "M1'"]),
+], ids=["dump", "file-id-M1"])
+def test_hjorth_logic_names_each_point_once(tmp_path, capsys, ident, flags, names):
+    p = tmp_path / "structs.txt"
+    p.write_text(f"signature\nrel edge 2\nend\nstructure {ident} size 2\n"
+                 "edge 0 1\nend\n")
+    code = main(["hjorth", "--logic", "--structures", str(p), "--n", "2", *flags,
+                 "--format", "records"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    ranked = [line.split()[1].removeprefix("point=") for line in lines
+              if line.startswith("RANK")]
+    assert ranked == names
+    assert [line for line in lines if line.startswith("PART")] == \
+        [f"PART rank=1 points={';'.join(names)}"]
+    leq = [line.split() for line in lines if line.startswith("LEQ")]
+    assert len(leq) == (36 if flags else 0)
+    assert {f[2].removeprefix("x0=") for f in leq} == \
+        {f[4].removeprefix("x1=") for f in leq} == (set(names) if flags else set())
 
 
 def test_hjorth_symbolic_base_level(tmp_path, capsys):
@@ -360,6 +387,22 @@ def test_verify_budget_below_the_least_size_exit_3(suite, budget, least):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == f"error: budget {budget} is below the least size of {least}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--n", "4"],
+    ["verify", "comparison", "--sizes", "n<=4"],
+    ["verify", "lemmas", "--count", "1", "--sizes", "n<=4"],
+], ids=["compare", "verify-comparison", "verify-lemmas"])
+def test_scan_size_above_the_scans_cap_exit_3(args, monkeypatch, capsys):
+    # the default budget n=4 admits n=4, but the scan's own cap is n<=3; the
+    # CONFIG record names n, so every suite refuses it
+    monkeypatch.delenv("RANKFORGE_BUDGET", raising=False)
+    code = main([*args, "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: comparison scan n=4 exceeds the scan's cap n<=3\n"
 
 
 def test_sizes_flag_parsing(capsys):

@@ -364,11 +364,10 @@ def test_level_monotonicity_names_the_system_and_the_level_that_grew(level, quad
 
 
 def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
-    # the stab-2 system fails three checks as sys0; each system's rng is
-    # read in a fixed order whatever the verdicts (Vaught: each draw's
-    # shared sets and star points, then the fixed-point picks; basis: the
-    # extra sets, then the subgroup generators), which the patched runs
-    # below pin
+    # the stab-2 system fails three checks as sys0; each system's draws are
+    # made before any law reads them (Vaught: each draw's shared sets and
+    # star points, then the fixed-point picks; basis: the extra sets, then
+    # the subgroup generators), which the patched runs below pin
     tables = [leq_table(s) for s in [make_stab2_system()] + vf.ensemble(3, 6)]
     checks = (vf.run_lemmas(tables) + vf.run_iso(tables) + vf.run_vaught(tables, 0, 200)
               + vf.run_basis(tables, 0))
@@ -391,12 +390,14 @@ def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
     assert {c.name: c.stats for c in checks if c.stats} == \
         {"stabilized_equiv_invariant_sets": {"systems": 7}}
 
-    # every fixed-point pick disagrees: the first pick of sys0 is the witness
-    monkeypatch.setattr(hj, "fixed_point_set", lambda table, u: hj.FixedPointSets(
-        frozenset(), frozenset({0}), True))
+    # every fixed-point pick disagrees: the stab-2 system has no singleton
+    # basis sets, so the law skips it, and the first pick of sys1 is the
+    # witness
+    monkeypatch.setattr(hj, "fixed_point_set",
+                        lambda table, u: (frozenset(), frozenset({0})))
     vaught = by_name(vf.run_vaught(tables, 0, 200))
     assert vaught["fixed_point_characterization"].witness == \
-        "sys0:U={g0,g1,g5}:direct={},table={0}"
+        "sys1:U={e}:direct={},table={0}"
 
     # ranks raised on tables of groups of order <= 2 that are not ensemble
     # tables: the first system whose drawn subgroup is that small fails
@@ -406,6 +407,62 @@ def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
     basis = by_name(vf.run_basis(tables, 0))
     assert basis["basis_shift_bound"].witness == "sys4:x=0:shift=3"
     assert basis["clopen_subgroup_bound"].witness == "sys2:O={e,g3}:4>1+1"
+
+
+def test_each_vaught_and_basis_law_alone_gives_its_suite_witness(monkeypatch):
+    # a law only reads its system's draws, so run alone through run_law, on
+    # draws of its own and in reverse order, it gives its suite's witness
+    tables = [leq_table(s) for s in [make_stab2_system()] + vf.ensemble(3, 6)]
+    vaught_laws = (vf.vaught_invariance, vf.vaught_duality,
+                   vf.vaught_union_intersection, vf.vaught_basis_intersection,
+                   vf.star_orbit_equivalence, vf.fixed_point_characterization)
+    basis_laws = (vf.basis_shift_bound, vf.clopen_subgroup_bound)
+
+    def alone():
+        vaught = {law.__name__: vf.run_law(law.__name__, law,
+                                           vf.vaught_draws(tables, 0, 200)).witness
+                  for law in reversed(vaught_laws)}
+        basis = {law.__name__: vf.run_law(law.__name__, law,
+                                          vf.basis_draws(tables, 0)).witness
+                 for law in reversed(basis_laws)}
+        return vaught, basis
+
+    def in_suite():
+        return ({c.name: c.witness for c in vf.run_vaught(tables, 0, 200)},
+                {c.name: c.witness for c in vf.run_basis(tables, 0)})
+
+    vaught, basis = alone()
+    assert (vaught, basis) == in_suite()
+    assert [name for name, w in vaught.items() if w] == \
+        ["star_orbit_equivalence", "vaught_basis_intersection"]
+    # the patches of the suite test above make the other laws fail
+    monkeypatch.setattr(hj, "fixed_point_set",
+                        lambda table, u: (frozenset(), frozenset({0})))
+    rank = hj.hjorth_rank
+    monkeypatch.setattr(hj, "hjorth_rank", lambda table, x: rank(table, x) + 3 * (
+        all(table is not t for t in tables) and len(table.sys.group) <= 2))
+    vaught, basis = alone()
+    assert (vaught, basis) == in_suite()
+    assert vaught["fixed_point_characterization"] == "sys1:U={e}:direct={},table={0}"
+    assert basis == {"clopen_subgroup_bound": "sys2:O={e,g3}:4>1+1",
+                     "basis_shift_bound": "sys4:x=0:shift=3"}
+
+
+def test_lemma_laws_read_no_level_past_stab(monkeypatch):
+    # every level past stab is the stored stab level, so the lemma laws
+    # read each level up to stab once and none above it (the invariant-sets
+    # law reads STAB)
+    asked = []
+    level, equiv_matrix = LevelTable.level, LevelTable.equiv_matrix
+    monkeypatch.setattr(LevelTable, "level",
+                        lambda self, a: asked.append((self, a)) or level(self, a))
+    monkeypatch.setattr(LevelTable, "equiv_matrix",
+                        lambda self, a: asked.append((self, a)) or equiv_matrix(self, a))
+    tables = [leq_table(s) for s in [make_stab2_system()] + vf.ensemble(7, 20)]
+    asked.clear()
+    vf.run_lemmas(tables)
+    read = {(id(t), a) for t, a in asked if a != STAB}
+    assert read == {(id(t), a) for t in tables for a in range(1, t.stab + 1)}
 
 
 SCOTT_RANK = sc.scott_rank
@@ -460,6 +517,24 @@ def test_scott_iso_finite_draws_every_sample_before_judging(monkeypatch, seed,
     faulty, faulty_ranked = ranked_structures(monkeypatch, seed, exhaustive_n)
     assert faulty == {**clean, "scott_iso_finite": witness}
     assert faulty_ranked == clean_ranked and len(clean_ranked) == 41
+
+
+def test_scott_rank_invariance_reads_its_draws_in_order(monkeypatch):
+    # the rank check reads its 20 structures and relabelings as drawn, each
+    # relabeling right after its structure: a rank that changes on call 41,
+    # the last relabeled structure (call 1 is the ladder's), pins the last draw
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return SCOTT_RANK(m) + (calls[0] == 41)
+
+    monkeypatch.setattr(sc, "scott_rank", counted)
+    checks = by_name(vf.scott_structure_checks(7, 3, 6))
+    assert checks["scott_rank_permutation_invariance"].witness == (
+        "rank not invariant: [('edge', (0, 0)), ('edge', (0, 3)), ('edge', (1, 0)), "
+        "('edge', (3, 0)), ('edge', (3, 2))] perm (0, 2, 1, 3)")
+    assert calls[0] == 41
 
 
 def test_mulclose_checks_generators_against_cap():
