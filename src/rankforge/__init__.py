@@ -9,19 +9,16 @@ group), and independent brute-force oracles for every engine.
 
 from .common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
                      OracleDepthError, RankforgeError, UnsupportedOperationError)
-from .structures import (FinStructure, ParseError, QfType, RangeError,
-                         SchemaError, Signature, StructureError, SuppStructure,
+from .structures import (FinStructure, ParseError, RangeError, SchemaError,
+                         Signature, StructureError, SuppStructure,
                          brute_isomorphic, canonical_form, eval_atomic,
-                         parse_structure, parse_structures_file,
-                         permute_structure, qf_type, serialize_structures,
-                         thsigma_contains)
-from .scott import (ScottTable, distinguishing_level, scott_equiv,
-                    scott_iso_check, scott_rank)
-from .hjorth import (ActionSystem, LevelTable, basis_shift_check,
-                     compare_ranks, fixed_point_set, hjorth_rank, leq_table,
-                     minimal_m, orbit_check_via_rank, partition_by_rank,
-                     rank_condition_profile, star_orbit_equivalence_check,
-                     vaught_delta, vaught_star)
+                         parse_structures_file, permute_structure,
+                         serialize_structures, thsigma_contains)
+from .scott import ScottTable, scott_rank
+from .hjorth import (ActionSystem, LevelTable, compare_ranks, fixed_point_set,
+                     hjorth_rank, leq_table, minimal_m, orbit_check_via_rank,
+                     partition_by_rank, rank_condition_profile, vaught_delta,
+                     vaught_star)
 from .actions import (ALL_SUBSETS, SINGLETONS_PLUS_G, FiniteDiscreteAction,
                       FiniteLogicAction, SymbolicLogicAction,
                       parse_action_file)

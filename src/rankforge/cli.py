@@ -176,10 +176,15 @@ def _build_system(args, budgets: Budgets):
             raise BudgetError(f"k={k} exceeds budget k={budgets.k}")
         if not all(isinstance(m, FinStructure) and m.size == n for m in points):
             raise RankforgeError(f"--logic needs finite structures of size {n}")
+        # points are named once, by file id, so two ids may not name one
+        # point; a point the closure adds keeps M<i>, primed until no file
+        # id uses it
+        by_struct = {}
+        for ident, m in structures.items():
+            if by_struct.setdefault(m, ident) != ident:
+                raise RankforgeError(f"structures {by_struct[m]} and {ident} are "
+                                     "equal: --logic needs one id per point")
         sysb = FiniteLogicAction(sig, n, k, points)
-        # points are named once, by file id; a point the closure adds keeps
-        # M<i>, primed until no file id uses it
-        by_struct = {m: ident for ident, m in structures.items()}
         names = []
         for name, m in zip(sysb.points, sysb.structures):
             while m not in by_struct and name in structures:

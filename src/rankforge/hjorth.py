@@ -453,16 +453,6 @@ def vaught_delta(sys: ActionSystem, points: Iterable[int], u: int) -> frozenset[
                      if any(sys.act(g, x) in a for g in members))
 
 
-def star_orbit_equivalence_check(table: LevelTable, y: int, w: int,
-                                 x: int, v: int) -> tuple[bool, bool]:
-    """Membership of y in the star transform of the V-translate set of x,
-    next to the stabilized table value; the two agree on shipped systems."""
-    sys = table.sys
-    target = frozenset(sys.act(g, x) for g in sys.basis_members(v))
-    direct = all(sys.act(g, y) in target for g in sys.basis_members(w))
-    return direct, table.leq(y, w, x, v, STAB)
-
-
 def fixed_point_set(table: LevelTable, u: int) -> tuple[frozenset[int], frozenset[int]]:
     """Points fixed by some element of U, two ways: ``(direct, via_table)``,
     by direct enumeration and as the points carrying a stabilized pair
@@ -499,13 +489,3 @@ def compare_ranks(table: LevelTable, x: int, y: int) -> str:
     """Order comparison of two rank values: '<', '=' or '>'."""
     dx, dy = hjorth_rank(table, x), hjorth_rank(table, y)
     return "<" if dx < dy else (">" if dx > dy else "=")
-
-
-def basis_shift_check(table: LevelTable, alt: LevelTable) -> dict[int, int]:
-    """Per-point absolute rank difference across the tables of two bases over
-    the same points and cc semantics."""
-    if list(alt.sys.points) != list(table.sys.points):
-        raise ValueError("alternate basis must present the same points")
-    return {x: abs(hjorth_rank(table, x) - hjorth_rank(alt, x))
-            for x in range(table.npoints)}
-

@@ -11,6 +11,10 @@ lookups for arbitrary tuples go through the reduction.
 Levels are naturals starting at 0; on finite inputs the decreasing chain of
 partitions is finite, so the stabilized partition stands in for every limit
 level and is addressed by the STAB sentinel.
+
+Comparisons are reads of one family table: two finite structures are
+isomorphic exactly when their empty tuples share a stabilized class, and the
+least level that separates them is the first where those classes differ.
 """
 
 from __future__ import annotations
@@ -209,12 +213,6 @@ def _qf_rows(struct: FinStructure, width: int) -> np.ndarray:
     return np.hstack(columns)
 
 
-def scott_equiv(m_struct: FinStructure, abar: Sequence[int],
-                n_struct: FinStructure, bbar: Sequence[int], alpha) -> bool:
-    """Level-alpha back-and-forth equivalence of two tuples."""
-    return ScottTable((m_struct, n_struct)).equivalent(0, abar, 1, bbar, alpha)
-
-
 def scott_rank(struct: FinStructure) -> int:
     """Least level where within-structure equivalence implies the next level.
 
@@ -222,20 +220,3 @@ def scott_rank(struct: FinStructure) -> int:
     partition, so this is exactly the table's stabilization index.
     """
     return ScottTable((struct,)).stab
-
-
-def scott_iso_check(m_struct: FinStructure, n_struct: FinStructure) -> bool:
-    """Stabilized equivalence of the empty tuples.
-
-    On finite structures this coincides with brute-force isomorphism.
-    """
-    return ScottTable((m_struct, n_struct)).equivalent(0, (), 1, (), STAB)
-
-
-def distinguishing_level(m_struct: FinStructure, n_struct: FinStructure) -> int | None:
-    """Least level separating the empty tuples, or None if none does."""
-    table = ScottTable((m_struct, n_struct))
-    for alpha in range(table.stab + 1):
-        if not table.equivalent(0, (), 1, (), alpha):
-            return alpha
-    return None

@@ -158,20 +158,6 @@ def eval_atomic(struct: Structure, atom: str, args: Sequence[int]) -> bool:
     return (atom, args) in struct.facts
 
 
-@dataclass(frozen=True)
-class QfType:
-    """The atomic truth table of a tuple: equalities plus relation atoms.
-
-    ``equalities`` lists c[i] == c[j] for i < j in lexicographic order;
-    ``atoms`` lists every relation applied to every position vector, in
-    signature order then lexicographic position order, packed as bit ints.
-    """
-
-    length: int
-    equalities: int
-    atoms: tuple[int, ...]
-
-
 def _relation_bits(struct: Structure, entries: tuple[int, ...]) -> tuple[int, ...]:
     # Entries may contain negative "fresh element" markers: distinct ideal
     # elements off every support, on which all relations are false.
@@ -196,17 +182,8 @@ def _equality_bits(entries: tuple[int, ...]) -> int:
     return bits
 
 
-def qf_type(struct: Structure, cbar: Sequence[int]) -> QfType:
-    """Full atomic truth table of ``cbar`` in ``struct``."""
-    entries = tuple(cbar)
-    if isinstance(struct, FinStructure):
-        for e in entries:
-            if not 0 <= e < struct.size:
-                raise RangeError(f"element {e} outside universe of size {struct.size}")
-    return QfType(len(entries), _equality_bits(entries), _relation_bits(struct, entries))
-
-
 def _qf_key(struct: Structure, entries: tuple[int, ...]) -> tuple:
+    """Atomic truth table of a tuple: (length, equality bits, relation bits)."""
     return (len(entries), _equality_bits(entries), _relation_bits(struct, entries))
 
 
@@ -410,14 +387,6 @@ def parse_structures_file(text: str) -> tuple[Signature, dict[str, Structure]]:
         else:
             structures[ident] = SuppStructure(signature, bound, frozenset(facts))
     return signature, structures
-
-
-def parse_structure(text: str) -> Structure:
-    """Parse a file holding exactly one structure."""
-    _, structures = parse_structures_file(text)
-    if len(structures) != 1:
-        raise ParseError(f"expected exactly one structure, found {len(structures)}")
-    return next(iter(structures.values()))
 
 
 def serialize_structures(signature: Signature,

@@ -521,38 +521,38 @@ def scott_structure_checks(seed: int, exhaustive_n: int,
         relabeled.append((m, tuple(rng.sample(range(m.size), m.size))))
 
     def iso_finite():
-        # stabilized root equivalence == brute isomorphism
-        rtab = sc.ScottTable(reps)
-        roots = {}
-        for i in range(len(reps)):
-            token = rtab.class_of(i, (), STAB)
-            if token in roots:
-                return f"reps {roots[token]} and {i} share stabilized root class"
-            roots[token] = i
-        for i, image in copies:
-            if not sc.scott_iso_check(reps[i], image):
+        # stabilized root equivalence == brute isomorphism, read from one
+        # table over the reps followed by their relabeled copies
+        rtab = sc.ScottTable(reps + [image for _, image in copies])
+        roots = [rtab.class_of(k, (), STAB) for k in range(len(rtab.family))]
+        first = {}
+        for i, token in enumerate(roots[:len(reps)]):
+            if first.setdefault(token, i) != i:
+                return f"reps {first[token]} and {i} share stabilized root class"
+        for (i, image), token in zip(copies, roots[len(reps):]):
+            if token != roots[i]:
                 return f"rep {i}: relabeled copy not stab-equivalent"
             if not brute_isomorphic(reps[i], image, (), ()):
                 return f"rep {i}: brute force rejects its own relabeling"
         for i, j in pairs:
-            if i == j:
-                continue
-            if brute_isomorphic(reps[i], reps[j], (), ()):
+            if i != j and brute_isomorphic(reps[i], reps[j], (), ()):
                 return f"distinct reps {i},{j} brute-isomorphic"
-            if sc.scott_iso_check(reps[i], reps[j]):
-                return f"distinct reps {i},{j} stab-equivalent"
         return None
 
     def rank_ladder():
         if sc.scott_rank(chain(2)) != 1:
             return "rank(L2) != 1"
+        # item m - 1 is chain(m); L_m and L_m+1 split at the least level
+        # where their root classes differ
+        ltab = sc.ScottTable([chain(m) for m in range(1, ladder_max + 2)])
         prev = 0
         for m in range(1, ladder_max + 1):
-            lm, lm1 = chain(m), chain(m + 1)
-            level = sc.distinguishing_level(lm, lm1)
+            level = next((a for a in range(ltab.stab + 1)
+                          if ltab.class_of(m - 1, (), a) != ltab.class_of(m, (), a)),
+                         None)
             if level is None:
                 return f"L{m} vs L{m + 1} never split"
-            oc = orc.ScottOracle(lm, lm1)
+            oc = orc.ScottOracle(chain(m), chain(m + 1))
             if oc.equiv((), (), level) or not oc.equiv((), (), level - 1):
                 return f"L{m} vs L{m + 1}: naive oracle disputes level {level}"
             if level < prev:
@@ -655,8 +655,10 @@ def star_orbit_equivalence(item) -> str | None:
     table, drawn, _ = item
     sys = table.sys
     for *_, y, x, w, v in drawn:
-        direct, via = hj.star_orbit_equivalence_check(table, y, w, x, v)
-        if direct != via:
+        # y in the star transform over W of the V-translates of x
+        target = frozenset(sys.act(g, x) for g in sys.basis_members(v))
+        direct = all(sys.act(g, y) in target for g in sys.basis_members(w))
+        if direct != table.leq(y, w, x, v, STAB):
             return (f"(y={sys.points[y]},W={sys.basis[w]},"
                     f"x={sys.points[x]},V={sys.basis[v]})")
     return None
@@ -888,7 +890,8 @@ def basis_draws(tables, seed: int) -> list[tuple]:
 def basis_shift_bound(item, budgets: Budgets | None = None) -> str | None:
     table, alt, _ = item
     alt_table = hj.leq_table(alt, budgets=budgets)
-    for x, d in hj.basis_shift_check(table, alt_table).items():
+    for x in range(table.npoints):
+        d = abs(hj.hjorth_rank(table, x) - hj.hjorth_rank(alt_table, x))
         if d > 1:
             return f"x={table.sys.points[x]}:shift={d}"
     return None

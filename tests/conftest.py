@@ -13,7 +13,7 @@ from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,  # noqa: E402
                                FiniteLogicAction, parse_action_file)
 from rankforge.common import (STAB, InvalidBaseRelationError,  # noqa: E402
                               UnsupportedOperationError)
-from rankforge.scott import scott_equiv  # noqa: E402
+from rankforge.scott import ScottTable  # noqa: E402
 from rankforge.structures import (FinStructure, Signature,  # noqa: E402
                                   parse_structures_file)
 
@@ -202,7 +202,7 @@ def scott_hjorth_comparison(table: hj.LevelTable, m_struct, abar, n_struct, a2ba
     """One instance of the comparison scan's implication on the table's
     relabeling system: stabilized back-and-forth equivalence of the tuples
     forces the stabilized table relation between the matching coset pairs."""
-    if not scott_equiv(m_struct, abar, n_struct, a2bar, STAB):
+    if not ScottTable((m_struct, n_struct)).equivalent(0, abar, 1, a2bar, STAB):
         return True
     sys = table.sys
     return table.leq(sys.point_of(m_struct), sys.basis_of(abar, bbar),

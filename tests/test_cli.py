@@ -299,6 +299,22 @@ def test_hjorth_logic_names_each_point_once(tmp_path, capsys, ident, flags, name
         {f[4].removeprefix("x1=") for f in leq} == (set(names) if flags else set())
 
 
+def test_hjorth_logic_refuses_two_ids_for_one_structure(tmp_path, capsys):
+    # --logic makes one point of equal structures, which would leave one of
+    # the ids unnamed, so the file is refused before any record
+    p = tmp_path / "dup.txt"
+    p.write_text("signature\nrel edge 2\nend\n"
+                 "structure A size 2\nedge 0 1\nend\n"
+                 "structure B size 2\nedge 0 1\nend\n")
+    code = main(["hjorth", "--logic", "--structures", str(p), "--n", "2",
+                 "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: structures A and B are equal: "
+                            "--logic needs one id per point\n")
+
+
 def test_hjorth_symbolic_base_level(tmp_path, capsys):
     p = tmp_path / "supp.txt"
     p.write_text(SUPP_FILE)

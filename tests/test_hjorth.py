@@ -183,7 +183,7 @@ def test_vaught_needs_action():
         hj.vaught_delta(Bare(), {0}, 0)
     table = hj.leq_table(Bare())
     with pytest.raises(UnsupportedOperationError):
-        hj.star_orbit_equivalence_check(table, 0, 0, 0, 0)
+        vf.star_orbit_equivalence((table, [(None, None, 0, 0, 0, 0, 0)], []))
     with pytest.raises(UnsupportedOperationError):
         hj.fixed_point_set(table, 0)
 
@@ -191,12 +191,12 @@ def test_vaught_needs_action():
 def test_star_orbit_equivalence(sys1, basis_index):
     bi = basis_index
     table = hj.leq_table(sys1)
-    assert hj.star_orbit_equivalence_check(table, 1, bi["{e}"], 0, bi["{s}"]) == \
-        (True, True)
-    assert hj.star_orbit_equivalence_check(table, 2, bi["{e}"], 0, bi["{e,s}"]) == \
-        (False, False)
-    assert hj.star_orbit_equivalence_check(table, 0, bi["{e,s}"], 0, bi["{e,s}"]) == \
-        (True, True)
+    # (y, W, x, V): y in the star transform over W of the V-translates of x
+    quads = [(1, bi["{e}"], 0, bi["{s}"]), (2, bi["{e}"], 0, bi["{e,s}"]),
+             (0, bi["{e,s}"], 0, bi["{e,s}"])]
+    assert [table.leq(y, w, x, v, STAB) for y, w, x, v in quads] == [True, False, True]
+    drawn = [(None, None, 0, y, x, w, v) for y, w, x, v in quads]
+    assert vf.star_orbit_equivalence((table, drawn, [])) is None
 
 
 def test_fixed_point_set(sys1, basis_index):
@@ -217,11 +217,13 @@ def test_partition_and_compare(sys1):
 
 def test_basis_shift_identical_and_alt(sys1):
     table = hj.leq_table(sys1)
+    ranks = [hj.hjorth_rank(table, x) for x in range(3)]
     same = hj.leq_table(sys1.with_basis(sys1.basis_sets))
-    assert set(hj.basis_shift_check(table, same).values()) == {0}
-    alt = hj.leq_table(sys1.with_basis([frozenset([0]), frozenset([1]),
-                                        frozenset([0, 1])]))
-    assert all(d <= 1 for d in hj.basis_shift_check(table, alt).values())
+    assert [hj.hjorth_rank(same, x) for x in range(3)] == ranks
+    alt_sys = sys1.with_basis([frozenset([0]), frozenset([1]), frozenset([0, 1])])
+    alt = hj.leq_table(alt_sys)
+    assert all(abs(hj.hjorth_rank(alt, x) - d) <= 1 for x, d in enumerate(ranks))
+    assert vf.basis_shift_bound((table, alt_sys, None)) is None
 
 
 def test_invalid_base_relation_aborts(sys1):
@@ -291,9 +293,8 @@ def test_table_functions_store_nothing_on_the_system(make):
         hj.minimal_m(table, x)
         assert hj.orbit_check_via_rank(table)[x, 0] == (0 in hj.orbit_of(sys, x))
         hj.compare_ranks(table, x, 0)
-        hj.star_orbit_equivalence_check(table, x, 0, 0, nbasis - 1)
+        table.leq(x, 0, 0, nbasis - 1, STAB)
     hj.partition_by_rank(table)
-    hj.basis_shift_check(table, hj.leq_table(make()))
     for u in range(nbasis):
         hj.fixed_point_set(table, u)
     if isinstance(sys, FiniteLogicAction):

@@ -9,29 +9,37 @@ from hypothesis import strategies as st
 from rankforge.actions import _all_structures
 from rankforge.common import STAB
 from rankforge.oracle import ScottOracle
-from rankforge.scott import (ScottTable, distinguishing_level, scott_equiv,
-                             scott_iso_check, scott_rank)
+from rankforge.scott import ScottTable, scott_rank
 from rankforge.structures import (FinStructure, Signature, brute_isomorphic,
                                   permute_structure)
 
 from conftest import EDGE_SIG, chain
 
 
+def root_level(m_struct, n_struct):
+    """Least level separating the empty tuples of two structures, or None."""
+    pair = ScottTable((m_struct, n_struct))
+    return next((a for a in range(pair.stab + 1)
+                 if not pair.equivalent(0, (), 1, (), a)), None)
+
+
 def test_scott_equiv_chain_examples():
     l2, l3 = chain(2), chain(3)
     # frozen from the naive game-recursion oracle
-    assert scott_equiv(l2, (), l3, (), 1) is True
-    assert scott_equiv(l2, (), l3, (), 2) is False
+    pair = ScottTable((l2, l3))
+    assert pair.equivalent(0, (), 1, (), 1) is True
+    assert pair.equivalent(0, (), 1, (), 2) is False
     assert ScottOracle(l2, l3).equiv((), (), 1) is True
     assert ScottOracle(l2, l3).equiv((), (), 2) is False
 
 
 def test_scott_equiv_reflexive_all_levels():
     l3 = chain(3)
+    pair = ScottTable((l3, l3))
     for alpha in (0, 1, 2, 5, STAB):
-        assert scott_equiv(l3, (0, 2), l3, (0, 2), alpha)
+        assert pair.equivalent(0, (0, 2), 1, (0, 2), alpha)
     with pytest.raises(ValueError):
-        scott_equiv(l3, (0,), l3, (), 1)
+        pair.equivalent(0, (0,), 1, (), 1)
 
 
 def test_scott_table_blocks():
@@ -100,13 +108,17 @@ def test_stab_bounded_by_item_count():
         assert tab.stab <= items
 
 
+def scott_isomorphic(m_struct, n_struct):
+    return ScottTable((m_struct, n_struct)).equivalent(0, (), 1, (), STAB)
+
+
 def test_scott_iso_check_examples():
     l2, l3 = chain(2), chain(3)
-    assert scott_iso_check(l3, chain(3))
-    assert not scott_iso_check(l2, l3)
+    assert scott_isomorphic(l3, chain(3))
+    assert not scott_isomorphic(l2, l3)
     path = FinStructure(EDGE_SIG, 3, frozenset({("edge", (0, 1)), ("edge", (1, 2))}))
     star = FinStructure(EDGE_SIG, 3, frozenset({("edge", (1, 0)), ("edge", (1, 2))}))
-    assert not scott_iso_check(path, star)
+    assert not scott_isomorphic(path, star)
     assert not brute_isomorphic(path, star, (), ())
 
 
@@ -115,7 +127,7 @@ def test_scott_iso_matches_brute_force_size3():
     for m, n in itertools.product(structs, repeat=2):
         if m.signature != n.signature:
             continue
-        assert scott_iso_check(m, n) == brute_isomorphic(m, n, (), ())
+        assert scott_isomorphic(m, n) == brute_isomorphic(m, n, (), ())
 
 
 def test_repeated_tuples_reduce_correctly():
@@ -141,9 +153,9 @@ def test_repeated_tuples_reduce_correctly():
 
 def test_distinguishing_level_ladder():
     # frozen from the naive oracle (verified in the acceptance suite)
-    levels = [distinguishing_level(chain(m), chain(m + 1)) for m in range(1, 7)]
+    levels = [root_level(chain(m), chain(m + 1)) for m in range(1, 7)]
     assert levels == [2, 2, 3, 3, 3, 3]
-    assert distinguishing_level(chain(3), chain(3)) is None
+    assert root_level(chain(3), chain(3)) is None
 
 
 # -- engine against the literal game recursion

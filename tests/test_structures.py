@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from rankforge.structures import (FinStructure, ParseError, RangeError,
                                   SchemaError, Signature, SuppStructure,
                                   brute_isomorphic, canonical_form, eval_atomic,
-                                  parse_structure, parse_structures_file,
-                                  permute_structure, qf_type,
+                                  parse_structures_file, permute_structure,
                                   realized_types, serialize_structures,
                                   thsigma_contains)
-from rankforge.structures import _count_witnesses, _witness_tuples
+from rankforge.structures import _count_witnesses, _qf_key, _witness_tuples
 
 from conftest import EDGE_SIG, chain
 
@@ -43,7 +42,8 @@ def test_structure_fact_validation():
 # -- parsing
 
 def test_parse_empty_signature_three_elements():
-    struct = parse_structure("signature\nend\nstructure A size 3\nend\n")
+    _, structs = parse_structures_file("signature\nend\nstructure A size 3\nend\n")
+    struct = structs["A"]
     assert isinstance(struct, FinStructure)
     assert struct.size == 3 and not struct.facts
 
@@ -51,7 +51,7 @@ def test_parse_empty_signature_three_elements():
 def test_parse_two_path():
     text = ("signature\nrel edge 2\nend\n"
             "structure P size 3\nedge 0 1\nedge 1 2\nend\n")
-    assert parse_structure(text) == PATH2
+    assert parse_structures_file(text)[1] == {"P": PATH2}
 
 
 def test_parse_range_error_names_line():
@@ -71,8 +71,8 @@ def test_parse_errors():
         parse_structures_file("signature\nrel edge 2\nend\n"
                               "structure A size 2\nedge 0 1\n")  # unterminated
     with pytest.raises(ParseError):
-        parse_structure("signature\nend\n"
-                        "structure A size 1\nend\nstructure B size 1\nend\n")
+        parse_structures_file("signature\nend\n"
+                              "structure A size 1\nend\nstructure A size 1\nend\n")
 
 
 def test_serialize_round_trip_byte_identical():
@@ -110,12 +110,13 @@ def test_eval_atomic_off_support():
 # -- quantifier-free types
 
 def test_qf_type_examples():
+    # a key is (length, equality bits, relation bits)
     l2 = chain(2)
-    t01, t10 = qf_type(l2, (0, 1)), qf_type(l2, (1, 0))
+    t01, t10 = _qf_key(l2, (0, 1)), _qf_key(l2, (1, 0))
     assert t01 != t10
-    assert t01.atoms != t10.atoms  # 0<1 true, 1<0 false
-    assert qf_type(l2, ()) == qf_type(chain(3), ())
-    assert qf_type(l2, (0, 0)).equalities != t01.equalities
+    assert t01[2] != t10[2]  # 0<1 true, 1<0 false
+    assert _qf_key(l2, ()) == _qf_key(chain(3), ())
+    assert _qf_key(l2, (0, 0))[1] != t01[1]
 
 
 @st.composite
@@ -134,7 +135,7 @@ def edge_structure_and_perm(draw):
 def test_qf_type_permutation_equivariant(data):
     struct, perm, tup = data
     image = permute_structure(struct, perm)
-    assert qf_type(struct, tup) == qf_type(image, tuple(perm[e] for e in tup))
+    assert _qf_key(struct, tup) == _qf_key(image, tuple(perm[e] for e in tup))
 
 
 @given(edge_structure_and_perm())

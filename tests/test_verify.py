@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rankforge import hjorth as hj
+from rankforge import oracle as orc
 from rankforge import scott as sc
 from rankforge import verify as vf
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction,
@@ -13,10 +14,10 @@ from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAct
 from rankforge.common import STAB, BudgetError, Budgets
 from rankforge.hjorth import LevelTable, leq_table
 from rankforge.oracle import LeqOracle
-from rankforge.structures import FinStructure, Signature
+from rankforge.structures import FinStructure, Signature, canonical_form
 
-from conftest import (EDGE_SIG, CorruptedSystem, make_non_basis_family, make_stab2_system,
-                      make_sys1, set_level)
+from conftest import (EDGE_SIG, CorruptedSystem, chain, make_non_basis_family,
+                      make_stab2_system, make_sys1, set_level)
 
 
 @pytest.fixture(scope="module")
@@ -488,21 +489,23 @@ class MergedRoots(sc.ScottTable):
         return super().class_of(i, tup, alpha)
 
 
-def flip_every_37th_iso_check(monkeypatch):
-    calls = [0]
-    iso = sc.scott_iso_check
+class FlippedCopy(sc.ScottTable):
+    """A Scott table over more than 60 structures, the last 60 of them
+    relabeled copies, whose stabilized root read of the 37th copy is a class
+    of its own."""
 
-    def flipped(m, n):
-        calls[0] += 1
-        return iso(m, n) != (calls[0] % 37 == 0)
-
-    monkeypatch.setattr(sc, "scott_iso_check", flipped)
+    def class_of(self, i, tup, alpha):
+        if (len(self.family) > 60 and i == len(self.family) - 60 + 36
+                and tuple(tup) == () and alpha == STAB):
+            return ("flipped",)
+        return super().class_of(i, tup, alpha)
 
 
 @pytest.mark.parametrize("seed, exhaustive_n, fault, witness", [
-    # call 37 judges the 37th relabeled copy; the distinct pairs, drawn
-    # after every copy, are not judged
-    (7, 4, flip_every_37th_iso_check, "rep 100: relabeled copy not stab-equivalent"),
+    # the 37th relabeled copy fails; the distinct pairs, drawn after every
+    # copy, are not judged
+    (7, 4, lambda mp: mp.setattr(sc, "ScottTable", FlippedCopy),
+     "rep 100: relabeled copy not stab-equivalent"),
     # the root-class check fails before any sample is judged, and every
     # copy and pair is still drawn
     (3, 3, lambda mp: mp.setattr(sc, "ScottTable", MergedRoots),
@@ -517,6 +520,54 @@ def test_scott_iso_finite_draws_every_sample_before_judging(monkeypatch, seed,
     faulty, faulty_ranked = ranked_structures(monkeypatch, seed, exhaustive_n)
     assert faulty == {**clean, "scott_iso_finite": witness}
     assert faulty_ranked == clean_ranked and len(clean_ranked) == 41
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_iso_finite_copy_reads_match_pair_tables(monkeypatch, seed):
+    # scott_iso_finite judges each relabeled copy by its root class in one
+    # table over the reps and then the copies; a table of one rep and the
+    # copy alone gives the same verdict, for the copy's rep and the next rep
+    built = []
+
+    class Recorded(sc.ScottTable):
+        def __init__(self, family):
+            super().__init__(family)
+            built.append(self)
+
+    monkeypatch.setattr(sc, "ScottTable", Recorded)
+    assert by_name(vf.scott_structure_checks(seed, 4, 6))["scott_iso_finite"].passed
+    reps = [m for n in range(1, 5) for m in vf.canonical_edge_representatives(n)]
+    (table,) = [t for t in built if len(t.family) == len(reps) + 60]
+    assert list(table.family[:len(reps)]) == reps
+    index = {canonical_form(m): i for i, m in enumerate(reps)}
+    for k, copy in enumerate(table.family[len(reps):], len(reps)):
+        i = index[canonical_form(copy)]
+        for j in (i, (i + 1) % len(reps)):
+            same = table.class_of(k, (), STAB) == table.class_of(j, (), STAB)
+            pair = sc.ScottTable((reps[j], copy)).equivalent(0, (), 1, (), STAB)
+            assert same == pair == (j == i)
+
+
+def test_rank_ladder_levels_match_pair_tables(monkeypatch):
+    # the ladder reads each split level of L_m and L_m+1 from one table over
+    # L_1 .. L_7, and hands it to the naive oracle; a table of the two
+    # chains alone first separates their roots at the same level
+    asked = {}
+
+    class Recorded(orc.ScottOracle):
+        def equiv(self, abar, bbar, alpha, flip=False):
+            if tuple(abar) == ():
+                asked.setdefault(self.m.size, alpha)
+            return super().equiv(abar, bbar, alpha, flip)
+
+    monkeypatch.setattr(orc, "ScottOracle", Recorded)
+    assert by_name(vf.scott_structure_checks(0, 1, 6))["scott_rank_ladder"].passed
+    pair_levels = []
+    for m in range(1, 7):
+        pair = sc.ScottTable((chain(m), chain(m + 1)))
+        pair_levels.append(next(a for a in range(pair.stab + 1)
+                                if not pair.equivalent(0, (), 1, (), a)))
+    assert [asked[m] for m in range(1, 7)] == pair_levels == [2, 2, 3, 3, 3, 3]
 
 
 def test_scott_rank_invariance_reads_its_draws_in_order(monkeypatch):
