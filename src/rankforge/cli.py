@@ -10,14 +10,35 @@ of memory), 4 internal error.
 Text output is human-oriented; ``--format records`` is the stable machine
 contract (one record per line, fixed key order).  Identical invocations,
 seed included, produce byte-identical records output.
+
+This module is the command's entry point (the console script and ``python
+-m rankforge`` import it), and it runs numpy's OpenBLAS with one thread: no
+product the command computes is big enough for a second thread to shorten
+it, yet the worker thread spins on a core after the library loads.
+OpenBLAS reads its thread count from the environment once, when numpy loads
+it, so the module sets ``OPENBLAS_NUM_THREADS=1`` for that import only and
+deletes it again.  It leaves the count alone when numpy is already loaded
+(rankforge used as a library before the CLI module is imported) or when
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+set: a count the user chose wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-import numpy as np
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    import numpy as np
 
 from . import hjorth as hj
 from . import scott as sc

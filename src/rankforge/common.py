@@ -55,7 +55,8 @@ class Budgets:
 
     @classmethod
     def from_env(cls, env: str | None = None) -> "Budgets":
-        """Default budgets overridden by RANKFORGE_BUDGET ("g=32,x=16,...")."""
+        """Default budgets overridden by RANKFORGE_BUDGET ("g=32,x=16,...");
+        each key at most once."""
         raw = os.environ.get(_BUDGET_ENV, "") if env is None else env
         budgets = cls()
         if not raw.strip():
@@ -69,5 +70,7 @@ class Budgets:
             key = key.strip()
             if key not in cls.__dataclass_fields__ or not value.strip().isdigit():
                 raise BudgetError(f"bad {_BUDGET_ENV} entry: {item!r}")
+            if key in fields:
+                raise BudgetError(f"bad {_BUDGET_ENV} entry: {item!r} repeats key {key}")
             fields[key] = int(value)
         return replace(budgets, **fields)

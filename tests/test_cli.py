@@ -382,6 +382,15 @@ def test_compare_budget_env(capsys):
     assert code == 3
 
 
+def test_budget_env_refuses_a_repeated_key():
+    # the second g used to win without a word
+    proc = run_cli(["compare", "--n", "2"], {"RANKFORGE_BUDGET": "g=2, g=32"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: bad RANKFORGE_BUDGET entry: 'g=32' "
+                           "repeats key g\n")
+
+
 def test_verify_default_sizes_are_capped_by_the_budget(monkeypatch, capsys):
     # defaults g<=8, x<=6, n<=3 and 200 systems; the budget lowers g and n
     monkeypatch.setenv("RANKFORGE_BUDGET", "g=3,n=2")
@@ -673,3 +682,50 @@ def test_verify_fault_in_later_suite_keeps_earlier_records(monkeypatch, capsys):
     assert all(line.startswith("CHECK ") and "verdict=pass" in line
                for line in lines[1:])
     assert captured.err == "error: internal error: TypeError: bug\n"
+
+
+# OpenBLAS reads its thread count once, when numpy loads it, so each of these
+# runs in a fresh interpreter; none of the variables OpenBLAS reads is
+# inherited unless the test sets it
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(args, env_extra=None):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_extra or {})
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def blas_threads(*modules, env_extra=None):
+    """The OpenBLAS thread count after importing the modules in a fresh
+    interpreter, read as perfbench/child.py reads host.blas_threads; skips
+    the test when numpy is not built on OpenBLAS."""
+    out = run_fresh([os.path.join(os.path.dirname(__file__), "blas_threads.py"),
+                     *modules], env_extra)
+    if out == "None":
+        pytest.skip("numpy is not built on OpenBLAS")
+    return int(out)
+
+
+def test_command_runs_openblas_on_one_thread():
+    assert blas_threads("rankforge.cli") == 1
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_command_keeps_a_blas_thread_count_the_user_set(var):
+    assert blas_threads("rankforge.cli", env_extra={var: "2"}) == 2
+
+
+@pytest.mark.parametrize("module", ["rankforge", "rankforge.hjorth"])
+def test_library_import_leaves_the_blas_thread_count_alone(module):
+    assert blas_threads(module, "numpy") == blas_threads("numpy")
+
+
+def test_command_import_leaves_the_environment_as_it_found_it():
+    code = ("import os; before = dict(os.environ); import rankforge.cli; "
+            "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert run_fresh(["-c", code]) == "True False"
