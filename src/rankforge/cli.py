@@ -141,6 +141,9 @@ def cmd_scott_rank(args, budgets: Budgets) -> int:
     for ident, struct in structures.items():
         if not isinstance(struct, FinStructure):
             raise RankforgeError(f"{ident} is not a finite structure")
+        if struct.size > sc.MAX_SIZE:
+            raise BudgetError(f"{ident} has size {struct.size}, above the Scott "
+                              f"table cap of size {sc.MAX_SIZE}")
     out.record(config_record(command="scott-rank", input=args.file,
                              format=args.format))
     for ident, struct in structures.items():

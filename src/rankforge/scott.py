@@ -15,6 +15,12 @@ level and is addressed by the STAB sentinel.
 Comparisons are reads of one family table: two finite structures are
 isomorphic exactly when their empty tuples share a stabilized class, and the
 least level that separates them is the first where those classes differ.
+
+Past level 0 the refinement reads no atoms: it is a function of the
+family's universe sizes, which fix each tuple's children, and of the level-0
+colouring, numbered by first occurrence.  So ``_refinement`` is cached on
+that pair, and tables with equal keys (a structure, its complement and its
+converse, say) share their level arrays, which are therefore read-only.
 """
 
 from __future__ import annotations
@@ -25,8 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import STAB
+from .common import STAB, BudgetError
 from .structures import FinStructure, RangeError
+
+# Tables refine every injective tuple, n! of them at size n, so sizes above
+# this cap are refused, as ``structures.canonical_form`` refuses them.
+MAX_SIZE = 8
 
 
 def _reduce(tup: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -63,38 +73,17 @@ class ScottTable:
         signature = family[0].signature
         if any(m.signature != signature for m in family):
             raise ValueError("family mixes signatures")
+        sizes = tuple(m.size for m in family)
+        width = max(sizes)
+        if width > MAX_SIZE:
+            raise BudgetError(f"Scott tables are capped at size {MAX_SIZE}, "
+                              f"got size {width}")
         self.family = family
-        width = max(m.size for m in family)
-        self._offsets: list[int] = []
-        keys, children = [], []
-        offset = 0
-        for struct in family:
-            carrier = _carrier(struct.size)
-            self._offsets.append(offset)
-            keys.append(_qf_rows(struct, width))
-            kids = np.where(carrier.children < 0, -1, carrier.children + offset)
-            pad = np.repeat(kids[:, :1], width - struct.size, axis=1)
-            children.append(np.hstack((kids, pad)))
-            offset += len(carrier.tuples)
-        children = np.vstack(children)
-
+        self._offsets = list(itertools.accumulate(
+            (len(injective_tuples(size)) for size in sizes[:-1]), initial=0))
         # Level 0: the quantifier-free type row [length, atom truths...].
-        colors, count = _number(np.vstack(keys))
-        self._levels = [colors]
-        while True:
-            # Level alpha + 1: own colour plus the *set* of child colours.
-            # Sorting, turning repeats into the row's first value and sorting
-            # again gives one row per set; -1 marks "no extension".
-            sig = np.append(colors, -1)[children]
-            sig.sort(axis=1)
-            sig[:, 1:] = np.where(sig[:, 1:] == sig[:, :-1], sig[:, :1], sig[:, 1:])
-            sig.sort(axis=1)
-            nxt, new_count = _number(np.column_stack((colors, sig)))
-            if new_count == count:
-                break  # refinement added nothing: previous level is stable
-            self._levels.append(nxt)
-            colors, count = nxt, new_count
-
+        colors, _ = _number(np.vstack([_qf_rows(m, width) for m in family]))
+        self._levels = _refinement(sizes, colors.tobytes())
         self.stab = len(self._levels) - 1
 
     @property
@@ -145,6 +134,51 @@ def _number(keys: np.ndarray) -> tuple[np.ndarray, int]:
     ids: dict[bytes, int] = {}
     colors = [ids.setdefault(row, len(ids)) for row in rows.tolist()]
     return np.array(colors, dtype=np.int32), len(ids)
+
+
+@lru_cache(maxsize=4096)
+def _refinement(sizes: tuple[int, ...], level0: bytes) -> tuple[np.ndarray, ...]:
+    """Levels 0..stab of a family with these universe sizes whose level-0
+    colours, numbered by first occurrence, are the int32 array ``level0``.
+
+    Nothing past level 0 depends on the atoms, so tables with equal keys
+    share the result; its arrays are read-only.
+    """
+    colors = np.frombuffer(level0, dtype=np.int32)
+    count = int(colors.max()) + 1
+    children = _children(sizes)
+    levels = [colors]
+    while True:
+        # Level alpha + 1: own colour plus the *set* of child colours.
+        # Sorting, turning repeats into the row's first value and sorting
+        # again gives one row per set; -1 marks "no extension".
+        sig = np.append(colors, -1)[children]
+        sig.sort(axis=1)
+        sig[:, 1:] = np.where(sig[:, 1:] == sig[:, :-1], sig[:, :1], sig[:, 1:])
+        sig.sort(axis=1)
+        nxt, new_count = _number(np.column_stack((colors, sig)))
+        if new_count == count:
+            break  # refinement added nothing: previous level is stable
+        nxt.flags.writeable = False
+        levels.append(nxt)
+        colors, count = nxt, new_count
+    return tuple(levels)
+
+
+@lru_cache(maxsize=16)
+def _children(sizes: tuple[int, ...]) -> np.ndarray:
+    """items x max(sizes): each item's children in the family's item order,
+    padded to the widest universe with its first child (-1 if none)."""
+    width = max(sizes)
+    children = []
+    offset = 0
+    for size in sizes:
+        carrier = _carrier(size)
+        kids = np.where(carrier.children < 0, -1, carrier.children + offset)
+        pad = np.repeat(kids[:, :1], width - size, axis=1)
+        children.append(np.hstack((kids, pad)))
+        offset += len(carrier.tuples)
+    return np.vstack(children)
 
 
 @lru_cache(maxsize=None)

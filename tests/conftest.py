@@ -13,7 +13,7 @@ from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,  # noqa: E402
                                FiniteLogicAction, parse_action_file)
 from rankforge.common import (STAB, InvalidBaseRelationError,  # noqa: E402
                               UnsupportedOperationError)
-from rankforge.scott import ScottTable  # noqa: E402
+from rankforge.scott import ScottTable, _refinement  # noqa: E402
 from rankforge.structures import (FinStructure, Signature,  # noqa: E402
                                   parse_structures_file)
 
@@ -207,6 +207,17 @@ def scott_hjorth_comparison(table: hj.LevelTable, m_struct, abar, n_struct, a2ba
     sys = table.sys
     return table.leq(sys.point_of(m_struct), sys.basis_of(abar, bbar),
                      sys.point_of(n_struct), sys.basis_of(a2bar, bbar), STAB)
+
+
+@pytest.fixture
+def fresh_scott_cache():
+    """The Scott refinement cache, emptied before the test and again after
+    it: no refinement from an earlier test answers for a table built in
+    this one (a monkeypatched refinement step really runs), and none made
+    here outlives it."""
+    _refinement.cache_clear()
+    yield _refinement
+    _refinement.cache_clear()
 
 
 @pytest.fixture

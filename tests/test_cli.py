@@ -121,6 +121,21 @@ def test_scott_rank_refuses_a_non_finite_structure_before_any_record(tmp_path, c
     assert main(["scott-rank", str(p), "--structure", "A", "--format", "records"]) == 0
 
 
+def test_scott_rank_refuses_a_structure_above_the_size_cap_before_any_record(
+        tmp_path, capsys):
+    # a size-9 table would refine 986,410 injective tuples
+    p = tmp_path / "big.txt"
+    p.write_text("signature\nrel edge 2\nend\n"
+                 "structure A size 2\nedge 0 1\nend\n"
+                 "structure B size 9\nedge 0 1\nend\n")
+    code = main(["scott-rank", str(p), "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: B has size 9, above the Scott table cap of size 8\n"
+    assert main(["scott-rank", str(p), "--structure", "A", "--format", "records"]) == 0
+
+
 def test_records_format(struct_path, tmp_path, capsys):
     # each record kind as the cli writes it; every CHECK record is written by
     # CheckResult.record()

@@ -2,16 +2,18 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankforge.actions import _all_structures
-from rankforge.common import STAB
+from rankforge.common import STAB, BudgetError
 from rankforge.oracle import ScottOracle
-from rankforge.scott import ScottTable, scott_rank
+from rankforge.scott import MAX_SIZE, ScottTable, scott_rank
 from rankforge.structures import (FinStructure, Signature, brute_isomorphic,
                                   permute_structure)
+from rankforge.verify import canonical_edge_representatives
 
 from conftest import EDGE_SIG, chain
 
@@ -254,3 +256,62 @@ def test_block_order_is_pinned():
                for a in range(tab.stab + 1)]
     assert digests == BLOCK_DIGESTS
     assert tab.blocks(STAB) == tab.blocks(tab.stab + 1) == tab.blocks(tab.stab)
+
+
+# -- the refinement cache
+
+def test_warm_cache_gives_the_cold_levels(fresh_scott_cache):
+    # every class of one binary relation on at most 4 elements, and every
+    # labelled one on at most 3; cold tables refine with the cache emptied
+    structs = [m for n in range(1, 5) for m in canonical_edge_representatives(n)]
+    structs += [m for n in range(1, 4) for m in _all_structures(EDGE_SIG, n)]
+    cold = []
+    for m in structs:
+        fresh_scott_cache.cache_clear()
+        tab = ScottTable([m])
+        cold.append((tab.stab, [tab._level(a).copy() for a in range(tab.levels)]))
+    fresh_scott_cache.cache_clear()
+    for _ in range(2):  # first pass partly served by the cache, second wholly
+        for m, (stab, levels) in zip(structs, cold):
+            tab = ScottTable([m])
+            assert tab.stab == stab and tab.levels == len(levels)
+            for a, level in enumerate(levels):
+                assert np.array_equal(tab._level(a), level), (m, a)
+    info = fresh_scott_cache.cache_info()
+    assert info.currsize == info.misses < len(structs) <= info.hits
+
+
+def test_cached_levels_are_read_only():
+    tab = ScottTable([chain(3)])
+    for a in range(tab.levels):
+        with pytest.raises(ValueError):
+            tab._level(a)[0] = 7
+
+
+def test_structures_with_one_level0_colouring_share_a_cache_entry(fresh_scott_cache):
+    facts = {(0, 1), (1, 2), (2, 2)}
+    every = {(a, b) for a in range(3) for b in range(3)}
+
+    def edge(pairs):
+        return FinStructure(EDGE_SIG, 3, frozenset(("edge", p) for p in pairs))
+
+    tab = ScottTable([edge(facts)])
+    complement, converse = edge(every - facts), edge((b, a) for a, b in facts)
+    for other in (complement, converse):
+        before = fresh_scott_cache.cache_info()
+        shared = ScottTable([other])
+        after = fresh_scott_cache.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+        assert all(shared._level(a) is tab._level(a) for a in range(tab.levels))
+    # no loops: every element has one level-0 type, so the colouring differs
+    before = fresh_scott_cache.cache_info()
+    ScottTable([edge({(0, 1), (1, 2)})])
+    after = fresh_scott_cache.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
+
+
+def test_tables_above_the_size_cap_are_refused():
+    # the cap is canonical_form's, refused before any tuple is enumerated
+    assert MAX_SIZE == 8
+    with pytest.raises(BudgetError, match="capped at size 8, got size 9"):
+        ScottTable([chain(2), chain(MAX_SIZE + 1)])

@@ -588,6 +588,35 @@ def test_scott_rank_invariance_reads_its_draws_in_order(monkeypatch):
     assert calls[0] == 41
 
 
+REAL_NUMBER = sc._number
+
+
+def isolate_last_item(keys):
+    """``scott._number`` with one refinement step corrupted: in a round from
+    level 1 on (level-0 keys are int8 atom rows, later keys wider colours),
+    the family's last item leaves its class for a colour of its own."""
+    colors, count = REAL_NUMBER(keys)
+    if keys.dtype != np.int8 and (colors == colors[-1]).sum() > 1:
+        colors[-1], count = count, count + 1
+    return colors, count
+
+
+def test_corrupted_refinement_fails_the_scott_checks(monkeypatch, fresh_scott_cache):
+    def records():
+        checks = vf.scott_oracle_checks(3, 60, 4) + vf.scott_structure_checks(3, 3, 6)
+        return {c.name: c.record() for c in checks}
+
+    clean = records()
+    assert all("verdict=pass" in r for r in clean.values())
+    monkeypatch.setattr(sc, "_number", isolate_last_item)
+    # every table of the run is served by the warm cache: the fault hides
+    assert records() == clean
+    fresh_scott_cache.cache_clear()
+    faulty = records()
+    assert "verdict=fail" in faulty["scott_oracle_exhaustive_small"]
+    assert "verdict=fail" in faulty["scott_iso_finite"]
+
+
 def test_mulclose_checks_generators_against_cap():
     assert vf.mulclose([(1, 0)], cap=1) is None
     assert vf.mulclose([(1, 2, 0), (2, 0, 1)], cap=2) is None
