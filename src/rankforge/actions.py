@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .common import BudgetError, Budgets, UnsupportedOperationError
+from .common import BudgetError, Budgets, UnsupportedOperationError, ascii_int
 from .hjorth import ActionSystem
 from .structures import (FinStructure, ParseError, SchemaError, Signature,
                          SuppStructure, permute_structure, thsigma_contains)
@@ -213,9 +213,8 @@ def parse_action_file(text: str, budgets: Budgets | None = None) -> FiniteDiscre
                 raise ParseError(f"repeated {words[0]} directive", no)
             seen.add(words[0])
         if words[:2] == ["space", "size"] and len(words) == 3:
-            if not words[2].isdigit():
-                raise ParseError("size must be an integer", no)
-            size = int(words[2])
+            if (size := ascii_int(words[2])) is None:
+                raise ParseError(f"size must be an integer, got {words[2]!r}", no)
             pos += 1
         elif words == ["group"]:
             if size is None:
@@ -227,10 +226,9 @@ def parse_action_file(text: str, budgets: Budgets | None = None) -> FiniteDiscre
                 parts = head.split()
                 if len(parts) != 2 or parts[0] != "elem" or not imgs.strip():
                     raise ParseError("expected 'elem <label> : <images>'", eno)
-                try:
-                    perm = tuple(int(t) for t in imgs.split())
-                except ValueError:
-                    raise ParseError("images must be integers", eno) from None
+                perm = tuple(ascii_int(t, signed=True) for t in imgs.split())
+                if None in perm:
+                    raise ParseError("images must be integers", eno)
                 elements.append((parts[1], perm))
                 pos += 1
             if pos >= len(lines):

@@ -46,7 +46,7 @@ from . import verify as vf
 from .actions import (ALL_SUBSETS, SINGLETONS_PLUS_G, FiniteLogicAction,
                       SymbolicLogicAction, parse_action_file)
 from .common import (Budgets, BudgetError, InvalidBaseRelationError,
-                     RankforgeError)
+                     RankforgeError, ascii_int)
 from .structures import (FinStructure, Signature, StructureError,
                          SuppStructure, parse_structures_file)
 
@@ -74,7 +74,7 @@ def _parse_sizes(text: str) -> dict[str, int]:
         token = token.strip().replace("≤", "<=")
         key, sep, value = token.partition("<=")
         key = key.strip()
-        if not sep or key not in _SIZE_MIN or not value.strip().isdigit():
+        if not sep or key not in _SIZE_MIN or ascii_int(value.strip()) is None:
             raise argparse.ArgumentTypeError(f"bad sizes token {token!r}")
         if int(value) < _SIZE_MIN[key]:
             raise argparse.ArgumentTypeError(
@@ -101,7 +101,7 @@ def _int_at_least(low: int):
 
 def _parse_rel(token: str) -> tuple[str, int]:
     name, sep, arity = token.partition(":")
-    if not sep or not arity.isdigit() or int(arity) < 1 or not name:
+    if not sep or (ascii_int(arity) or 0) < 1 or not name:
         raise argparse.ArgumentTypeError(f"bad relation spec {token!r}")
     return name, int(arity)
 

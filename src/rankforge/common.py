@@ -39,6 +39,12 @@ class OracleDepthError(RankforgeError):
     """Naive oracle recursion exceeded its configured depth."""
 
 
+def ascii_int(token: str, signed: bool = False) -> int | None:
+    """A token of ASCII digits (one leading '-' if ``signed``) as an int, else None."""
+    digits = token[1:] if signed and token[:1] == "-" else token
+    return int(token) if digits.isascii() and digits.isdigit() else None
+
+
 _BUDGET_ENV = "RANKFORGE_BUDGET"
 
 
@@ -68,7 +74,7 @@ class Budgets:
                 continue
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in cls.__dataclass_fields__ or not value.strip().isdigit():
+            if key not in cls.__dataclass_fields__ or ascii_int(value.strip()) is None:
                 raise BudgetError(f"bad {_BUDGET_ENV} entry: {item!r}")
             if key in fields:
                 raise BudgetError(f"bad {_BUDGET_ENV} entry: {item!r} repeats key {key}")

@@ -224,6 +224,7 @@ def _positions(size: int, arity: int) -> np.ndarray:
         entries = np.array([carrier.tuples[k] for k in rows])
         vectors = np.array(list(itertools.product(range(length), repeat=arity)))
         out[rows, :length ** arity] = entries[:, vectors] @ strides
+    out.flags.writeable = False
     return out
 
 
@@ -231,20 +232,22 @@ def _qf_rows(struct: FinStructure, width: int) -> np.ndarray:
     """Level-0 key rows of a structure's items: [length, atom truths...].
 
     Each relation of arity r takes width**r columns (width is the largest
-    universe in the family), so equal types give equal rows across sizes.
+    universe in the family), so equal types give equal rows across sizes;
+    the columns past size**r stay 0, the value of the sentinel index.
     """
-    size = struct.size
-    columns = [_carrier(size).lengths[:, None]]
-    for name, arity in struct.signature.relations:
+    size, relations = struct.size, struct.signature.relations
+    columns = 1 + sum(width ** arity for _, arity in relations)
+    rows = np.zeros((len(_carrier(size).tuples), columns), dtype=np.int8)
+    rows[:, 0] = _carrier(size).lengths
+    col = 1
+    for name, arity in relations:
         truth = np.zeros(size ** arity + 1, dtype=np.int8)
         args = [a for rel, a in struct.facts if rel == name]
         if args:
             truth[np.ravel_multi_index(tuple(np.array(args).T), (size,) * arity)] = 1
-        pos = _positions(size, arity)
-        pad = np.full((len(pos), width ** arity - size ** arity), size ** arity,
-                      dtype=np.int32)
-        columns.append(truth[np.hstack((pos, pad))])
-    return np.hstack(columns)
+        rows[:, col:col + size ** arity] = truth[_positions(size, arity)]
+        col += width ** arity
+    return rows
 
 
 def scott_rank(struct: FinStructure) -> int:

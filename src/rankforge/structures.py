@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .common import BudgetError
+from .common import BudgetError, ascii_int
 
 EQ = "="  # equality is built-in and never declared
 
@@ -314,30 +314,25 @@ def canonical_form(struct: FinStructure) -> tuple:
 # File format
 
 
-def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    if not token.lstrip("-").isdigit():
+    if (value := ascii_int(token, signed=True)) is None:
         raise ParseError(f"{what} must be an integer, got {token!r}", lineno)
-    return int(token)
+    return value
 
 
 def parse_structures_file(text: str) -> tuple[Signature, dict[str, Structure]]:
     """Parse a structure file: one signature block, then structure blocks."""
-    # Lines are consumed as they are tokenized: a list of every token would be
-    # the largest object of a parse, several times the parsed structures.
-    tokens = _tokenize(text)
-    first, words = next(tokens, (1, None))
-    if words != ["signature"]:
+    # Lines are consumed as they are read, and split only when needed: a list
+    # of every line's tokens would be several times the parsed structures.
+    lines = ((lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip()[:1] not in ("", "#"))
+    first, raw = next(lines, (1, ""))
+    if raw.split("#", 1)[0].split() != ["signature"]:
         raise ParseError("expected 'signature'", first)
     relations: list[tuple[str, int]] = []
     lineno = first
-    for lineno, words in tokens:
+    for lineno, raw in lines:
+        words = raw.split("#", 1)[0].split()
         if words == ["end"]:
             break
         if words[0] != "rel" or len(words) != 3:
@@ -351,8 +346,11 @@ def parse_structures_file(text: str) -> tuple[Signature, dict[str, Structure]]:
     except SchemaError as exc:
         raise SchemaError(str(exc), first) from None
 
+    arities = dict(signature.relations)
     structures: dict[str, Structure] = {}
-    for lineno, words in tokens:
+    memos: dict[int, dict[str, Fact]] = {}  # bound -> line text -> checked fact
+    for lineno, raw in lines:
+        words = raw.split("#", 1)[0].split()
         if len(words) == 4 and words[0] in ("structure", "supported"):
             kind, ident, sizeword, bound_tok = words
             expect = "size" if kind == "structure" else "support"
@@ -363,23 +361,25 @@ def parse_structures_file(text: str) -> tuple[Signature, dict[str, Structure]]:
             raise ParseError("expected a structure or supported header", lineno)
         if ident in structures:
             raise ParseError(f"duplicate structure id {ident}", lineno)
+        memo = memos.setdefault(bound, {})
         facts: set[Fact] = set()
-        for flineno, fwords in tokens:
-            if fwords == ["end"]:
-                break
-            name, args = fwords[0], fwords[1:]
-            try:
-                arity = signature.arity(name)
-            except SchemaError:
-                raise SchemaError(f"unknown relation {name}", flineno) from None
-            if len(args) != arity:
-                raise SchemaError(f"{name} expects {arity} arguments, got {len(args)}",
-                                  flineno)
-            entries = tuple(_parse_int(a, flineno, "element") for a in args)
-            for e in entries:
-                if not 0 <= e < bound:
-                    raise RangeError(f"element {e} outside 0..{bound - 1}", flineno)
-            facts.add((name, entries))
+        for flineno, fraw in lines:
+            if (fact := memo.get(fraw)) is None:  # split and check each text once
+                fwords = fraw.split("#", 1)[0].split()
+                if fwords == ["end"]:
+                    break
+                name, args = fwords[0], fwords[1:]
+                if (arity := arities.get(name)) is None:
+                    raise SchemaError(f"unknown relation {name}", flineno)
+                if len(args) != arity:
+                    raise SchemaError(f"{name} expects {arity} arguments, "
+                                      f"got {len(args)}", flineno)
+                entries = tuple(_parse_int(a, flineno, "element") for a in args)
+                for e in entries:
+                    if not 0 <= e < bound:
+                        raise RangeError(f"element {e} outside 0..{bound - 1}", flineno)
+                fact = memo[fraw] = (name, entries)
+            facts.add(fact)
         else:
             raise ParseError("unterminated structure block", lineno)
         if kind == "structure":

@@ -406,6 +406,37 @@ def test_budget_env_refuses_a_repeated_key():
                            "repeats key g\n")
 
 
+BAD_INT_STRUCTURE = "signature\nrel edge 2\nend\nstructure A size 2\nedge 0 {}\nend\n"
+BAD_INT_ACTION = "space size {}\ngroup\nelem e : 0 1\nend\n"
+
+
+@pytest.mark.parametrize("argv, budget, text, named", [
+    (["compare", "--n", "2"], "g=²", None, "'g=²'"),
+    (["scott-rank", "FILE"], None, BAD_INT_STRUCTURE.format("²"), "'²'"),
+    (["scott-rank", "FILE"], None, BAD_INT_STRUCTURE.format("--1"), "'--1'"),
+    (["hjorth", "FILE"], None, BAD_INT_ACTION.format("²"), "'²'"),
+    (["compare", "--n", "2", "--rel", "edge:²"], None, None, "'edge:²'"),
+    (["verify", "lemmas", "--count", "1", "--sizes", "n<=²"], None, None, "'n<=²'"),
+], ids=["budget", "element", "two-minus", "space-size", "rel", "sizes"])
+def test_integer_tokens_int_refuses_exit_2(argv, budget, text, named, tmp_path,
+                                           monkeypatch, capsys):
+    # isdigit() takes '²' and lstrip('-') takes '--1', but int() refuses
+    # both: each of these used to raise ValueError (a traceback, or exit 4)
+    if budget is not None:
+        monkeypatch.setenv("RANKFORGE_BUDGET", budget)
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    try:
+        code = main([str(path) if arg == "FILE" else arg for arg in argv])
+    except SystemExit as exc:  # argparse refuses the option value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err
+
+
 def test_verify_default_sizes_are_capped_by_the_budget(monkeypatch, capsys):
     # defaults g<=8, x<=6, n<=3 and 200 systems; the budget lowers g and n
     monkeypatch.setenv("RANKFORGE_BUDGET", "g=3,n=2")

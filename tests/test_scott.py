@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from rankforge.actions import _all_structures
 from rankforge.common import STAB, BudgetError
 from rankforge.oracle import ScottOracle
-from rankforge.scott import MAX_SIZE, ScottTable, scott_rank
+from rankforge.scott import (MAX_SIZE, ScottTable, _positions, injective_tuples,
+                             scott_rank)
 from rankforge.structures import (FinStructure, Signature, brute_isomorphic,
-                                  permute_structure)
+                                  eval_atomic, permute_structure)
 from rankforge.verify import canonical_edge_representatives
 
 from conftest import EDGE_SIG, chain
@@ -256,6 +257,54 @@ def test_block_order_is_pinned():
                for a in range(tab.stab + 1)]
     assert digests == BLOCK_DIGESTS
     assert tab.blocks(STAB) == tab.blocks(tab.stab + 1) == tab.blocks(tab.stab)
+
+
+# -- level 0
+
+def reference_level0(family):
+    """Level-0 colours of a family's items, numbered by first occurrence:
+    an item's key is its length and, per relation, the truth of every
+    position vector over its own entries in lexicographic order."""
+    keys, colours = {}, []
+    for m in family:
+        truth = {(name, args): eval_atomic(m, name, args)
+                 for name, arity in m.signature.relations
+                 for args in itertools.product(range(m.size), repeat=arity)}
+        for t in injective_tuples(m.size):
+            key = (len(t),) + tuple(
+                truth[name, tuple(t[p] for p in pos)]
+                for name, arity in m.signature.relations
+                for pos in itertools.product(range(len(t)), repeat=arity))
+            colours.append(keys.setdefault(key, len(keys)))
+    return colours
+
+
+def test_level0_of_every_edge_class_matches_the_atoms():
+    for n in range(1, 5):
+        for m in canonical_edge_representatives(n):
+            assert ScottTable([m])._level(0).tolist() == reference_level0([m]), m
+
+
+def test_level0_of_a_mixed_family_matches_the_atoms():
+    # unary, binary and ternary relations on sizes 1-3 in one table: each
+    # item's row is padded past its own size to the width of the family
+    rng = random.Random(5)
+    sig = Signature((("red", 1), ("edge", 2), ("tri", 3)))
+    family = []
+    for n in (3, 1, 2, 3, 2, 1, 3):
+        facts = frozenset((name, args) for name, arity in sig.relations
+                          for args in itertools.product(range(n), repeat=arity)
+                          if rng.random() < 0.4)
+        family.append(FinStructure(sig, n, facts))
+    tab = ScottTable(family)
+    assert tab._level(0).tolist() == reference_level0(family)
+    assert {i for block in tab.blocks(0) for i, _ in block} == set(range(len(family)))
+
+
+def test_position_arrays_are_read_only():
+    pos = _positions(3, 2)
+    with pytest.raises(ValueError):
+        pos[0, 0] = 0
 
 
 # -- the refinement cache

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankforge.common import ascii_int
 from rankforge.structures import (FinStructure, ParseError, RangeError,
                                   SchemaError, Signature, SuppStructure,
                                   brute_isomorphic, canonical_form, eval_atomic,
@@ -12,6 +14,7 @@ from rankforge.structures import (FinStructure, ParseError, RangeError,
                                   realized_types, serialize_structures,
                                   thsigma_contains)
 from rankforge.structures import _count_witnesses, _qf_key, _witness_tuples
+from rankforge.verify import canonical_edge_representatives
 
 from conftest import EDGE_SIG, chain
 
@@ -73,6 +76,102 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_structures_file("signature\nend\n"
                               "structure A size 1\nend\nstructure A size 1\nend\n")
+
+
+@pytest.mark.parametrize("token, signed, value", [
+    ("0", False, 0), ("17", False, 17), ("-3", True, -3), ("-0", True, 0),
+    ("-3", False, None), ("²", False, None), ("--1", True, None), ("-", True, None),
+    ("", False, None), ("+1", True, None), ("1_0", False, None), ("٣", False, None),
+    (" 1", False, None),
+])
+def test_ascii_int_takes_ascii_digits_only(token, signed, value):
+    # isdigit takes '²' and lstrip('-') takes '--1', and int() refuses both
+    assert ascii_int(token, signed) == value
+
+
+@pytest.mark.parametrize("line, token", [
+    ("rel edge ²", "²"), ("structure A size ²", "²"), ("edge 0 ²", "²"),
+    ("edge 0 --1", "--1"), ("edge 0 1_0", "1_0"),
+], ids=["arity", "size", "superscript", "two-minus", "underscore"])
+def test_parse_refuses_integer_tokens_int_would_choke_on(line, token):
+    lines = ["signature", "rel edge 2", "end", "structure A size 2", "edge 0 1", "end"]
+    at = {"rel": 2, "structure": 4}.get(line.split()[0], 5)
+    lines[at - 1] = line
+    with pytest.raises(ParseError) as err:
+        parse_structures_file("\n".join(lines) + "\n")
+    assert err.value.line == at
+    assert str(err.value).endswith(f"must be an integer, got {token!r}")
+
+
+def test_parse_checks_a_repeated_line_again_under_a_smaller_bound():
+    text = ("signature\nrel edge 2\nend\n"
+            "structure A size 4\nedge 0 3\nend\n"
+            "structure B size 3\nedge 0 3\nend\n")
+    with pytest.raises(RangeError) as err:
+        parse_structures_file(text)
+    assert err.value.line == 8
+    assert str(err.value) == "line 8: element 3 outside 0..2"
+
+
+def test_parse_reads_a_fact_however_its_line_is_spaced():
+    text = ("signature\nrel edge 2\nend\n"
+            "structure A size 2\nedge 0 1\nend\n"
+            "structure B size 2\n  edge 0 1\nend\n"
+            "structure C size 2\nedge 0 1 # c\nend\n")
+    structs = parse_structures_file(text)[1]
+    assert structs["A"] == structs["B"] == structs["C"]
+    assert structs["A"].facts == {("edge", (0, 1))}
+
+
+def test_parse_accepts_a_repeated_fact_line_once():
+    text = ("signature\nrel edge 2\nend\n"
+            "structure A size 2\nedge 0 1\nedge 1 1\nedge 0 1\nend\n")
+    assert parse_structures_file(text)[1]["A"].facts == {("edge", (0, 1)),
+                                                           ("edge", (1, 1))}
+
+
+def test_parse_shares_one_fact_tuple_per_line_and_bound():
+    text = ("signature\nrel edge 2\nend\n"
+            "structure A size 3\nedge 0 1\nedge 1 2\nend\n"
+            "structure B size 3\nedge 1 2\nend\n"
+            "supported S support 3\nedge 0 1\nend\n")
+    structs = parse_structures_file(text)[1]
+    fact = ("edge", (1, 2))
+    [a] = [f for f in structs["A"].facts if f == fact]
+    [b] = structs["B"].facts
+    assert a is b
+    [a01] = [f for f in structs["A"].facts if f != fact]
+    [s01] = structs["S"].facts
+    assert a01 is s01
+
+
+def every_edge_class_file() -> str:
+    """All 3,160 classes of one binary relation on 1-4 elements, facts in
+    reverse order, some lines indented and commented, the first repeated."""
+    lines = ["signature", "  rel edge 2 # the one relation", "end"]
+    k = 0
+    for n in range(1, 5):
+        for m in canonical_edge_representatives(n):
+            lines.append(f"structure C{k} size {n}")
+            facts = [" ".join([name, *map(str, args)])
+                     for name, args in sorted(m.facts, reverse=True)]
+            lines += [line if i % 3 else f"  {line}  # fact {i}"
+                      for i, line in enumerate(facts)]
+            lines += facts[:1] + ["", "end"]
+            k += 1
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the canonical text of every_edge_class_file(), frozen from the
+# parser that split and checked every line
+EVERY_CLASS_DIGEST = "7881b1dfaf131eb1956880b1669080461d70e87d1fe2974d1878fe45fa900e14"
+
+
+def test_parse_of_every_edge_class_is_pinned():
+    sig, structs = parse_structures_file(every_edge_class_file())
+    assert len(structs) == 3160
+    text = serialize_structures(sig, structs)
+    assert hashlib.sha256(text.encode()).hexdigest() == EVERY_CLASS_DIGEST
 
 
 def test_serialize_round_trip_byte_identical():
