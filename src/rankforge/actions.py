@@ -96,6 +96,8 @@ class _PermutationAction(ActionSystem):
         return img
 
     def group_law(self) -> tuple[list[int], list[list[int]]]:
+        """``inverse[g]`` and ``compose[g][h]``, the index of g h (h acts
+        first), computed on each call."""
         index = {p: i for i, p in enumerate(self.perms)}
         inverse = [index[_inverse(p)] for p in self.perms]
         compose = [[index[_compose(p, q)] for q in self.perms] for p in self.perms]
@@ -121,6 +123,7 @@ class _PermutationAction(ActionSystem):
         return self._translates is not None
 
     def translate(self, v: int, g: int) -> int:
+        """Basis index of the right translate V g^-1."""
         if self._translates is None:
             raise UnsupportedOperationError("basis is not closed under translation")
         return self._translates[v][g]
@@ -425,9 +428,6 @@ class SymbolicLogicAction(ActionSystem):
 
     def basis_of(self, abar, bbar) -> int:
         return self._label_index[_coset_label(abar, bbar)]
-
-    def point_of(self, struct: SuppStructure) -> int:
-        return self.structures.index(struct)
 
 
 def _preimage_classes(m: SuppStructure, abar, bbar, target):

@@ -6,7 +6,7 @@ Subcommands: ``scott-rank`` (back-and-forth rank of structures in a file),
 levels on the relabeling action).
 
 Exit codes: 0 pass, 1 check failure, 2 usage/parse error, 3 budget (or out
-of memory), 4 internal error.
+of memory), 4 internal error, 141 stdout closed by its reader.
 Text output is human-oriented; ``--format records`` is the stable machine
 contract (one record per line, fixed key order).  Identical invocations,
 seed included, produce byte-identical records output.
@@ -50,7 +50,7 @@ from .common import (Budgets, BudgetError, InvalidBaseRelationError,
 from .structures import (FinStructure, Signature, StructureError,
                          SuppStructure, parse_structures_file)
 
-EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
+EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL, EXIT_PIPE = 0, 1, 2, 3, 4, 141
 
 # least value of each --sizes cap: a group holds its identity, and the
 # ensemble draws spaces of at least two points
@@ -87,12 +87,15 @@ def _sizes_str(sizes: dict[str, int]) -> str:
     return ",".join(f"{k}<={sizes[k]}" for k in _SIZE_MIN if k in sizes) or "-"
 
 
+def _int(text: str) -> int:
+    if (value := ascii_int(text, signed=True)) is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return value
+
+
 def _int_at_least(low: int):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        value = _int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -236,7 +239,7 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
                              max_level=args.max_level if args.max_level else "-",
                              dump=args.dump, oracle=args.oracle,
                              format=args.format))
-    out.text(sysb.describe())
+    out.text(f"{type(sysb).__name__}(points={len(sysb.points)}, basis={len(sysb.basis)})")
     try:
         table = hj.leq_table(sysb, max_level=args.max_level, budgets=budgets)
     except InvalidBaseRelationError as exc:
@@ -267,7 +270,7 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
     for x in wanted:
         rank = hj.hjorth_rank(table, x)
         m = "NA"
-        if sysb.has_action:
+        if not args.symbolic:
             try:
                 m = hj.minimal_m(table, x)
             except RankforgeError:  # the family is not a basis
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a lemma/property suite")
     p.add_argument("suite", choices=vf.SUITES + ("all",))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--sizes", type=_parse_sizes, default=None,
                    help="caps like g<=8,x<=6,n<=3")
     p.add_argument("--count", type=_int_at_least(1), default=vf.DEFAULT_COUNT,
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relation as name:arity (repeatable; default edge:2)")
     p.add_argument("--empty-signature", action="store_true",
                    help="scan the pure-equality signature")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--format", choices=("text", "records"), default="text")
     return parser
 
@@ -409,7 +412,15 @@ def main(argv=None) -> int:
     handlers = {"scott-rank": cmd_scott_rank, "hjorth": cmd_hjorth,
                 "verify": cmd_verify, "compare": cmd_compare}
     try:
-        return handlers[args.command](args, budgets)
+        code = handlers[args.command](args, budgets)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: exit 128 + SIGPIPE as a shell reports it, and
+        # point stdout at the null device so the exit flush fails on nothing
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

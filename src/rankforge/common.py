@@ -21,7 +21,7 @@ class BudgetError(RankforgeError):
 
 
 class UnsupportedOperationError(RankforgeError):
-    """Operation needs a capability (act, translate, ...) the system lacks."""
+    """``translate`` on a basis that is not closed under translation."""
 
 
 class InvalidBaseRelationError(RankforgeError):

@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
-                     RankforgeError, UnsupportedOperationError)
+                     RankforgeError)
 
 # float32 elements in one row block of the T_1 and sweep products: each
 # orbit block's levels are built row block by row block into buffers reused
@@ -92,22 +92,18 @@ def _orbit_blocks(img: np.ndarray, sub: np.ndarray) -> list[np.ndarray]:
 
 
 class ActionSystem:
-    """Abstract finite action: points, basis sets, containment and cc.
+    """Abstract finite action: what the level engine reads of it.
 
     Subclasses fill in ``points`` and ``basis`` (label lists), ``contains``
     and ``cc``.  Every shipped basis is clopen, so the closure bar collapses
-    and basis containment is ``contains`` itself.  Systems backed by an
-    actual group additionally expose ``group`` (labels), ``act``,
-    ``basis_members``, ``image_tensor``, ``group_law`` and, when
-    ``translation_closed`` holds, ``translate``.  Both finite systems get
-    all of these from one finite permutation action in
-    :mod:`rankforge.actions`.
+    and basis containment is ``contains`` itself.  The group (its elements,
+    ``act``, translation and group law) is not part of this contract: the
+    orbit and Vaught functions below read it from the finite permutation
+    action in :mod:`rankforge.actions`, the one place that defines it.
     """
 
     points: Sequence[str]
     basis: Sequence[str]
-    group: Sequence[str] | None = None
-    translation_closed: bool = False
 
     def contains(self, w: int, v: int) -> bool:
         raise NotImplementedError
@@ -115,34 +111,12 @@ class ActionSystem:
     def cc(self, x0: int, v0: int, x1: int, v1: int) -> bool:
         raise NotImplementedError
 
-    def act(self, g: int, x: int) -> int:
-        raise UnsupportedOperationError("system does not expose an action")
-
-    def basis_members(self, v: int) -> frozenset[int]:
-        raise UnsupportedOperationError("system does not expose basis membership")
-
-    def translate(self, v: int, g: int) -> int:
-        """Basis index of the right translate V g^-1."""
-        raise UnsupportedOperationError("system does not expose translation")
-
-    def group_law(self) -> tuple[list[int], list[list[int]]]:
-        """``inverse[g]`` and ``compose[g][h]``, the index of g h (h acts
-        first), computed on each call."""
-        raise UnsupportedOperationError("system does not expose a group law")
-
-    @property
-    def has_action(self) -> bool:
-        return self.group is not None
-
     def image_tensor(self) -> np.ndarray | None:
         """Boolean ``img[x, V, y]``: basis set V carries point x to point y.
         cc(x0,V0,x1,V1) is then the image of (x0,V0) inside that of
         (x1,V1).  Systems without finite images return None and T_1 is
         built one cc call per entry."""
         return None
-
-    def describe(self) -> str:
-        return f"{type(self).__name__}(points={len(self.points)}, basis={len(self.basis)})"
 
 
 class LevelTable:
@@ -400,19 +374,8 @@ def rank_condition_profile(table: LevelTable, x: int) -> set[int]:
 
 
 def orbit_of(sys: ActionSystem, x: int) -> frozenset[int]:
-    """Closure of x under the exposed action."""
-    if not sys.has_action:
-        raise UnsupportedOperationError("orbit needs an exposed action")
-    seen = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for g in range(len(sys.group)):
-            z = sys.act(g, y)
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return frozenset(seen)
+    """The points the group carries x to, in one pass: its elements form a group."""
+    return frozenset(sys.act(g, x) for g in range(len(sys.group)))
 
 
 def orbit_check_via_rank(table: LevelTable) -> np.ndarray:

@@ -11,8 +11,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from rankforge import hjorth as hj  # noqa: E402
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,  # noqa: E402
                                FiniteLogicAction, parse_action_file)
-from rankforge.common import (STAB, InvalidBaseRelationError,  # noqa: E402
-                              UnsupportedOperationError)
+from rankforge.common import STAB, InvalidBaseRelationError  # noqa: E402
 from rankforge.scott import ScottTable, _refinement  # noqa: E402
 from rankforge.structures import (FinStructure, Signature,  # noqa: E402
                                   parse_structures_file)
@@ -163,8 +162,6 @@ def set_level(table: hj.LevelTable, level: int, arr: np.ndarray) -> hj.LevelTabl
 def encode_action_trace(sys: hj.ActionSystem, x: int) -> tuple[int, ...]:
     """Bit trace of the action at x: bit (k, l) set iff basis set k carries x
     to point l; pairs run in diagonal order, length |basis| * |points|."""
-    if not sys.has_action:
-        raise UnsupportedOperationError("trace needs an exposed action")
     nbasis, npoints = len(sys.basis), len(sys.points)
     hits = [frozenset(sys.act(g, x) for g in sys.basis_members(v))
             for v in range(nbasis)]

@@ -268,13 +268,6 @@ def test_encode_action_trace(sys1):
     assert encode_action_trace(transitive, 0) == encode_action_trace(transitive, 1)
 
 
-def test_trace_needs_action():
-    m1 = SuppStructure(EDGE_SIG, 1)
-    sysb = SymbolicLogicAction(EDGE_SIG, 1, 1, [m1])
-    with pytest.raises(UnsupportedOperationError):
-        encode_action_trace(sysb, 0)
-
-
 def test_clopen_subgroup_rank_bound(sys1):
     # subgroup {e}: all-subsets basis over the trivial group
     sub = FiniteDiscreteAction(3, [("e", (0, 1, 2))], ALL_SUBSETS)

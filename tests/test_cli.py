@@ -341,6 +341,17 @@ def test_hjorth_symbolic_base_level(tmp_path, capsys):
     assert "CHECK name=stabilization verdict=fail" in out
 
 
+def test_hjorth_symbolic_rank_has_no_m(tmp_path, capsys):
+    # the symbolic action has no finite group, so m is not computed
+    p = tmp_path / "supp.txt"
+    p.write_text("signature\nrel edge 2\nend\nsupported A support 1\nend\n")
+    code = main(["hjorth", "--symbolic", "--structures", str(p),
+                 "--support", "2", "--k", "1", "--format", "records"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1:] == ["RANK point=A delta=1 stab=1 m=NA", "PART rank=1 points=A"]
+
+
 def test_hjorth_oversize_logic_budget(tmp_path, capsys):
     p = tmp_path / "structs.txt"
     p.write_text("signature\nrel edge 2\nend\nstructure A size 2\nend\n")
@@ -525,18 +536,25 @@ def test_table_pairs_budget_env_bounds_every_table(args, budget, config):
     assert "CHECK" not in proc.stdout
 
 
-@pytest.mark.parametrize("args", [
-    ["compare", "--max-tuple", "-1"],
-    ["compare", "--n", "0"],
-    ["verify", "lemmas", "--count", "0"],
-    ["verify", "lemmas", "--count", "-3"],
-    ["hjorth", "--max-level", "0"],
-], ids=["max-tuple", "n", "count-zero", "count-negative", "max-level"])
-def test_numeric_flag_out_of_range_usage_error(args, capsys):
+@pytest.mark.parametrize("args, message", [
+    (["compare", "--max-tuple", "-1"], "must be at least 0, got -1"),
+    (["compare", "--n", "0"], "must be at least 1, got 0"),
+    (["verify", "lemmas", "--count", "0"], "must be at least 1, got 0"),
+    (["verify", "lemmas", "--count", "-3"], "must be at least 1, got -3"),
+    (["hjorth", "--max-level", "0"], "must be at least 1, got 0"),
+    # int() takes each of these tokens; a flag takes ASCII digits only
+    (["compare", "--n", "\u0662"], "argument --n: not an integer: '\u0662'"),
+    (["verify", "lemmas", "--seed", "1_0"], "argument --seed: not an integer: '1_0'"),
+    (["compare", "--seed", "+1"], "argument --seed: not an integer: '+1'"),
+    (["verify", "lemmas", "--count", " 3"], "argument --count: not an integer: ' 3'"),
+    (["hjorth", "--k", "\uff12"], "argument --k: not an integer: '\uff12'"),
+], ids=["max-tuple", "n", "count-zero", "count-negative", "max-level",
+        "n-arabic-indic", "seed-underscore", "seed-plus", "count-space", "k-fullwidth"])
+def test_numeric_flag_out_of_range_usage_error(args, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(args)
     assert err.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes,message", [
@@ -694,6 +712,29 @@ def test_uncaught_exception_exit_code(exc, code, message, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "CONFIG command=compare\n"
     assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["record", "final-flush"])
+def test_closed_stdout_exits_141_without_error_line(unbuffered):
+    # the reader is gone before the first write: the command exits as a
+    # shell reports a writer killed by SIGPIPE, and prints nothing on stderr,
+    # whether a record's write fails (unbuffered) or main's final flush does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankforge", "compare", "--n", "2",
+             "--format", "records"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_verify_fault_in_minimal_m_is_internal(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from rankforge import verify as vf
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAction,
                                SymbolicLogicAction)
 from rankforge.common import (STAB, BudgetError, Budgets, InvalidBaseRelationError,
-                              RankforgeError, UnsupportedOperationError)
+                              RankforgeError)
 from rankforge import hjorth as hj
 from rankforge.oracle import orbit_partition
 from rankforge.structures import SuppStructure
@@ -141,6 +141,15 @@ def test_orbit_check_via_rank_matches_orbit_oracle(rank_tables):
         assert (verdict == (orbit[:, None] == orbit[None, :])).all()
 
 
+def test_orbit_of_matches_orbit_partition():
+    # one pass over the group against the oracle's closure loop
+    for sys in [*vf.ensemble(0, 20), relabel_hjorth_system()]:
+        partition = orbit_partition(sys)
+        for block in partition.blocks:
+            for x in block:
+                assert hj.orbit_of(sys, x) == block
+
+
 def test_orbit_check_and_minimal_m(sys1):
     table = hj.leq_table(sys1)
     verdict = hj.orbit_check_via_rank(table)
@@ -164,28 +173,6 @@ def test_vaught_transforms(sys1, basis_index):
         u = rng.randrange(3)
         assert hj.vaught_delta(sys1, a, u) == \
             frozenset(everything) - hj.vaught_star(sys1, everything - a, u)
-
-
-def test_vaught_needs_action():
-    class Bare(hj.ActionSystem):
-        points = ["0"]
-        basis = ["b"]
-
-        def contains(self, w, v):
-            return True
-
-        def cc(self, x0, v0, x1, v1):
-            return True
-
-    with pytest.raises(UnsupportedOperationError):
-        hj.vaught_star(Bare(), {0}, 0)
-    with pytest.raises(UnsupportedOperationError):
-        hj.vaught_delta(Bare(), {0}, 0)
-    table = hj.leq_table(Bare())
-    with pytest.raises(UnsupportedOperationError):
-        vf.star_orbit_equivalence((table, [(None, None, 0, 0, 0, 0, 0)], []))
-    with pytest.raises(UnsupportedOperationError):
-        hj.fixed_point_set(table, 0)
 
 
 def test_star_orbit_equivalence(sys1, basis_index):
