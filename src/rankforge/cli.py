@@ -230,8 +230,7 @@ def cmd_hjorth(args, budgets: Budgets) -> int:
     out = Output(args.format)
     sysb = _build_system(args, budgets)
     if args.point is not None and args.point not in sysb.points:
-        print(f"error: unknown point {args.point}", file=sys.stderr)
-        return EXIT_USAGE
+        raise RankforgeError(f"unknown point {args.point}")
     out.record(config_record(command="hjorth", input=args.file or args.structures,
                              logic=args.logic, symbolic=args.symbolic,
                              n=args.n, k=args.k, support=args.support,
@@ -416,26 +415,34 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader is gone: exit 128 + SIGPIPE as a shell reports it, and
-        # point stdout at the null device so the exit flush fails on nothing
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        # the reader is gone: exit 128 + SIGPIPE as a shell reports it
+        _drop_stdout()
         return EXIT_PIPE
     except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, line = EXIT_BUDGET, f"error: {exc}"
     except (StructureError, RankforgeError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, line = EXIT_USAGE, f"error: {exc}"
     except MemoryError as exc:
-        print(_error_line("out of memory", exc), file=sys.stderr)
-        return EXIT_BUDGET
+        code, line = EXIT_BUDGET, _error_line("out of memory", exc)
     except Exception as exc:
         # exit 1 means only that a check failed, so a fault in rankforge
         # itself gets its own code
-        print(_error_line(f"internal error: {type(exc).__name__}", exc),
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        code = EXIT_INTERNAL
+        line = _error_line(f"internal error: {type(exc).__name__}", exc)
+    print(line, file=sys.stderr)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the run ended on its error, and the records buffered before it
+        # have no reader: the error keeps its code
+        _drop_stdout()
+    return code
+
+
+def _drop_stdout():
+    """Point stdout at the null device, so the exit flush fails on nothing."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _error_line(what: str, exc: BaseException) -> str:

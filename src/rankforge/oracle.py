@@ -4,10 +4,11 @@ Deliberately naive: the defining clauses evaluated directly, on demand,
 with no table machinery.  This module never imports the engine modules
 (scott, hjorth, actions) or numpy; it shares only the structure substrate.
 Each oracle owns its memo: a dict for the Scott game recursion; one
-bytearray per level for the level relation, filled one x0 block at a time
-by the one successor clause, its quantifiers evaluated on byte lanes of
-Python ints.  The tests hold the level oracle to the literal one-quadruple
-recursion.  Concurrent evaluations should use independent oracles.
+bytearray per level for the level relation, each level built whole from
+the one below by the one successor clause, its quantifiers evaluated on
+byte lanes of Python ints.  The tests hold the level oracle to the literal
+one-quadruple recursion.  Concurrent evaluations should use independent
+oracles.
 """
 
 from __future__ import annotations
@@ -70,24 +71,23 @@ class ScottOracle:
 class LeqOracle:
     """The level relation of one action system, from its defining clauses.
 
-    Base case is the system's cc; the successor case alternates quantifiers
-    over shrinking basis sets with the argument pairs flipped.  The memo is
-    one bytearray per level, allocated when an evaluation first reaches that
-    level: cell ((x0*B + V0)*P + x1)*B + V1, for P points and B basis sets,
-    holds 1 for true and 0 for false, the bytes of a boolean level table.
-    It is filled one x0 block at a time, the B*P*B cells (x0, ., ., .) of
-    one level, and one done byte per x0 and level marks the blocks filled;
-    a cell is read only once its block is.  ``query`` answers one cell and
-    ``row`` the P*B cells of one (x0, V0), each from the block of its x0.
+    Level 1 is the system's cc; level a+1 is the successor clause evaluated
+    on the whole of level a, alternating quantifiers over shrinking basis
+    sets with the argument pairs flipped.  Levels are built whole and in
+    order, level 1 up to the highest one asked for, and kept: one bytearray
+    per level whose cell ((x0*B + V0)*P + x1)*B + V1, for P points and B
+    basis sets, holds 1 for true and 0 for false, the bytes of a boolean
+    level table.  ``level`` returns one level as a read-only view and
+    ``query`` reads one cell.
 
-    Level 1 calls cc once per cell.  Above it, block (a, alpha) reads, for
-    each x1 = b, the filled block (b, alpha - 1): the B cells (b, W1, a, .)
-    are one int with one byte lane per W0, 1 when (b, W1) <= (a, W0)
-    holds there.  ``reach[V1]`` is the OR of these over W1 <= V1, and
-    ``need[V0]`` has the lane of each W0 <= V0 set, so "every W0 <= V0 has
-    a W1 <= V1" is ``need[V0] & ~reach[V1] == 0``: the successor clause,
-    evaluated on Python ints.  The tests hold every cell to ``DictMemoLeq``,
-    the literal recursion one quadruple at a time.
+    Level 1 calls cc once per cell, one (x0, V0) row at a time.  Level a+1
+    reads, for each pair of points x0, x1, the cells (x1, W1, x0, .) of
+    level a: the B of them for one W1 are one int with one byte lane per
+    W0, 1 when (x1, W1) <= (x0, W0) holds there.  ``reach[V1]`` is the OR of
+    these over W1 <= V1, and ``need[V0]`` has the lane of each W0 <= V0 set,
+    so "every W0 <= V0 has a W1 <= V1" is ``need[V0] & ~reach[V1] == 0``:
+    the successor clause, evaluated on Python ints.  The tests hold every
+    cell to ``DictMemoLeq``, the literal recursion one quadruple at a time.
     """
 
     def __init__(self, sys, depth_cap: int = 64):
@@ -100,8 +100,7 @@ class LeqOracle:
                       for v in range(nb)]
         # need[V0]: the byte lane of each W0 <= V0 set to 1
         self._need = [sum(1 << 8 * w for w in subs) for subs in self._subs]
-        self._memo: dict[int, bytearray] = {}
-        self._done: dict[int, bytearray] = {}
+        self._levels: list[bytearray] = []
 
     def _check(self, alpha: int, *indices: tuple[int, int]):
         """Reject a level outside 1..depth_cap and an index outside its
@@ -115,60 +114,48 @@ class LeqOracle:
             flat = ",".join(str(i) for pair in indices for i in pair)
             raise IndexError(f"index ({flat}) out of range")
 
+    def level(self, alpha: int) -> memoryview:
+        """The (P*B)**2 cells of level alpha in index order, as a read-only
+        view: a table's ``level(alpha)`` bytes compare with it directly."""
+        self._check(alpha)
+        while len(self._levels) < alpha:
+            self._levels.append(self._next_level())
+        return memoryview(self._levels[alpha - 1]).toreadonly()
+
     def query(self, x0: int, v0: int, x1: int, v1: int, alpha: int) -> bool:
         self._check(alpha, (x0, v0), (x1, v1))
         nb = self._nbasis
-        key = ((x0 * nb + v0) * self._npoints + x1) * nb + v1
-        return self._block(x0, alpha)[key] == 1
+        return self.level(alpha)[((x0 * nb + v0) * self._npoints + x1) * nb + v1] == 1
 
-    def row(self, x0: int, v0: int, alpha: int) -> bytes:
-        """The cells (x0, V0, x1, V1) at level alpha for every (x1, V1), in
-        index order, as bytes: 1 for true, 0 for false, so a table's row
-        ``level[x0, V0].tobytes()`` compares with it directly."""
-        self._check(alpha, (x0, v0))
-        cells = self._block(x0, alpha)
-        lo = (x0 * self._nbasis + v0) * self._half
-        return bytes(cells[lo:lo + self._half])
-
-    def _block(self, a: int, level: int) -> bytearray:
-        """The cells of ``level``, with block (a, level) filled."""
-        cells = self._memo.get(level)
-        if cells is None:
-            cells = self._memo[level] = bytearray(self._half * self._half)
-            self._done[level] = bytearray(self._npoints)
-        done = self._done[level]
-        if done[a]:
-            return cells
+    def _next_level(self) -> bytearray:
+        """The level above the highest one built, from cc or from it."""
         npoints, nb, half = self._npoints, self._nbasis, self._half
-        lo = a * nb * half
-        if level == 1:
+        cells = bytearray(half * half)
+        if not self._levels:
             cc = self.sys.cc
-            pairs = [(x1, v1) for x1 in range(npoints) for v1 in range(nb)]
-            for v0 in range(nb):
-                key = lo + v0 * half
+            pairs = [(x, v) for x in range(npoints) for v in range(nb)]
+            for key, (x0, v0) in zip(range(0, half * half, half), pairs):
                 # by truth value: bytes() refuses a numpy bool
-                cells[key:key + half] = bytes([1 if cc(a, v0, x1, v1) else 0
+                cells[key:key + half] = bytes([1 if cc(x0, v0, x1, v1) else 0
                                                for x1, v1 in pairs])
-        else:
-            subs, need = self._subs, self._need
-            for b in range(npoints):
-                below = self._block(b, level - 1)
-                # lanes[W1]: byte W0 is 1 iff (b, W1) <= (a, W0) one level down
-                start = b * nb * half + a * nb
-                lanes = [int.from_bytes(below[i:i + nb], "little")
-                         for i in range(start, start + nb * half, half)]
-                # misses[V1] = ~reach[V1], reach the OR of lanes[W1] over W1 <= V1
-                misses = []
-                for ws in subs:
-                    reach = 0
-                    for w1 in ws:
-                        reach |= lanes[w1]
-                    misses.append(~reach)
-                key = lo + b * nb
-                for n in need:
-                    cells[key:key + nb] = bytes([0 if n & miss else 1 for miss in misses])
-                    key += half
-        done[a] = 1
+            return cells
+        below, subs, need = self._levels[-1], self._subs, self._need
+        for x0, x1 in itertools.product(range(npoints), repeat=2):
+            # lanes[W1]: byte W0 is 1 iff (x1, W1) <= (x0, W0) one level down
+            start = x1 * nb * half + x0 * nb
+            lanes = [int.from_bytes(below[i:i + nb], "little")
+                     for i in range(start, start + nb * half, half)]
+            # misses[V1] = ~reach[V1], reach the OR of lanes[W1] over W1 <= V1
+            misses = []
+            for ws in subs:
+                reach = 0
+                for w1 in ws:
+                    reach |= lanes[w1]
+                misses.append(~reach)
+            key = x0 * nb * half + x1 * nb
+            for n in need:
+                cells[key:key + nb] = bytes([0 if n & miss else 1 for miss in misses])
+                key += half
         return cells
 
 

@@ -254,30 +254,21 @@ def _build_tables(systems, budgets: Budgets | None = None
 def oracle_mismatch(sys, table: hj.LevelTable) -> tuple[str | None, int]:
     """First quadruple, in index order, where a stabilized table and the
     literal recursion disagree at some level up to one past stabilization
-    (the lowest such level), and the number of quadruples compared.  The
-    oracle is read one (x0, V0) row per level and compared as bytes; the
-    first row of an x0 fills that x0's block of each level, and a block
-    above level 1 fills the blocks one level down of every x1 first."""
-    levels = range(1, table.stab + 2)
+    (the lowest such level), and the number of quadruples compared.  Each
+    level of the oracle is compared whole with the table's bytes, and only
+    a level that differs is searched for its first differing cell; the
+    least (cell, level) over those is the witness."""
     oc = orc.LeqOracle(sys, depth_cap=table.stab + 2)
-    arrays = [table.level(a) for a in levels]
-    half = table.npoints * table.nbasis
-    quads = 0
-    for x0 in range(table.npoints):
-        for v0 in range(table.nbasis):
-            # (first differing (x1, V1) index, level) of each differing level
-            diffs = []
-            for a, arr in zip(levels, arrays):
-                got = oc.row(x0, v0, a)
-                want = arr[x0, v0].tobytes()
-                if got != want:
-                    diffs.append((next(i for i in range(half) if got[i] != want[i]), a))
-            if diffs:
-                i, a = min(diffs)
-                witness = quad_witness(sys, x0, v0, *divmod(i, table.nbasis))
-                return f"{witness}@level={a}", quads + i + 1
-            quads += half
-    return None, quads
+    diffs = []
+    for a in range(1, table.stab + 2):
+        got, want = oc.level(a), memoryview(table.level(a)).cast("B")
+        if got != want:
+            diffs.append((next(i for i, g in enumerate(got) if g != want[i]), a))
+    if not diffs:
+        return None, (table.npoints * table.nbasis) ** 2
+    i, a = min(diffs)
+    quad = np.unravel_index(i, (table.npoints, table.nbasis) * 2)
+    return f"{quad_witness(sys, *quad)}@level={a}", i + 1
 
 
 def leq_oracle_check(systems, tables) -> CheckResult:

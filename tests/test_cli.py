@@ -737,6 +737,28 @@ def test_closed_stdout_exits_141_without_error_line(unbuffered):
     assert proc.stderr == b""
 
 
+def test_closed_stdout_keeps_the_error_exit(action_path):
+    # the run ends on a budget error with its CONFIG record still buffered,
+    # and the reader is gone: main's flush fails, not the interpreter's, so
+    # the error keeps its exit code and its line, and nothing else is printed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    env["RANKFORGE_BUDGET"] = "table_pairs=2"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankforge", "hjorth", action_path,
+             "--format", "records"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == (b"error: 3 points x 3 basis sets = 9 pairs exceed "
+                           b"the table budget of 2\n")
+
+
 def test_verify_fault_in_minimal_m_is_internal(monkeypatch, capsys):
     # only a non-basis family fails minimal_m_finite; a fault in rankforge
     # itself is an uncaught error, not a failed check

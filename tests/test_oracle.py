@@ -59,7 +59,7 @@ def test_naive_leq_depth_cap(sys1):
 class DictMemoLeq:
     """The literal recursion with one dict memo keyed on (x0, V0, x1, V1,
     level), evaluated one quadruple at a time: the reference for the oracle's
-    x0 blocks and lane quantifiers."""
+    whole levels and lane quantifiers."""
 
     def __init__(self, sys):
         self.sys = sys
@@ -123,8 +123,8 @@ def test_cell_memo_matches_dict_memo_recursion(sys):
     # each query twice, so that every level is also read from its memo
     queries = [(*quad, level) for quad in quads for level in range(1, 5)] * 2
     random.Random(7).shuffle(queries)
-    # start at level 3, so that the blocks of levels 2 and 1 are first filled
-    # from a level-3 block; later queries then read cells filled that way
+    # start at level 3, so that levels 1 and 2 are first built on the way to
+    # level 3; later queries then read cells built that way
     first = next(i for i, query in enumerate(queries) if query[4] == 3)
     queries.insert(0, queries.pop(first))
     got_sys, want_sys = RecordingSystem(sys), RecordingSystem(sys)
@@ -137,21 +137,24 @@ def test_cell_memo_matches_dict_memo_recursion(sys):
 
 
 def assert_rows_match(oracle, reference, sys, levels):
+    # each (x0, V0) row of a level is the slice of its P*B cells
     npoints, nb = len(sys.points), len(sys.basis)
+    half = npoints * nb
     for level in levels:
         for x0 in range(npoints):
             for v0 in range(nb):
                 want = bytes(int(reference._rec(x0, v0, x1, v1, level))
                              for x1 in range(npoints) for v1 in range(nb))
-                assert oracle.row(x0, v0, level) == want, (x0, v0, level)
+                lo = (x0 * nb + v0) * half
+                assert oracle.level(level)[lo:lo + half] == want, (x0, v0, level)
 
 
 @pytest.mark.parametrize("sys", reference_systems())
 def test_row_matches_dict_memo_recursion_in_fresh_oracle(sys):
     reference = DictMemoLeq(sys)
     for level in range(1, 5):
-        # one fresh oracle per level: rows above 1 fill the blocks of the
-        # levels below first
+        # one fresh oracle per level: a level above 1 builds every level
+        # below it first
         assert_rows_match(LeqOracle(sys), reference, sys, [level])
 
 
@@ -163,7 +166,8 @@ def test_row_matches_dict_memo_recursion_after_queries(sys):
     rng = random.Random(11)
     rng.shuffle(queries)
     oracle, reference = LeqOracle(sys), DictMemoLeq(sys)
-    # half of the queries run before any row, filling the blocks they reach
+    # half of the queries run before any level is read whole, building the
+    # levels they reach
     for query in queries[:len(queries) // 2]:
         assert oracle.query(*query) == reference._rec(*query), query
     assert_rows_match(oracle, reference, sys, [4, 2, 3, 1])
@@ -172,15 +176,24 @@ def test_row_matches_dict_memo_recursion_after_queries(sys):
 @pytest.mark.parametrize("make_sys", [make_sys1, make_stab2_system,
                                       make_non_basis_family])
 def test_row_is_the_stabilized_table_row_bytes(make_sys):
-    # the memo holds the table's own bytes, 1 for true and 0 for false
+    # each level holds the table's own bytes, 1 for true and 0 for false
     sys = make_sys()
     table = leq_table(sys)
     oracle = LeqOracle(sys)
     for level in range(1, table.stab + 2):
-        arr = table.level(level)
-        for x0 in range(table.npoints):
-            for v0 in range(table.nbasis):
-                assert oracle.row(x0, v0, level) == arr[x0, v0].tobytes(), (x0, v0, level)
+        assert oracle.level(level) == table.level(level).tobytes(), level
+
+
+def test_level_is_a_read_only_view(sys1):
+    oracle = LeqOracle(sys1)
+    view = oracle.level(2)
+    # a view of the memo itself, not a copy, that no caller can write
+    assert view.readonly and view.obj is oracle.level(2).obj
+    with pytest.raises(TypeError):
+        view[0] = 1 - view[0]
+    with pytest.raises(TypeError):
+        view[:2] = b"\x00\x00"
+    assert oracle.level(2) == view
 
 
 class NumpyBoolSystem(RecordingSystem):
@@ -212,8 +225,8 @@ class FailingOnceSystem(RecordingSystem):
 @pytest.mark.parametrize("make_sys, quad", [(make_sys1, (1, 2, 2, 0)),
                                             (make_stab2_system, (3, 5, 4, 11))])
 def test_interrupted_block_is_filled_again(make_sys, quad):
-    # the level-3 query reaches the level-1 block of x0 = quad[0] through the
-    # level-2 blocks; no block whose fill was cut off may count as filled
+    # the level-3 query builds level 1 first, and cc fails inside it; a level
+    # whose build was cut off may not count as built
     sys = make_sys()
     oracle = LeqOracle(FailingOnceSystem(sys, quad))
     with pytest.raises(BudgetError):
@@ -223,12 +236,15 @@ def test_interrupted_block_is_filled_again(make_sys, quad):
 
 def test_row_rejects_what_query_rejects(sys1):
     with pytest.raises(OracleDepthError):
-        LeqOracle(sys1, 10).row(0, 0, 99)
+        LeqOracle(sys1, 10).level(99)
+    with pytest.raises(OracleDepthError):
+        LeqOracle(sys1, 3).level(4)
     with pytest.raises(ValueError):
-        LeqOracle(sys1).row(0, 0, 0)
+        LeqOracle(sys1).level(0)
+    # the cap itself is a level: 3 points x 3 basis sets, 81 cells
+    assert len(LeqOracle(sys1, 3).level(3)) == 81
+    # an (x0, V0) index out of range is refused by query
     for x0, v0 in ((3, 0), (0, 3), (-1, 0), (0, -1)):
-        with pytest.raises(IndexError):
-            LeqOracle(sys1).row(x0, v0, 1)
         with pytest.raises(IndexError):
             LeqOracle(sys1).query(x0, v0, 0, 0, 1)
 

@@ -105,7 +105,7 @@ def test_oracle_check_reaches_last_level_and_quadruple():
 
 def per_quadruple_mismatch(sys, table):
     """The comparison one query at a time: each quadruple in index order,
-    each level from 1 up.  Kept as the reference for the row comparison."""
+    each level from 1 up.  Kept as the reference for the level comparison."""
     levels = list(range(1, table.stab + 2))
     oc = LeqOracle(sys, depth_cap=table.stab + 2)
     arrays = [table.level(a) for a in levels]
@@ -146,8 +146,8 @@ class _Flipped:
     # a level-2 flip in an earlier row than a level-1 flip
     ([(1, (1, 0, 0, 0)), (2, (0, 2, 2, 2))], "(x0=0,V0={e,s},x1=2,V1={e,s})@level=2", 27),
 ])
-def test_row_comparison_reports_first_quadruple_then_lowest_level(flips, witness,
-                                                                  quads):
+def test_level_comparison_reports_first_quadruple_then_lowest_level(flips, witness,
+                                                                    quads):
     sys1 = make_sys1()
     table = leq_table(sys1)
     assert table.stab == 1
@@ -186,10 +186,26 @@ def test_level2_flip_on_the_stab2_system_is_a_level2_witness():
     assert not check.passed and check.witness == f"sys0:{witness}"
 
 
-def test_row_comparison_matches_per_quadruple_loop_on_corruptions(small_ensemble,
-                                                                   small_tables):
+def test_level3_flip_on_the_stab2_system_is_a_level3_witness():
+    # level stab + 1 = 3 is the stored stab level; one entry flipped there
+    # alone is found at level 3, with every quadruple before it counted
+    sys = make_stab2_system()
+    table = leq_table(sys)
+    quad = (2, 5, 3, 7)
+    flipped = _Flipped(table, [(3, quad)])
+    witness = f"{vf.quad_witness(sys, *quad)}@level=3"
+    count = ((2 * 12 + 5) * 5 + 3) * 12 + 7 + 1
+    assert vf.oracle_mismatch(sys, flipped) == (witness, count)
+    assert per_quadruple_mismatch(sys, flipped) == (witness, count)
+
+
+def test_level_comparison_matches_per_quadruple_loop_on_corruptions(small_ensemble,
+                                                                     small_tables):
     # every system of the ensemble, three seeded flips of its cc each, against
-    # its clean table; the flip's level-2 consequences can come first
+    # its clean table; the flip's level-2 consequences can come first.  Some
+    # tables have two or more orbit blocks, so their dense levels are
+    # assembled, false off the blocks, before they are compared
+    assert any(len(table.blocks) >= 2 for table in small_tables)
     rng = random.Random(5)
     levels_seen = set()
     for sys, table in zip(small_ensemble, small_tables):
@@ -208,9 +224,9 @@ def test_row_comparison_matches_per_quadruple_loop_on_corruptions(small_ensemble
 
 def test_oracle_comparison_memory_peak():
     # the largest system of the verify-oracle ensemble, 6 points x 63 basis
-    # sets: two levels of one byte per quadruple (2 x 142,884 bytes), the
-    # subset lists and the rows compared peak at 336,338 bytes; a dict memo
-    # keyed on tuples peaked at 33.2 MB
+    # sets: two levels of one byte per quadruple (2 x 142,884 bytes) and the
+    # subset lists peak at 320,038 bytes, each level compared as a view; a
+    # dict memo keyed on tuples peaked at 33.2 MB
     sys = max(vf.ensemble(7, 20), key=lambda s: len(s.points) * len(s.basis))
     pairs = len(sys.points) * len(sys.basis)
     assert pairs == 378
