@@ -37,6 +37,33 @@ it; the equivalences, the rank condition and single entries are read
 from the blocks.  A system without images is one block, whose table is
 the dense one.
 
+Two-level theorem: on finitely many basis sets, with ``contains`` a
+preorder and cc antitone in V0 and monotone in V1, a table that never
+grows stabilizes by level 2, so every rank is at most 2.  Call a basis set
+minimal when no basis set lies strictly below it; every basis set lies
+above one, since there are finitely many.  Then for every a >= 1
+
+    T_{a+1}(x0,V0,x1,V1)  iff  for all minimal W0 <= V0 there is a minimal
+                               W1 <= V1 with T_1(x1,W1,x0,W0) for odd a,
+                               T_1(x0,W0,x1,W1) for even a,
+
+so T_4 = T_2, and a chain T_2 >= T_3 >= T_4 = T_2 has T_3 = T_2.  Proof
+sketch:
+
+* By induction on a, each T_a is antitone in its first basis argument and
+  monotone in its second, as cc is.  So "there is W1 <= V1" may take W1
+  minimal, and "for all W0 <= V0" need only test minimal W0.
+* For minimal W and U the clause of T_a (a >= 2) has one choice on each
+  side, up to equivalent sets, so T_a(p,W,q,U) = T_{a-1}(q,U,p,W), and so
+  on down to T_1.
+
+Every permutation action's cc, V0.x0 inside V1.x1, is monotone in this
+sense, and when the minimal sets are the singletons, T_2 = T_1.  The engine
+does not use this closed form: the sweep stays the literal recursion, and
+the theorem is checked against it (on the oracle, level 4 equals level 2).
+In the paper's setting no basis set is minimal, since neighbourhoods of
+the identity in a Polish group shrink forever, and no such bound holds.
+
 Everything downstream -- the two-sided equivalences, the rank (least level
 where the relation at a point steps up for free modulo shrinking/expanding
 the basis sets), fixed-point characterizations, rank partitions -- is
@@ -195,7 +222,9 @@ class LevelTable:
             if not changed:
                 self.stab = len(self.levels)
                 break
-            # a block that stopped changing never changes again
+            # a block that stopped changing never changes again; by the
+            # two-level theorem, with a monotone cc the sweep to level 3
+            # leaves every block of a table that never grows unchanged
             live = changed
             self.levels.append(list(cur))
         for parts in self.levels:

@@ -5,7 +5,8 @@ with no table machinery.  This module never imports the engine modules
 (scott, hjorth, actions) or numpy; it shares only the structure substrate.
 Each oracle owns its memo: a dict for the Scott game recursion; one
 bytearray per level for the level relation, each level built whole from
-the one below by the one successor clause, its quantifiers evaluated on
+the one below by the one successor clause, a row at a time: "there is
+W1 <= V1" is an OR of rows and "for all W0 <= V0" an AND of columns, on
 byte lanes of Python ints.  The tests hold the level oracle to the literal
 one-quadruple recursion.  Concurrent evaluations should use independent
 oracles.
@@ -81,13 +82,18 @@ class LeqOracle:
     ``query`` reads one cell.
 
     Level 1 calls cc once per cell, one (x0, V0) row at a time.  Level a+1
-    reads, for each pair of points x0, x1, the cells (x1, W1, x0, .) of
-    level a: the B of them for one W1 are one int with one byte lane per
-    W0, 1 when (x1, W1) <= (x0, W0) holds there.  ``reach[V1]`` is the OR of
-    these over W1 <= V1, and ``need[V0]`` has the lane of each W0 <= V0 set,
-    so "every W0 <= V0 has a W1 <= V1" is ``need[V0] & ~reach[V1] == 0``:
-    the successor clause, evaluated on Python ints.  The tests hold every
-    cell to ``DictMemoLeq``, the literal recursion one quadruple at a time.
+    is built one B x B block per pair of points x0, x1, from the cells
+    (x1, W1, x0, .) of level a: the B of them for one W1 are one int,
+    ``lanes[W1]``, with one byte lane per W0, 1 when (x1, W1) <= (x0, W0)
+    holds there.  "There is W1 <= V1" is row V1 of ``reach``, the OR of
+    ``lanes[W1]`` over W1 <= V1.  The flip transposes reach: column W0 of
+    it, one lane per V1, is 1 where some W1 <= V1 reaches W0.  "For all
+    W0 <= V0" is the AND of those columns over W0 <= V0, starting from
+    every lane 1, so a V0 with no W0 <= V0 holds everywhere; that AND is
+    row V0 of the block, written into the level in one slice.  Lanes hold
+    only 0 and 1, and OR and AND never carry from one lane to the next.
+    The tests hold every cell to ``DictMemoLeq``, the literal recursion one
+    quadruple at a time.
     """
 
     def __init__(self, sys, depth_cap: int = 64):
@@ -98,8 +104,6 @@ class LeqOracle:
         self._half = npoints * nb
         self._subs = [tuple(w for w in range(nb) if sys.contains(w, v))
                       for v in range(nb)]
-        # need[V0]: the byte lane of each W0 <= V0 set to 1
-        self._need = [sum(1 << 8 * w for w in subs) for subs in self._subs]
         self._levels: list[bytearray] = []
 
     def _check(self, alpha: int, *indices: tuple[int, int]):
@@ -139,22 +143,30 @@ class LeqOracle:
                 cells[key:key + half] = bytes([1 if cc(x0, v0, x1, v1) else 0
                                                for x1, v1 in pairs])
             return cells
-        below, subs, need = self._levels[-1], self._subs, self._need
+        below, subs = self._levels[-1], self._subs
+        # every lane 1: the AND over no W0 <= V0 is vacuously true
+        ones = int.from_bytes(b"\x01" * nb, "little")
         for x0, x1 in itertools.product(range(npoints), repeat=2):
             # lanes[W1]: byte W0 is 1 iff (x1, W1) <= (x0, W0) one level down
             start = x1 * nb * half + x0 * nb
             lanes = [int.from_bytes(below[i:i + nb], "little")
                      for i in range(start, start + nb * half, half)]
-            # misses[V1] = ~reach[V1], reach the OR of lanes[W1] over W1 <= V1
-            misses = []
+            # exists: row V1, byte W0 is 1 iff some W1 <= V1 has lane W0 set
+            reach = bytearray()
             for ws in subs:
-                reach = 0
+                row = 0
                 for w1 in ws:
-                    reach |= lanes[w1]
-                misses.append(~reach)
+                    row |= lanes[w1]
+                reach += row.to_bytes(nb, "little")
+            # the flip: cols[W0], byte V1, is column W0 of reach
+            cols = [int.from_bytes(reach[w0::nb], "little") for w0 in range(nb)]
+            # for all: row V0, byte V1 is 1 iff every W0 <= V0 has it
             key = x0 * nb * half + x1 * nb
-            for n in need:
-                cells[key:key + nb] = bytes([0 if n & miss else 1 for miss in misses])
+            for ws in subs:
+                row = ones
+                for w0 in ws:
+                    row &= cols[w0]
+                cells[key:key + nb] = row.to_bytes(nb, "little")
                 key += half
         return cells
 

@@ -186,6 +186,22 @@ def test_level2_flip_on_the_stab2_system_is_a_level2_witness():
     assert not check.passed and check.witness == f"sys0:{witness}"
 
 
+def test_oracle_check_reaches_a_level2_flip_in_the_last_system():
+    # the stab-2 twin of test_oracle_check_reaches_last_level_and_quadruple:
+    # the last cell true at level 1 and false at level 2, flipped at level 2
+    # in the second of two tables, is that table's witness at level 2, after
+    # every quadruple of the first table
+    sys = make_stab2_system()
+    table = leq_table(sys)
+    quad = tuple(int(i) for i in np.argwhere(table.level(1) & ~table.level(2))[-1])
+    assert quad == (3, 11, 3, 9)
+    check = vf.leq_oracle_check([sys, sys], [table, _Flipped(table, [(2, quad)])])
+    assert not check.passed
+    assert check.witness == f"sys1:{vf.quad_witness(sys, *quad)}@level=2"
+    count = ((3 * 12 + 11) * 5 + 3) * 12 + 9 + 1
+    assert check.stats == {"quadruples": (5 * 12) ** 2 + count}
+
+
 def test_level3_flip_on_the_stab2_system_is_a_level3_witness():
     # level stab + 1 = 3 is the stored stab level; one entry flipped there
     # alone is found at level 3, with every quadruple before it counted
