@@ -10,7 +10,10 @@ law and translation; each adds only how its points and basis are built.
   is plain containment of basis-translate sets.
 * :class:`FiniteLogicAction` -- the symmetric group S_n relabeling finite
   structures on 0..n-1, with the coset sets V_{a,b} (permutations mapping a
-  to b entrywise) as basis, materialized.
+  to b entrywise) as basis, materialized.  Its points are the orbit closure
+  of the given structures, found on fact codes: a structure is an int with
+  one bit per atom, each atom's relabelings are looked up once, and only a
+  newly found point is built as a :class:`FinStructure`.
 * :class:`SymbolicLogicAction` -- the full permutation group of the naturals
   acting on finitely supported structures, handled symbolically: the coset
   sets are descriptors, containment is graph extension, and the base
@@ -42,8 +45,8 @@ import numpy as np
 
 from .common import BudgetError, Budgets, UnsupportedOperationError, ascii_int
 from .hjorth import ActionSystem
-from .structures import (FinStructure, ParseError, SchemaError, Signature,
-                         SuppStructure, permute_structure, thsigma_contains)
+from .structures import (Fact, FinStructure, ParseError, SchemaError, Signature,
+                         SuppStructure, thsigma_contains)
 
 ALL_SUBSETS = "all-subsets"
 SINGLETONS_PLUS_G = "singletons+G"
@@ -271,7 +274,13 @@ def parse_action_file(text: str, budgets: Budgets | None = None) -> FiniteDiscre
 
 class FiniteLogicAction(_PermutationAction):
     """S_n relabeling structures on universe 0..n-1; basis of materialized
-    coset sets for injective tuple pairs up to a length cap."""
+    coset sets for injective tuple pairs up to a length cap.
+
+    The points are the orbit closure of ``structures`` (all structures when
+    none are given) in discovery order: the input deduplicated in order,
+    then the relabelings of the last point queued, in permutation order,
+    named ``M<i>``.  :func:`permute_structure` is the relabeling the closure
+    computes on fact codes; ``point_of`` finds a structure's point."""
 
     def __init__(self, signature: Signature, n: int, k: int,
                  structures: list[FinStructure] | None = None):
@@ -298,12 +307,10 @@ class FiniteLogicAction(_PermutationAction):
                 raise SchemaError(f"points must be structures on 0..{n - 1}")
             if m.signature != signature:
                 raise SchemaError("point signature mismatch")
-        self.structures, images = _orbit_close(structures, self.perms)
+        # _images[x][g]: the point perms[g] relabels structure x to
+        self.structures, self._images = _orbit_close(structures, signature, n)
         self.points = [f"M{i}" for i in range(len(self.structures))]
         self._point_index = {m: i for i, m in enumerate(self.structures)}
-        # _images[x][g]: the point perms[g] relabels structure x to
-        self._images = [[self._point_index[image] for image in images[m]]
-                        for m in self.structures]
 
     def basis_of(self, abar, bbar) -> int:
         """Basis index of the coset descriptor (a, b), of any length; KeyError
@@ -324,20 +331,89 @@ def _all_structures(signature: Signature, n: int) -> list[FinStructure]:
     return out
 
 
-def _orbit_close(structures: list[FinStructure], perms):
-    """The orbit closure in discovery order, and every member's relabelings
-    (one per permutation, in order)."""
-    seen = dict.fromkeys(structures)
-    images = {}
-    queue = list(seen)
+class _AtomCodes:
+    """Structures over one signature on 0..n-1 coded as ints: an atom
+    (name, args) is the bit of its position in the atom order of
+    :func:`_all_structures`, and a structure the sum of its facts' bits.
+    Each atom met keeps its images under the permutations of S_n, in the
+    order of ``_coset_basis(n, k).perms``, computed the first time it is
+    met: a closure meets only the atoms of its points, where a table of
+    every atom would hold n! entries per atom, too many for relations of
+    high arity."""
+
+    def __init__(self, signature: Signature, n: int):
+        self.n = n
+        self.perms = _symmetric_group(n)
+        # _first[name]: the position of the relation's first atom
+        self._first, total = {}, 0
+        for name, arity in signature.relations:
+            self._first[name] = total
+            total += n ** arity
+        self.facts: dict[int, Fact] = {}  # bit -> atom, for every atom met
+        self._images: dict[int, tuple[int, ...]] = {}
+
+    def bit(self, fact) -> int:
+        """The bit of one atom, which is kept as met."""
+        name, args = fact
+        position = 0
+        for e in args:
+            position = position * self.n + e
+        bit = 1 << (self._first[name] + position)
+        self.facts.setdefault(bit, fact)
+        return bit
+
+    def images(self, bit: int) -> tuple[int, ...]:
+        """The bits of the atom's relabelings, one per permutation."""
+        row = self._images.get(bit)
+        if row is None:
+            name, args = self.facts[bit]
+            row = self._images[bit] = tuple(
+                self.bit((name, tuple(p[e] for e in args))) for p in self.perms)
+        return row
+
+
+@functools.lru_cache(maxsize=None)
+def _atom_codes(signature: Signature, n: int) -> _AtomCodes:
+    return _AtomCodes(signature, n)
+
+
+def _orbit_close(structures: list[FinStructure], signature: Signature, n: int):
+    """The orbit closure in discovery order (the input deduplicated in
+    order, then each point found by relabeling the last point queued), and
+    ``images[x][g]``, the point perms[g] relabels point x to.  Points are
+    compared by fact code: one structure is built per new point, none per
+    image."""
+    codes = _atom_codes(signature, n)
+    point: dict[int, int] = {}  # fact code -> point index
+    out: list[FinStructure] = []
+    bits: list[Sequence[int]] = []  # each point's fact bits
+    for m in structures:
+        facts = [codes.bit(f) for f in m.facts]
+        code = sum(facts)
+        if code not in point:
+            point[code] = len(out)
+            out.append(m)
+            bits.append(facts)
+    images: list[list[int] | None] = [None] * len(out)
+    queue = list(range(len(out)))
     while queue:
-        m = queue.pop()
-        images[m] = [permute_structure(m, p) for p in perms]
-        for image in images[m]:
-            if image not in seen:
-                seen[image] = None
-                queue.append(image)
-    return list(seen), images
+        x = queue.pop()
+        rows = [codes.images(b) for b in bits[x]]
+        # relabeling the empty structure gives itself
+        row = []
+        for facts in zip(*rows) if rows else [()] * len(codes.perms):
+            code = sum(facts)
+            y = point.get(code)
+            if y is None:
+                y = point[code] = len(out)
+                out.append(FinStructure(signature, n,
+                                        frozenset(codes.facts[b] for b in facts)))
+                bits.append(facts)
+                images.append(None)
+                queue.append(y)
+            row.append(y)
+        images[x] = row
+    return out, images
 
 
 def _coset_descriptors(n: int, k: int):
@@ -361,13 +437,19 @@ class _CosetBasis(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
+def _symmetric_group(n: int) -> tuple[tuple[int, ...], ...]:
+    """The permutations of 0..n-1 in lexicographic order."""
+    return tuple(itertools.permutations(range(n)))
+
+
+@functools.lru_cache(maxsize=None)
 def _coset_basis(n: int, k: int) -> _CosetBasis:
     """S_n and its coset sets for injective tuple pairs up to length k,
     computed once per (n, k) and shared read-only by every relabeling
     system: equal sets are merged and the first descriptor names each.
     Each set is also indexed by the pairs its descriptors fix; n - 1 pairs
     force the last one, so the completed pairs are indexed too."""
-    perms = tuple(itertools.permutations(range(n)))
+    perms = _symmetric_group(n)
     set_index: dict[frozenset[int], int] = {}
     labels: list[str] = []
     pair_index = {}

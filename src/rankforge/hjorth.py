@@ -174,16 +174,16 @@ class LevelTable:
         self.sys = sys
         self.npoints = npoints
         self.nbasis = nbasis
-        sub = np.zeros((nbasis, nbasis), dtype=bool)
-        for w in range(nbasis):
-            for v in range(nbasis):
-                sub[w, v] = sys.contains(w, v)
+        pairs = itertools.product(range(nbasis), repeat=2)
+        sub = np.fromiter(itertools.starmap(sys.contains, pairs), dtype=bool,
+                          count=nbasis * nbasis).reshape(nbasis, nbasis)
         self.sub = sub
         self._subf = sub.astype(np.float32)
 
         self.stab: int | None = None
         self._equiv: dict[int, np.ndarray] = {}
         self._held: np.ndarray | None = None
+        self._ranks: tuple[int, ...] | None = None
 
         img = sys.image_tensor()
         blocks = _orbit_blocks(img, sub) if img is not None else [np.arange(npoints)]
@@ -375,6 +375,15 @@ class LevelTable:
             self._held.setflags(write=False)
         return self._held
 
+    def ranks(self) -> tuple[int, ...]:
+        """Every point's first level whose rank condition holds, 0 where
+        none does: one pass over ``rank_condition()``, computed once."""
+        if self._ranks is None:
+            held = self.rank_condition()
+            first = np.where(held.any(axis=0), held.argmax(axis=0) + 1, 0)
+            self._ranks = tuple(first.tolist())
+        return self._ranks
+
 
 def leq_table(sys: ActionSystem, max_level: int | None = None,
               budgets: Budgets | None = None) -> LevelTable:
@@ -388,11 +397,11 @@ def hjorth_rank(table: LevelTable, x: int) -> int:
     ``table.stab``."""
     if not table.stabilized:
         raise RankforgeError("rank needs a table run to stabilization")
-    held = table.rank_condition()[:, x]
-    if not held.any():
+    rank = table.ranks()[x]
+    if not rank:
         raise RankforgeError(f"no rank level found for point {table.sys.points[x]} "
                              "(base relation violates set monotonicity)")
-    return int(np.argmax(held)) + 1
+    return rank
 
 
 def rank_condition_profile(table: LevelTable, x: int) -> set[int]:

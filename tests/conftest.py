@@ -71,15 +71,21 @@ def edge_structures(*sizes: int) -> list[FinStructure]:
             for size in sizes for c in itertools.combinations(atoms, size)]
 
 
-def relabel_hjorth_system() -> FiniteLogicAction:
-    """The relabeling system of the benchmark's relabel-hjorth input (seed
-    0): 244 edge structures on 3 elements in 44 orbits, k = 3."""
+def relabel_hjorth_structures() -> list[FinStructure]:
+    """The 60 input structures of the benchmark's relabel-hjorth workload
+    (seed 0), in file order."""
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    sig, structures = parse_structures_file(inputs.relabel_hjorth_input(0)[0])
-    return FiniteLogicAction(sig, 3, 3, list(structures.values()))
+    _, structures = parse_structures_file(inputs.relabel_hjorth_input(0)[0])
+    return list(structures.values())
+
+
+def relabel_hjorth_system() -> FiniteLogicAction:
+    """The relabeling system of the benchmark's relabel-hjorth input (seed
+    0): 244 edge structures on 3 elements in 44 orbits, k = 3."""
+    return FiniteLogicAction(EDGE_SIG, 3, 3, relabel_hjorth_structures())
 
 
 def one_block_levels(sys: hj.ActionSystem, max_level: int | None = None):

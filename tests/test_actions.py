@@ -4,15 +4,16 @@ import pytest
 
 from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction,
                                FiniteLogicAction, SymbolicLogicAction,
+                               _all_structures, _atom_codes, _coset_basis,
                                parse_action_file)
 from rankforge.common import STAB, BudgetError, Budgets, UnsupportedOperationError
 from rankforge import hjorth as hj
 from rankforge.oracle import orbit_partition
 from rankforge.structures import (FinStructure, ParseError, SchemaError,
-                                  SuppStructure)
+                                  Signature, SuppStructure, permute_structure)
 
 from conftest import (EDGE_SIG, ORDER_SIG, chain, encode_action_trace,
-                      scott_hjorth_comparison)
+                      relabel_hjorth_structures, scott_hjorth_comparison)
 
 SYS1_FILE = """
 space size 3
@@ -274,3 +275,91 @@ def test_clopen_subgroup_rank_bound(sys1):
     max_g = max(hj.hjorth_rank(hj.leq_table(sys1), x) for x in range(3))
     max_o = max(hj.hjorth_rank(hj.leq_table(sub), x) for x in range(3))
     assert max_o <= max_g + 1
+
+
+def reference_orbit_close(structures, perms):
+    """The orbit closure through ``permute_structure``, one structure per
+    image: the input deduplicated in order, then pop from the end and queue
+    each new image in permutation order.  Returns the points and
+    ``images[x][g]``."""
+    seen = dict.fromkeys(structures)
+    images = {}
+    queue = list(seen)
+    while queue:
+        m = queue.pop()
+        images[m] = [permute_structure(m, p) for p in perms]
+        for image in images[m]:
+            if image not in seen:
+                seen[image] = None
+                queue.append(image)
+    points = list(seen)
+    index = {m: i for i, m in enumerate(points)}
+    return points, [[index[image] for image in images[m]] for m in points]
+
+
+MIXED_SIG = Signature((("p", 1), ("t", 3)))
+
+
+def _mixed(*facts):
+    return FinStructure(MIXED_SIG, 3, frozenset(facts))
+
+
+def _repeated():
+    a = FinStructure(EDGE_SIG, 3, frozenset({("edge", (0, 1)), ("edge", (1, 1))}))
+    b = FinStructure(EDGE_SIG, 3, frozenset({("edge", (2, 0))}))
+    moved = permute_structure(a, (2, 0, 1))
+    return [a, b, FinStructure(EDGE_SIG, 3, a.facts), moved, b, a]
+
+
+CLOSURE_CASES = {
+    "all-edge-3": (EDGE_SIG, 3, 3, lambda: _all_structures(EDGE_SIG, 3)),
+    "relabel-hjorth": (EDGE_SIG, 3, 3, relabel_hjorth_structures),
+    "order-chains": (ORDER_SIG, 4, 2, lambda: [
+        chain(4), permute_structure(chain(4), (3, 1, 0, 2)),
+        FinStructure(ORDER_SIG, 4, frozenset({("lt", (2, 0))}))]),
+    "n1": (EDGE_SIG, 1, 1, lambda: [FinStructure(EDGE_SIG, 1, frozenset({("edge", (0, 0))})),
+                                    FinStructure(EDGE_SIG, 1)]),
+    "repeated": (EDGE_SIG, 3, 2, _repeated),
+    "unary-ternary": (MIXED_SIG, 3, 1, lambda: [
+        _mixed(("p", (0,)), ("t", (0, 1, 2)), ("t", (1, 1, 0))),
+        _mixed(), _mixed(("t", (2, 2, 2))),
+        _mixed(("p", (1,)), ("p", (2,)), ("t", (0, 2, 1)), ("t", (2, 0, 0)))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+def test_orbit_closure_matches_permute_structure_closure(case):
+    signature, n, k, make = CLOSURE_CASES[case]
+    structures = make()
+    sysb = FiniteLogicAction(signature, n, k, structures)
+    points, images = reference_orbit_close(structures, sysb.perms)
+    assert sysb.structures == points
+    assert sysb._images == images
+    assert [sysb.point_of(m) for m in points] == list(range(len(points)))
+    # input structures stay the objects given; equal inputs keep the first
+    first = {}
+    for m in structures:
+        first.setdefault(m, m)
+    for m, kept in first.items():
+        assert sysb.structures[sysb.point_of(m)] is kept
+    if case == "repeated":
+        assert len(first) == 3
+
+
+def test_atom_bits_follow_all_structures_order():
+    # structure i of _all_structures has fact code i
+    for signature, n in ((EDGE_SIG, 2), (MIXED_SIG, 2), (EDGE_SIG, 1)):
+        codes = _atom_codes(signature, n)
+        assert codes.perms == _coset_basis(n, n).perms
+        for i, m in enumerate(_all_structures(signature, n)):
+            assert sum(codes.bit(f) for f in m.facts) == i
+
+
+def test_orbit_closure_keeps_only_the_atoms_it_meets():
+    # a 4-ary relation on 6 elements has 1,296 atoms and S_6 720 elements;
+    # one fact's orbit is 30 atoms, and only those get images
+    signature = Signature((("r", 4),))
+    m = FinStructure(signature, 6, frozenset({("r", (0, 0, 0, 1))}))
+    sysb = FiniteLogicAction(signature, 6, 0, [m])
+    assert len(sysb.points) == 30
+    assert len(_atom_codes(signature, 6)._images) == 30

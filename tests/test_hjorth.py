@@ -265,6 +265,58 @@ def test_rank_requires_stabilized_table():
         hj.rank_condition_profile(truncated, 0)
 
 
+RANKED = {"relabel-hjorth": lambda: [relabel_hjorth_system()],
+          "stab2": lambda: [make_stab2_system()],
+          "ensemble-3-6": lambda: vf.ensemble(3, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(RANKED))
+def test_cached_ranks_are_each_points_first_held_level(name):
+    for sys in RANKED[name]():
+        table = hj.leq_table(sys)
+        held = table.rank_condition()
+        want = tuple(int(np.argmax(held[:, x])) + 1 for x in range(table.npoints))
+        assert table.ranks() == want
+        assert table.ranks() is table.ranks()
+        assert [hj.hjorth_rank(table, x) for x in range(table.npoints)] == list(want)
+    if name == "stab2":
+        assert want == (2, 2, 1, 2, 1)
+
+
+def _without_condition(table, x):
+    """``table`` with an all-false rank condition column at point x, set
+    before its ranks are read."""
+    held = table.rank_condition().copy()
+    held[:, x] = False
+    held.setflags(write=False)
+    table._held = held
+    return table
+
+
+def test_rank_names_a_point_whose_condition_never_holds():
+    sys = FiniteLogicAction(EDGE_SIG, 2, 2)
+    table = _without_condition(hj.leq_table(sys), 3)
+    assert table.ranks()[3] == 0
+    with pytest.raises(RankforgeError,
+                       match=f"^no rank level found for point {sys.points[3]} "):
+        hj.hjorth_rank(table, 3)
+    assert [hj.hjorth_rank(table, x) for x in (2, 4)] == [1, 1]
+
+
+def test_tables_never_share_cached_ranks():
+    sys = make_stab2_system()
+    clean = hj.leq_table(sys)
+    assert hj.hjorth_rank(clean, 0) == 2
+    corrupt = _without_condition(hj.leq_table(sys), 0)
+    with pytest.raises(RankforgeError, match="^no rank level found for point 0 "):
+        hj.hjorth_rank(corrupt, 0)
+    assert clean.ranks() == (2, 2, 1, 2, 1)
+    assert corrupt.ranks() == (0, 2, 1, 2, 1)
+    other = hj.leq_table(make_sys1())
+    assert [hj.hjorth_rank(other, x) for x in range(3)] == list(other.ranks())
+    assert corrupt.ranks()[0] == 0
+
+
 @pytest.mark.parametrize("make", [
     make_sys1,
     lambda: FiniteLogicAction(EDGE_SIG, 2, 2),
