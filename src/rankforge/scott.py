@@ -82,7 +82,7 @@ class ScottTable:
         self._offsets = list(itertools.accumulate(
             (len(injective_tuples(size)) for size in sizes[:-1]), initial=0))
         # Level 0: the quantifier-free type row [length, atom truths...].
-        colors, _ = _number(np.vstack([_qf_rows(m, width) for m in family]))
+        colors, _ = _number(_qf_rows(family, width))
         self._levels = _refinement(sizes, colors.tobytes())
         self.stab = len(self._levels) - 1
 
@@ -91,7 +91,10 @@ class ScottTable:
         """Number of stored levels (0 .. stab)."""
         return len(self._levels)
 
-    def _level(self, alpha) -> np.ndarray:
+    def level(self, alpha) -> np.ndarray:
+        """The read-only colour array over the items at a level: two items
+        of one tuple length share a class exactly when their colours are
+        equal.  Levels past ``stab`` and ``STAB`` read the stabilized one."""
         if alpha == STAB:
             return self._levels[self.stab]
         if alpha < 0:
@@ -105,7 +108,7 @@ class ScottTable:
         for e in tup:
             if not 0 <= e < size:
                 raise RangeError(f"element {e} outside universe of size {size}")
-        colors = self._level(alpha)
+        colors = self.level(alpha)
         pattern, core = _reduce(tup)
         return (pattern, int(colors[self._offsets[i] + _carrier(size).index[core]]))
 
@@ -118,7 +121,7 @@ class ScottTable:
 
     def blocks(self, alpha) -> list[list[tuple[int, tuple[int, ...]]]]:
         """Partition of the injective carrier at a level, canonically ordered."""
-        colors = self._level(alpha).tolist()
+        colors = self.level(alpha).tolist()
         out: list[list] = [[] for _ in range(max(colors) + 1)]
         items = ((i, t) for i, m in enumerate(self.family)
                  for t in injective_tuples(m.size))
@@ -228,26 +231,64 @@ def _positions(size: int, arity: int) -> np.ndarray:
     return out
 
 
-def _qf_rows(struct: FinStructure, width: int) -> np.ndarray:
-    """Level-0 key rows of a structure's items: [length, atom truths...].
+@lru_cache(maxsize=None)
+def _row_reads(size: int, width: int, arities: tuple[int, ...]) -> np.ndarray:
+    """items x columns: the entry of a structure's truth vector that each
+    column of a size-``size`` item's level-0 row reads (see ``_qf_rows``).
+    Column 0 reads the item's length; relation r's columns read its section
+    through ``_positions``, and each column past the item's own atoms reads
+    an entry at or past size**r, which no fact sets."""
+    lengths = _carrier(size).lengths.astype(np.int32)[:, None]
+    parts, offset = [lengths], width + 1
+    for arity in arities:
+        pos = _positions(size, arity)
+        pad = np.full((len(pos), width ** arity - size ** arity), width ** arity,
+                      dtype=np.int32)
+        parts.append(offset + np.hstack((pos, pad)))
+        offset += width ** arity + 1
+    out = np.hstack(parts)
+    out.flags.writeable = False
+    return out
+
+
+def _qf_rows(family: Sequence[FinStructure], width: int) -> np.ndarray:
+    """Level-0 key rows of a family's items, in item order: [length, atom
+    truths...].
 
     Each relation of arity r takes width**r columns (width is the largest
     universe in the family), so equal types give equal rows across sizes;
-    the columns past size**r stay 0, the value of the sentinel index.
+    the columns past size**r stay 0.  Each structure has a truth vector:
+    the lengths 0..width, then per relation a section of width**r + 1
+    entries holding its atoms' truths, raveled over its own size.  The
+    items of one universe size read their structures' vectors in one
+    gather through ``_row_reads``.
     """
-    size, relations = struct.size, struct.signature.relations
-    columns = 1 + sum(width ** arity for _, arity in relations)
-    rows = np.zeros((len(_carrier(size).tuples), columns), dtype=np.int8)
-    rows[:, 0] = _carrier(size).lengths
-    col = 1
+    relations = family[0].signature.relations
+    arities = tuple(arity for _, arity in relations)
+    section, offset = {}, width + 1
     for name, arity in relations:
-        truth = np.zeros(size ** arity + 1, dtype=np.int8)
-        args = [a for rel, a in struct.facts if rel == name]
-        if args:
-            truth[np.ravel_multi_index(tuple(np.array(args).T), (size,) * arity)] = 1
-        rows[:, col:col + size ** arity] = truth[_positions(size, arity)]
-        col += width ** arity
-    return rows
+        section[name] = offset
+        offset += width ** arity + 1
+    truth = np.zeros((len(family), offset), dtype=np.int8)
+    truth[:, :width + 1] = np.arange(width + 1)
+    hits = []
+    for i, m in enumerate(family):
+        base, size = i * offset, m.size
+        for name, args in m.facts:
+            flat = 0
+            for e in args:
+                flat = flat * size + e
+            hits.append(base + section[name] + flat)
+    truth.put(hits, 1)
+    # each size's items in one gather, handed out to its structures in
+    # family order
+    by_size: dict[int, list[int]] = {}
+    for i, m in enumerate(family):
+        by_size.setdefault(m.size, []).append(i)
+    blocks = {size: iter(truth[np.array(members)[:, None, None],
+                               _row_reads(size, width, arities)])
+              for size, members in by_size.items()}
+    return np.concatenate([next(blocks[m.size]) for m in family])
 
 
 def scott_rank(struct: FinStructure) -> int:

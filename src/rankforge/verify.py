@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -700,6 +701,16 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
     entry is false at T_1 and stays false), so a draw whose second structure
     is not a point of that system reaches table level 0.  Each orbit table
     is built under ``budgets``; the 512-structure cap per n is the scan's own.
+
+    Everything is read by index.  A structure's scanned items, its tuples
+    of length at most ``max_tuple``, are the first entries of its block of
+    the Scott table's items, so the stab-classes come from one gather of the
+    table's STAB colours over them: a colour fixes the tuple length, so it
+    names the class, and since the scanned items hold each class they meet
+    whole, ascending colours list the classes by first item.  Each draw is
+    routed once, by its first structure's root colour, to that structure's
+    orbit; each orbit maps structure indices to its points once; and the
+    coset index of every tuple under every bbar is resolved once per n.
     """
     rng = random.Random(f"compare:{seed}")
     counterexamples = []
@@ -712,51 +723,67 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
                               f"at n={n}; cap is 512")
         structures = _all_structures(signature, n)
         table = sc.ScottTable(structures)
-        # t -> basis index of (t, bbar) for each bbar; every system of this n
-        # shares one coset basis, so each index is resolved once
-        cosets: dict[tuple, list[int]] = {}
+        index_of = {m: i for i, m in enumerate(structures)}
+        tuples = sc.injective_tuples(n)
         lengths = range(min(max_tuple, n) + 1)
-        items = [(i, t) for i in range(len(structures))
-                 for ln in lengths
-                 for t in itertools.permutations(range(n), ln)]
-        draws = [(items[rng.randrange(len(items))], items[rng.randrange(len(items))])
+        # first[ln]: the index of the first tuple of length ln in ``tuples``
+        first = list(itertools.accumulate((math.perm(n, ln) for ln in lengths),
+                                          initial=0))
+        per, width = first[-1], len(tuples)
+        total = len(structures) * per
+        draws = [(rng.randrange(total), rng.randrange(total))
                  for _ in range(PROFILE_DRAWS)]
-        draws = [(a, b) for a, b in draws if len(a[1]) == len(b[1])]
-        by_class: dict[tuple, list] = {}
-        for i, t in items:
-            by_class.setdefault(table.class_of(i, t, STAB), []).append((i, t))
-        by_orbit: dict[tuple, list] = {}
-        for members in by_class.values():
-            orbit = table.class_of(members[0][0], (), STAB)
-            by_orbit.setdefault(orbit, []).append(members)
-        for classes in by_orbit.values():
-            sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0][0]]])
+        draws = [(a, b) for a, b in draws
+                 if len(tuples[a % per]) == len(tuples[b % per])]
+        stab_colours = table.level(STAB)
+        root = stab_colours[::width]  # each structure's orbit colour
+        colours = stab_colours[(np.arange(len(structures))[:, None] * width
+                                + np.arange(per)).ravel()]
+        order = np.argsort(colours, kind="stable")
+        by_orbit: dict[int, list[np.ndarray]] = {}
+        for members in np.split(order, np.flatnonzero(np.diff(colours[order])) + 1):
+            by_orbit.setdefault(int(root[members[0] // per]), []).append(members)
+        draws_of: dict[int, list[tuple[int, int]]] = {}
+        for a, b in draws:
+            draws_of.setdefault(int(root[a // per]), []).append((a, b))
+        cosets = None
+        for orbit, classes in by_orbit.items():
+            sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0] // per]])
             ptab = hj.leq_table(sysp, budgets=budgets)
             stab = ptab.level(STAB)
+            if cosets is None:
+                # cosets[ln][t - first[ln], k]: basis index of (t, k-th bbar);
+                # every system of this n shares one coset basis
+                cosets = [np.array([[sysp.basis_of(t, bbar) for bbar in tuples[lo:hi]]
+                                    for t in tuples[lo:hi]], dtype=np.intp)
+                          for lo, hi in itertools.pairwise(first)]
+            point = np.full(len(structures), -1)
+            point[[index_of[m] for m in sysp.structures]] = range(len(sysp.structures))
             for members in classes:
-                bbars = list(itertools.permutations(range(n), len(members[0][1])))
-                for i, t in members:
-                    if t not in cosets:
-                        cosets[t] = [sysp.basis_of(t, bbar) for bbar in bbars]
-                pts = np.array([sysp.point_of(structures[i]) for i, _ in members])
-                vs = np.array([cosets[t] for _, t in members])
+                ks = members % per
+                ln = len(tuples[ks[0]])
+                pts = point[members // per]
+                vs = cosets[ln][ks - first[ln]]
                 # held[a, b, k]: T(a, k-th coset; b, k-th coset), in list order
                 held = stab[pts[:, None, None], vs[:, None, :],
                             pts[None, :, None], vs[None, :, :]]
                 scanned += held.size
-                for a, b, k in np.argwhere(~held):
-                    (i, t), (j, u) = members[a], members[b]
-                    counterexamples.append((n, i, t, j, u, bbars[k]))
-            where = {m: x for x, m in enumerate(sysp.structures)}
-            for (i, t), (j, u) in draws:
-                if structures[i] not in where:
-                    continue
-                pi, pj = where[structures[i]], where.get(structures[j])
-                v, w = sysp.basis_of(t, range(len(t))), sysp.basis_of(u, range(len(u)))
+                if not held.all():
+                    for a, b, k in np.argwhere(~held):
+                        counterexamples.append((n, int(members[a] // per), tuples[ks[a]],
+                                                int(members[b] // per), tuples[ks[b]],
+                                                tuples[first[ln] + k]))
+            for a, b in draws_of.get(orbit, ()):
+                (i, ka), (j, kb) = divmod(a, per), divmod(b, per)
+                ln = len(tuples[ka])
+                pi, pj = point[i], point[j]
+                # the identity bbar comes first among a length's bbars
+                v, w = cosets[ln][ka - first[ln], 0], cosets[ln][kb - first[ln], 0]
                 s_level = h_level = 0
-                while s_level <= table.stab and table.equivalent(i, t, j, u, s_level):
+                while (s_level <= table.stab and table.level(s_level)[i * width + ka]
+                       == table.level(s_level)[j * width + kb]):
                     s_level += 1
-                while (pj is not None and h_level < ptab.stab
+                while (pj >= 0 and h_level < ptab.stab
                        and ptab.level(h_level + 1)[pi, v, pj, w]):
                     h_level += 1
                 key = (f"scott={'stab' if s_level > table.stab else s_level}",

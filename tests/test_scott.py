@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rankforge.actions import _all_structures
 from rankforge.common import STAB, BudgetError
 from rankforge.oracle import ScottOracle
-from rankforge.scott import (MAX_SIZE, ScottTable, _positions, injective_tuples,
-                             scott_rank)
+from rankforge.scott import (MAX_SIZE, ScottTable, _carrier, _number, _positions,
+                             _qf_rows, _refinement, injective_tuples, scott_rank)
 from rankforge.structures import (FinStructure, Signature, brute_isomorphic,
                                   eval_atomic, permute_structure)
 from rankforge.verify import canonical_edge_representatives
@@ -282,7 +282,7 @@ def reference_level0(family):
 def test_level0_of_every_edge_class_matches_the_atoms():
     for n in range(1, 5):
         for m in canonical_edge_representatives(n):
-            assert ScottTable([m])._level(0).tolist() == reference_level0([m]), m
+            assert ScottTable([m]).level(0).tolist() == reference_level0([m]), m
 
 
 def test_level0_of_a_mixed_family_matches_the_atoms():
@@ -297,8 +297,58 @@ def test_level0_of_a_mixed_family_matches_the_atoms():
                           if rng.random() < 0.4)
         family.append(FinStructure(sig, n, facts))
     tab = ScottTable(family)
-    assert tab._level(0).tolist() == reference_level0(family)
+    assert tab.level(0).tolist() == reference_level0(family)
     assert {i for block in tab.blocks(0) for i, _ in block} == set(range(len(family)))
+
+
+def reference_qf_rows(struct, width):
+    """One structure's level-0 key rows, filled one relation at a time from
+    its own truth array.  Kept as the reference for the family gather."""
+    size, relations = struct.size, struct.signature.relations
+    columns = 1 + sum(width ** arity for _, arity in relations)
+    rows = np.zeros((len(_carrier(size).tuples), columns), dtype=np.int8)
+    rows[:, 0] = _carrier(size).lengths
+    col = 1
+    for name, arity in relations:
+        truth = np.zeros(size ** arity + 1, dtype=np.int8)
+        args = [a for rel, a in struct.facts if rel == name]
+        if args:
+            truth[np.ravel_multi_index(tuple(np.array(args).T), (size,) * arity)] = 1
+        rows[:, col:col + size ** arity] = truth[_positions(size, arity)]
+        col += width ** arity
+    return rows
+
+
+def random_family(signature, sizes, seed):
+    rng = random.Random(seed)
+    return [FinStructure(signature, n, frozenset(
+        (name, args) for name, arity in signature.relations
+        for args in itertools.product(range(n), repeat=arity) if rng.random() < 0.4))
+        for n in sizes]
+
+
+_M3, _M2 = random_family(EDGE_SIG, (3, 2), 1)
+
+
+@pytest.mark.parametrize("family", [
+    random_family(Signature((("red", 1), ("edge", 2))), (3, 1, 4, 2, 3), 2),
+    random_family(Signature((("tri", 3),)), (2, 4, 1, 3, 4), 3),
+    random_family(Signature((("red", 1), ("edge", 2), ("tri", 3))), (1, 3, 2), 4),
+    random_family(Signature(()), (3, 1, 4, 2, 3), 5),
+    [_M3, _M2, _M3, FinStructure(EDGE_SIG, 3, _M3.facts), _M2],
+], ids=["unary_binary_interleaved", "ternary", "three_arities", "empty", "repeated"])
+def test_level0_gather_matches_per_structure_rows(fresh_scott_cache, family):
+    width = max(m.size for m in family)
+    want = np.vstack([reference_qf_rows(m, width) for m in family])
+    assert np.array_equal(_qf_rows(family, width), want)
+    # every level, each side refined with the cache emptied
+    sizes = tuple(m.size for m in family)
+    levels = _refinement(sizes, _number(want)[0].tobytes())
+    fresh_scott_cache.cache_clear()
+    tab = ScottTable(family)
+    assert tab.levels == len(levels)
+    for a, level in enumerate(levels):
+        assert np.array_equal(tab.level(a), level), a
 
 
 def test_position_arrays_are_read_only():
@@ -318,14 +368,14 @@ def test_warm_cache_gives_the_cold_levels(fresh_scott_cache):
     for m in structs:
         fresh_scott_cache.cache_clear()
         tab = ScottTable([m])
-        cold.append((tab.stab, [tab._level(a).copy() for a in range(tab.levels)]))
+        cold.append((tab.stab, [tab.level(a).copy() for a in range(tab.levels)]))
     fresh_scott_cache.cache_clear()
     for _ in range(2):  # first pass partly served by the cache, second wholly
         for m, (stab, levels) in zip(structs, cold):
             tab = ScottTable([m])
             assert tab.stab == stab and tab.levels == len(levels)
             for a, level in enumerate(levels):
-                assert np.array_equal(tab._level(a), level), (m, a)
+                assert np.array_equal(tab.level(a), level), (m, a)
     info = fresh_scott_cache.cache_info()
     assert info.currsize == info.misses < len(structs) <= info.hits
 
@@ -334,7 +384,7 @@ def test_cached_levels_are_read_only():
     tab = ScottTable([chain(3)])
     for a in range(tab.levels):
         with pytest.raises(ValueError):
-            tab._level(a)[0] = 7
+            tab.level(a)[0] = 7
 
 
 def test_structures_with_one_level0_colouring_share_a_cache_entry(fresh_scott_cache):
@@ -351,7 +401,7 @@ def test_structures_with_one_level0_colouring_share_a_cache_entry(fresh_scott_ca
         shared = ScottTable([other])
         after = fresh_scott_cache.cache_info()
         assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
-        assert all(shared._level(a) is tab._level(a) for a in range(tab.levels))
+        assert all(shared.level(a) is tab.level(a) for a in range(tab.levels))
     # no loops: every element has one level-0 type, so the colouring differs
     before = fresh_scott_cache.cache_info()
     ScottTable([edge({(0, 1), (1, 2)})])

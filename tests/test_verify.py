@@ -14,7 +14,8 @@ from rankforge.actions import (ALL_SUBSETS, FiniteDiscreteAction, FiniteLogicAct
 from rankforge.common import STAB, BudgetError, Budgets
 from rankforge.hjorth import LevelTable, leq_table
 from rankforge.oracle import LeqOracle
-from rankforge.structures import FinStructure, Signature, canonical_form
+from rankforge.structures import (FinStructure, Signature, canonical_form,
+                                  permute_structure)
 
 from conftest import (EDGE_SIG, CorruptedSystem, chain, make_non_basis_family,
                       make_stab2_system, make_sys1, set_level)
@@ -820,12 +821,12 @@ def test_comparison_scan_reports_an_injected_failure(monkeypatch):
     assert scanned == 140448
 
 
-def per_quadruple_scan(max_n, max_tuple):
+def per_quadruple_scan(max_n, max_tuple, signature):
     """The scan one stabilized query at a time, each (member, member, bbar)
     of each stab-class in turn.  Kept as the reference for the gather."""
     counterexamples, scanned = [], 0
     for n in range(1, max_n + 1):
-        structures = _all_structures(EDGE_SIG, n)
+        structures = _all_structures(signature, n)
         table = sc.ScottTable(structures)
         cosets = {}
         items = [(i, t) for i in range(len(structures))
@@ -839,7 +840,7 @@ def per_quadruple_scan(max_n, max_tuple):
             orbit = table.class_of(members[0][0], (), STAB)
             by_orbit.setdefault(orbit, []).append(members)
         for classes in by_orbit.values():
-            sysp = FiniteLogicAction(EDGE_SIG, n, n, [structures[classes[0][0][0]]])
+            sysp = FiniteLogicAction(signature, n, n, [structures[classes[0][0][0]]])
             ptab = hj.leq_table(sysp)
             for members in classes:
                 bbars = list(itertools.permutations(range(n), len(members[0][1])))
@@ -856,11 +857,42 @@ def per_quadruple_scan(max_n, max_tuple):
     return counterexamples, scanned
 
 
-def test_comparison_scan_gather_matches_per_quadruple_loop(monkeypatch):
+EDGE1_COL1 = Signature((("edge", 1), ("col", 1)))
+EMPTY_SIG = Signature(())
+
+
+def relabel_flips(signature):
+    """Flips of stab-related entries at n = 2 and 3: (M, t) and (N, u) with
+    N the image of M and u the image of t under the cyclic shift, each way
+    round, for t of every length (its last elements, reversed) and a bbar
+    (its first elements, reversed)."""
+    flips = []
+    for n in (2, 3):
+        shift = tuple(range(1, n)) + (0,)
+        structures = _all_structures(signature, n)
+        m = structures[len(structures) // 3]
+        image = permute_structure(m, shift)
+        for ln in range(n + 1):
+            t = tuple(range(n - 1, n - 1 - ln, -1))
+            u = tuple(shift[e] for e in t)
+            bbar = tuple(range(ln))[::-1]
+            # a set: where the two ways round are one entry (an empty tuple
+            # of a structure its shift fixes), a second flip would undo it
+            flips += {(m, t, image, u, bbar), (image, u, m, t, bbar[::-1])}
+    return flips
+
+
+@pytest.mark.parametrize("max_tuple", [0, 1, 2, 3])
+@pytest.mark.parametrize("signature", [EDGE_SIG, EDGE1_COL1, EMPTY_SIG],
+                         ids=["edge2", "edge1_col1", "empty"])
+def test_comparison_scan_gather_matches_per_quadruple_loop(monkeypatch, signature,
+                                                           max_tuple):
+    # each structure's items are the first entries of its Scott table block,
+    # so their count depends on both the tuple cap and the signature
     structures = _all_structures(EDGE_SIG, 3)
     # members of a class are listed by structure index, so N -> M is a > b
     assert structures.index(M3) < structures.index(N3)
-    flips = [
+    edge_flips = [
         # two flips in one class, the later bbar listed first
         (M3, (0,), N3, (2,), (1,)),
         (M3, (0,), N3, (2,), (0,)),
@@ -872,9 +904,15 @@ def test_comparison_scan_gather_matches_per_quadruple_loop(monkeypatch):
         # a flip at n=2
         (M2, (0,), N2, (1,), (0,)),
     ]
-    _flip_stabilized(monkeypatch, flips)
-    counterexamples, _, scanned = vf.comparison_scan(max_n=3, max_tuple=2, seed=0)
-    assert (counterexamples, scanned) == per_quadruple_scan(3, 2)
+    _flip_stabilized(monkeypatch, edge_flips if signature == EDGE_SIG
+                     else relabel_flips(signature))
+    counterexamples, _, scanned = vf.comparison_scan(max_n=3, max_tuple=max_tuple,
+                                                     seed=0, signature=signature)
+    assert (counterexamples, scanned) == per_quadruple_scan(3, max_tuple, signature)
+    # every tuple cap scans an empty-tuple flip
+    assert counterexamples
+    if (signature, max_tuple) != (EDGE_SIG, 2):
+        return
     # scan order: n, then orbit and class (by first item), then (a, b, bbar);
     # a flipped entry fails every descriptor pair naming its two cosets (in
     # S_2, V[0->0] = V[1->1] = V[01->01]; in S_3 a pair fixes the permutation)
@@ -943,14 +981,19 @@ def per_draw_profile(max_n, max_tuple, seed, signature):
 @pytest.mark.parametrize("max_n, max_tuple, signature", [
     (3, 2, EDGE_SIG),
     (3, 0, EDGE_SIG),
-    (2, 2, Signature((("edge", 1), ("col", 1)))),
-    (2, 2, Signature(())),
+    (2, 2, EDGE1_COL1),
+    (2, 2, EMPTY_SIG),
 ], ids=["edge2", "max_tuple0", "edge1_col1", "empty"])
 def test_comparison_scan_profile_matches_per_draw_systems(seed, max_n, max_tuple,
                                                           signature):
     _, profile, _ = vf.comparison_scan(max_n=max_n, max_tuple=max_tuple, seed=seed,
                                        signature=signature)
     assert profile == per_draw_profile(max_n, max_tuple, seed, signature)
+    # on the relabeling action T_1 holds exactly between isomorphic tuples,
+    # and there T_1 = T_STAB: a draw reaches table level 0 unless its tuples
+    # share a stabilized Scott class, and then it reaches stab
+    assert all((s, h) == ("scott=stab", "hjorth=stab")
+               or (h == "hjorth=0" and s != "scott=stab") for s, h in profile)
 
 
 # two edges each: P3 has an orbit of 6 structures, C3 (the 2-cycle 0<->1)
