@@ -300,7 +300,7 @@ def cmd_verify(args, budgets: Budgets) -> int:
                               f"of {key}, {_SIZE_MIN[key]}")
         sizes.setdefault(key, min(default, budget))
     # the CONFIG record names every size, so each suite refuses this
-    vf.check_scan_size(sizes["n"])
+    vf.check_scan_size(sizes["n"], vf.EDGE_SIG)
     out.record(config_record(command="verify", suite=args.suite, seed=args.seed,
                              sizes=_sizes_str(sizes), count=args.count,
                              format=args.format))
@@ -323,13 +323,13 @@ def cmd_compare(args, budgets: Budgets) -> int:
     out = Output(args.format)
     if args.empty_signature and args.rel:
         raise RankforgeError("--rel does not apply to --empty-signature")
-    vf.check_scan_size(args.n)
-    if args.n > budgets.n:
-        raise BudgetError(f"comparison scan n={args.n} exceeds budget n={budgets.n}")
     if args.empty_signature:
         signature = Signature(())
     else:
         signature = Signature(tuple(args.rel or [("edge", 2)]))
+    vf.check_scan_size(args.n, signature)
+    if args.n > budgets.n:
+        raise BudgetError(f"comparison scan n={args.n} exceeds budget n={budgets.n}")
     rels = ",".join(f"{name}:{arity}" for name, arity in signature.relations) or "-"
     out.record(config_record(command="compare", seed=args.seed, n=args.n,
                              max_tuple=args.max_tuple, rels=rels,

@@ -37,6 +37,10 @@ ORDER_SIG = Signature((("lt", 2),))
 PROFILE_DRAWS = 200
 # the comparison scan's largest structure size, its own cap
 COMPARISON_MAX_N = 3
+# the largest structure drawn into the Scott oracle family, and the longest
+# chain of the Scott rank ladder
+SCOTT_FAMILY_MAX_N = 4
+LADDER_MAX = 6
 # a suite run's defaults: caps on group order g, point count x and the
 # comparison scan's structure size n, and the ensemble size
 DEFAULT_SIZES = {"g": 8, "x": 6, "n": COMPARISON_MAX_N}
@@ -395,16 +399,6 @@ def run_iso(tables) -> list[CheckResult]:
             return f"stab={table.stab}"
         return _first_pair(table.sys, table.equiv_matrix(2) != _same_orbit(table.sys))
 
-    def rank_orbit_invariance(ranked):
-        table, ranks = ranked
-        sys = table.sys
-        # moved[g, x]: g changes the rank of x, in (g, x) order
-        moved = ranks[_images(sys)] != ranks
-        if moved.any():
-            g, x = np.argwhere(moved)[0]
-            return f"x={sys.points[x]},g={sys.group[g]}"
-        return None
-
     def rank_partition(table):
         sys = table.sys
         parts = hj.partition_by_rank(table)
@@ -417,20 +411,20 @@ def run_iso(tables) -> list[CheckResult]:
         return None
 
     def rank_comparison_consistency(table):
-        # order[x, y]: -1, 0 or 1 as the rank of x is below, at or above y's
+        # order[x, y]: -1, 0 or 1 as compare_ranks puts the rank of x below,
+        # at or above y's.  It must be the sign of the rank difference, and 0
+        # within an orbit: ranks are orbit invariants
         pts = range(table.npoints)
+        ranks = np.array([hj.hjorth_rank(table, x) for x in pts])
         order = np.array([["<=>".index(hj.compare_ranks(table, x, y)) - 1 for y in pts]
                           for x in pts])
-        bad = (order.T != -order) | (_same_orbit(table.sys) & (order != 0))
+        bad = ((order != np.sign(ranks[:, None] - ranks))
+               | (_same_orbit(table.sys) & (order != 0)))
         return _first_pair(table.sys, bad)
 
-    # every table's ranks first: a table without one raises before any law
-    ranked = [(table, np.array([hj.hjorth_rank(table, x) for x in range(table.npoints)]))
-              for table in tables]
     return [run_law("isomorphism_theorem", isomorphism_theorem, tables),
             run_law("minimal_m_finite", minimal_m_finite, tables),
             run_law("finite_discrete_collapse", finite_discrete_collapse, tables),
-            run_law("rank_orbit_invariance", rank_orbit_invariance, ranked),
             run_law("rank_partition", rank_partition, tables),
             run_law("rank_comparison_consistency", rank_comparison_consistency, tables)]
 
@@ -454,7 +448,7 @@ def _scott_oracle_mismatch(family, table, pairs, tag: str) -> tuple[str | None, 
     return None, queried
 
 
-def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckResult]:
+def scott_oracle_checks(seed: int, family_size: int) -> list[CheckResult]:
     rng = random.Random(f"scott:{seed}")
 
     # Oracle equivalence, exhaustive at tiny sizes.
@@ -467,7 +461,8 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
     family = []
     seen = set()
     while len(family) < family_size:
-        m = _random_structure(rng, rng.randint(1, max_n), rng.uniform(0.15, 0.6))
+        m = _random_structure(rng, rng.randint(1, SCOTT_FAMILY_MAX_N),
+                              rng.uniform(0.15, 0.6))
         if m not in seen:
             seen.add(m)
             family.append(m)
@@ -491,8 +486,7 @@ def scott_oracle_checks(seed: int, family_size: int, max_n: int) -> list[CheckRe
                         {"family": len(family), "queries": queried})]
 
 
-def scott_structure_checks(seed: int, exhaustive_n: int,
-                           ladder_max: int) -> list[CheckResult]:
+def scott_structure_checks(seed: int, exhaustive_n: int) -> list[CheckResult]:
     """Finite-scale isomorphism over canonical representatives, the rank
     ladder on linear orders and permutation invariance of the rank.  One
     seeded rng first draws the first check's relabeled copies and pairs,
@@ -536,9 +530,9 @@ def scott_structure_checks(seed: int, exhaustive_n: int,
             return "rank(L2) != 1"
         # item m - 1 is chain(m); L_m and L_m+1 split at the least level
         # where their root classes differ
-        ltab = sc.ScottTable([chain(m) for m in range(1, ladder_max + 2)])
+        ltab = sc.ScottTable([chain(m) for m in range(1, LADDER_MAX + 2)])
         prev = 0
-        for m in range(1, ladder_max + 1):
+        for m in range(1, LADDER_MAX + 1):
             level = next((a for a in range(ltab.stab + 1)
                           if ltab.class_of(m - 1, (), a) != ltab.class_of(m, (), a)),
                          None)
@@ -700,7 +694,8 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
     block-diagonal by orbit (V.x lies in the orbit of x, so a cross-orbit
     entry is false at T_1 and stays false), so a draw whose second structure
     is not a point of that system reaches table level 0.  Each orbit table
-    is built under ``budgets``; the 512-structure cap per n is the scan's own.
+    is built under ``budgets``, after :func:`check_scan_size` has refused a
+    scan above the scan's own caps.
 
     Everything is read by index.  A structure's scanned items, its tuples
     of length at most ``max_tuple``, are the first entries of its block of
@@ -712,15 +707,12 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
     orbit; each orbit maps structure indices to its points once; and the
     coset index of every tuple under every bbar is resolved once per n.
     """
+    check_scan_size(max_n, signature)
     rng = random.Random(f"compare:{seed}")
     counterexamples = []
     profile: dict[tuple[str, str], int] = {}
     scanned = 0
     for n in range(1, max_n + 1):
-        atom_count = sum(n ** arity for _, arity in signature.relations)
-        if 2 ** atom_count > 512:
-            raise BudgetError(f"comparison scan needs 2^{atom_count} structures "
-                              f"at n={n}; cap is 512")
         structures = _all_structures(signature, n)
         table = sc.ScottTable(structures)
         index_of = {m: i for i, m in enumerate(structures)}
@@ -793,11 +785,18 @@ def comparison_scan(max_n: int = COMPARISON_MAX_N, max_tuple: int = 2, seed: int
     return counterexamples, profile, scanned
 
 
-def check_scan_size(n: int) -> None:
-    """Refuse a comparison scan over structures larger than the scan's cap."""
+def check_scan_size(n: int, signature: Signature) -> None:
+    """Refuse a comparison scan up to size n over structures larger than the
+    scan's cap, or over more than 512 structures of one size, naming the
+    least such size."""
     if n > COMPARISON_MAX_N:
         raise BudgetError(f"comparison scan n={n} exceeds the scan's cap "
                           f"n<={COMPARISON_MAX_N}")
+    for m in range(1, n + 1):
+        atom_count = sum(m ** arity for _, arity in signature.relations)
+        if 2 ** atom_count > 512:
+            raise BudgetError(f"comparison scan needs 2^{atom_count} structures "
+                              f"at n={m}; cap is 512")
 
 
 def comparison_witness(counterexamples) -> str | None:
@@ -962,8 +961,8 @@ def run_suite(suite: str, seed: int, sizes: dict, count: int = DEFAULT_COUNT,
         elif name == "lemmas":
             checks = [leq_oracle_check(systems, tables)] + run_lemmas(tables)
         elif name == "iso":
-            checks = (run_iso(tables) + scott_oracle_checks(seed, 500, 4)
-                      + scott_structure_checks(seed, 4, 6))
+            checks = (run_iso(tables) + scott_oracle_checks(seed, 500)
+                      + scott_structure_checks(seed, 4))
         elif name == "vaught":
             checks = run_vaught(tables, seed, 200)
         else:

@@ -1,6 +1,8 @@
+import functools
 import importlib.util
 import itertools
 import os
+import random
 import sys
 
 import numpy as np
@@ -15,6 +17,7 @@ from rankforge.common import STAB, InvalidBaseRelationError  # noqa: E402
 from rankforge.scott import ScottTable, _refinement  # noqa: E402
 from rankforge.structures import (FinStructure, Signature,  # noqa: E402
                                   parse_structures_file)
+from rankforge.verify import random_finite_discrete  # noqa: E402
 
 ORDER_SIG = Signature((("lt", 2),))
 EDGE_SIG = Signature((("edge", 2),))
@@ -62,6 +65,55 @@ basis sets: {g0,g1,g4} {g0,g1,g5} {g0,g2,g3} {g1,g2,g3} {g2,g4,g5} {g3,g4,g5} \
 def make_stab2_system() -> FiniteDiscreteAction:
     """The system of ``STAB2_ACTION``, whose table stabilizes at level 2."""
     return parse_action_file(STAB2_ACTION)
+
+
+def draw_translation_closed(rng):
+    """One system by the stab-2 search's recipe: a seeded group of order at
+    least 3 and a basis of G plus 1-4 random sets of 2 to |G|-1 elements,
+    each with all of its right translates."""
+    while True:
+        sys = random_finite_discrete(rng, 12, 6)
+        if len(sys.group) >= 3:
+            break
+    inverse, compose = sys.group_law()
+    order = len(sys.group)
+    sets = [frozenset(range(order))]
+    for _ in range(rng.randint(1, 4)):
+        drawn = rng.sample(range(order), rng.randint(2, order - 1))
+        for g in range(order):
+            translate = frozenset(compose[v][inverse[g]] for v in drawn)
+            if translate not in sets:
+                sets.append(translate)
+    return sys.with_basis(sets)
+
+
+# seeded draws kept for the oracle and fault-table tests: the first four that
+# stabilize at level 2 and the first four whose levels grow, of at most 50
+# (point, basis set) pairs each; about 2% of draws stabilize at level 2
+SEEDED_KINDS = {"stab2": 4, "grows": 4}
+
+
+@functools.cache
+def seeded_level_draws():
+    """``(draw index, kind, points, elements, basis sets)`` of each kept
+    draw, in draw order.  Systems are rebuilt from these on each call, so no
+    test shares one with another."""
+    rng = random.Random("oracle-levels:3")
+    kept, counts = [], dict.fromkeys(SEEDED_KINDS, 0)
+    for index in itertools.count():
+        if counts == SEEDED_KINDS:
+            return tuple(kept)
+        sys = draw_translation_closed(rng)
+        if len(sys.points) * len(sys.basis) > 50:
+            continue
+        try:
+            kind = f"stab{hj.leq_table(sys).stab}"
+        except InvalidBaseRelationError:
+            kind = "grows"
+        if kind in counts and counts[kind] < SEEDED_KINDS[kind]:
+            counts[kind] += 1
+            kept.append((index, kind, sys.size, tuple(zip(sys.group, sys.perms)),
+                         tuple(sys.basis_sets)))
 
 
 def edge_structures(*sizes: int) -> list[FinStructure]:

@@ -265,6 +265,25 @@ def test_hjorth_oracle_at_depth(tmp_path, capsys):
         f"RANK point={x} delta={d} stab=2 m=0" for x, d in enumerate((2, 2, 1, 2, 1))]
 
 
+def test_hjorth_basis_flag_overrides_the_files_basis(tmp_path, capsys):
+    # --basis singletons+G on the stab-2 file gives the RANK and PART records
+    # of the same file with that basis, which stabilize at level 1
+    own, singles = tmp_path / "stab2.act", tmp_path / "singles.act"
+    own.write_text(STAB2_ACTION)
+    singles.write_text(STAB2_ACTION[:STAB2_ACTION.index("basis")] + "basis singletons+G\n")
+
+    def ranks(*args):
+        assert main(["hjorth", *args, "--format", "records"]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("RANK ", "PART "))]
+
+    overridden = ranks(str(own), "--basis", "singletons+G")
+    assert overridden == ranks(str(singles))
+    assert overridden == [f"RANK point={x} delta=1 stab=1 m=0" for x in range(5)] + [
+        "PART rank=1 points=0;1;2;3;4"]
+    assert ranks(str(own)) != overridden
+
+
 def test_hjorth_logic(tmp_path, capsys):
     p = tmp_path / "structs.txt"
     p.write_text("signature\nrel edge 2\nend\n"
@@ -471,20 +490,27 @@ def test_verify_budget_below_the_least_size_exit_3(suite, budget, least):
     assert proc.stderr == f"error: budget {budget} is below the least size of {least}\n"
 
 
-@pytest.mark.parametrize("args", [
-    ["compare", "--n", "4"],
-    ["verify", "comparison", "--sizes", "n<=4"],
-    ["verify", "lemmas", "--count", "1", "--sizes", "n<=4"],
-], ids=["compare", "verify-comparison", "verify-lemmas"])
-def test_scan_size_above_the_scans_cap_exit_3(args, monkeypatch, capsys):
+ABOVE_N_CAP = "comparison scan n=4 exceeds the scan's cap n<=3"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["compare", "--n", "4"], ABOVE_N_CAP),
+    (["verify", "comparison", "--sizes", "n<=4"], ABOVE_N_CAP),
+    (["verify", "lemmas", "--count", "1", "--sizes", "n<=4"], ABOVE_N_CAP),
+    # two binary relations: 2^18 structures at n=3, above the 512 of one size
+    (["compare", "--n", "3", "--rel", "a:2", "--rel", "b:2"],
+     "comparison scan needs 2^18 structures at n=3; cap is 512"),
+], ids=["compare", "verify-comparison", "verify-lemmas", "compare-structures"])
+def test_scan_size_above_the_scans_cap_exit_3(args, message, monkeypatch, capsys):
     # the default budget n=4 admits n=4, but the scan's own cap is n<=3; the
-    # CONFIG record names n, so every suite refuses it
+    # CONFIG record names n, so every suite refuses it, and the scan's
+    # structure cap is refused before that record too
     monkeypatch.delenv("RANKFORGE_BUDGET", raising=False)
     code = main([*args, "--format", "records"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == "error: comparison scan n=4 exceeds the scan's cap n<=3\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_sizes_flag_parsing(capsys):

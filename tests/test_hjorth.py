@@ -433,6 +433,31 @@ def test_level_table_memory_peak():
     assert peak <= 0.15 * pairs ** 2
 
 
+def test_row_blocks_bound_the_table_memory_peak(monkeypatch):
+    # C8 on 8 points under all subsets: 255 basis sets, one orbit block of
+    # P = 2,040 pairs, stab 1.  Built in row blocks of _BLOCK float32
+    # elements, T_1 and its sweep peaked at 4.33 P^2; as whole float32
+    # products, at 11.08 P^2
+    sys = FiniteDiscreteAction(8, [(f"r{k}", tuple((i + k) % 8 for i in range(8)))
+                                   for k in range(8)], ALL_SUBSETS)
+    pairs = len(sys.points) * len(sys.basis)
+    assert pairs == 2040
+
+    def build_peak():
+        tracemalloc.start()
+        try:
+            table = hj.leq_table(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.blocks) == 1 and table.stab == 1
+        return peak
+
+    assert build_peak() <= 6 * pairs ** 2
+    monkeypatch.setattr(hj, "_BLOCK", 1 << 40)
+    assert build_peak() > 6 * pairs ** 2
+
+
 def make_two_orbits() -> FiniteDiscreteAction:
     """C3 turning 0,1,2 and 3,4,5 together and fixing 6: three orbits."""
     return FiniteDiscreteAction(7, [("e", (0, 1, 2, 3, 4, 5, 6)),

@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 import random
@@ -10,15 +9,15 @@ from hypothesis import strategies as st
 
 from rankforge import hjorth as hj
 from rankforge.actions import SINGLETONS_PLUS_G, FiniteDiscreteAction
-from rankforge.common import BudgetError, InvalidBaseRelationError, OracleDepthError
+from rankforge.common import BudgetError, OracleDepthError
 from rankforge.hjorth import leq_table
 from rankforge.oracle import (LeqOracle, ScottOracle, _same_atoms,
                               invariant_sets, orbit_partition)
 from rankforge.structures import FinStructure, Signature, permute_structure
-from rankforge.verify import ensemble, random_finite_discrete
+from rankforge.verify import ensemble
 
 from conftest import (CorruptedSystem, chain, make_non_basis_family, make_stab2_system,
-                      make_sys1)
+                      make_sys1, seeded_level_draws)
 
 
 def test_naive_leq_level1_is_cc(sys1):
@@ -114,55 +113,6 @@ class StrictlyContainedSystem(RecordingSystem):
 
     def contains(self, w, v):
         return w != v and super().contains(w, v)
-
-
-def draw_translation_closed(rng):
-    """One system by the stab-2 search's recipe: a seeded group of order at
-    least 3 and a basis of G plus 1-4 random sets of 2 to |G|-1 elements,
-    each with all of its right translates."""
-    while True:
-        sys = random_finite_discrete(rng, 12, 6)
-        if len(sys.group) >= 3:
-            break
-    inverse, compose = sys.group_law()
-    order = len(sys.group)
-    sets = [frozenset(range(order))]
-    for _ in range(rng.randint(1, 4)):
-        drawn = rng.sample(range(order), rng.randint(2, order - 1))
-        for g in range(order):
-            translate = frozenset(compose[v][inverse[g]] for v in drawn)
-            if translate not in sets:
-                sets.append(translate)
-    return sys.with_basis(sets)
-
-
-# seeded draws kept for the oracle tests: the first four that stabilize at
-# level 2 and the first four whose levels grow, of at most 50 (point, basis
-# set) pairs each; about 2% of draws stabilize at level 2
-SEEDED_KINDS = {"stab2": 4, "grows": 4}
-
-
-@functools.cache
-def seeded_level_draws():
-    """``(draw index, kind, points, elements, basis sets)`` of each kept
-    draw, in draw order.  Systems are rebuilt from these on each call, so no
-    test shares one with another."""
-    rng = random.Random("oracle-levels:3")
-    kept, counts = [], dict.fromkeys(SEEDED_KINDS, 0)
-    for index in itertools.count():
-        if counts == SEEDED_KINDS:
-            return tuple(kept)
-        sys = draw_translation_closed(rng)
-        if len(sys.points) * len(sys.basis) > 50:
-            continue
-        try:
-            kind = f"stab{leq_table(sys).stab}"
-        except InvalidBaseRelationError:
-            kind = "grows"
-        if kind in counts and counts[kind] < SEEDED_KINDS[kind]:
-            counts[kind] += 1
-            kept.append((index, kind, sys.size, tuple(zip(sys.group, sys.perms)),
-                         tuple(sys.basis_sets)))
 
 
 def seeded_systems():

@@ -308,7 +308,6 @@ def test_rank_check_witnesses(monkeypatch):
     monkeypatch.setattr(hj, "hjorth_rank",
                         lambda table, x: rank(table, x) + (x == 1))
     iso = by_name(vf.run_iso(tables))
-    assert iso["rank_orbit_invariance"].witness == "sys0:x=0,g=g1"
     assert iso["rank_partition"].witness == "sys0:rank=1,g=g1"
     assert iso["rank_comparison_consistency"].witness == "sys0:(0,1)"
 
@@ -327,20 +326,6 @@ def test_isomorphism_theorem_checks_orbit_check_via_rank(monkeypatch):
     assert by_name(vf.run_iso(tables))["isomorphism_theorem"].passed
     monkeypatch.setattr(hj, "orbit_check_via_rank", flipped)
     assert by_name(vf.run_iso(tables))["isomorphism_theorem"].witness == "sys2:(1,2)"
-
-
-def test_rank_orbit_invariance_witness_is_first_in_g_x_order(monkeypatch):
-    # a rank raised at point 5: g1 carries 1 to 5 and g2 carries 0 to 5, so
-    # (g, x) order meets (g1, 1) first where (x, g) order would meet (g2, 0)
-    tables = [leq_table(s) for s in vf.ensemble(3, 6)]
-    sys = tables[0].sys
-    assert (sys.act(1, 1), sys.act(2, 0)) == (5, 5)
-    rank = hj.hjorth_rank
-    monkeypatch.setattr(hj, "hjorth_rank",
-                        lambda table, x: rank(table, x) + (x == 5))
-    iso = by_name(vf.run_iso(tables))
-    assert iso["rank_orbit_invariance"].witness == "sys0:x=1,g=g1"
-    assert iso["rank_comparison_consistency"].witness == "sys0:(0,5)"
 
 
 def _with_entries(table, level, quads, value):
@@ -416,7 +401,7 @@ def test_table_suite_records_on_the_stab2_ensemble(monkeypatch):
         "leq_transitivity", "level_monotonicity", "set_monotonicity",
         "translation_invariance", "equiv_invariance", "stabilized_equiv_invariant_sets",
         "isomorphism_theorem", "minimal_m_finite", "finite_discrete_collapse",
-        "rank_orbit_invariance", "rank_partition", "rank_comparison_consistency",
+        "rank_partition", "rank_comparison_consistency",
         "vaught_invariance", "vaught_duality", "vaught_union_intersection",
         "vaught_basis_intersection", "star_orbit_equivalence",
         "fixed_point_characterization",
@@ -508,7 +493,7 @@ def ranked_structures(monkeypatch, seed, exhaustive_n):
     that ``scott_iso_finite`` leaves to them."""
     ranked = []
     monkeypatch.setattr(sc, "scott_rank", lambda m: ranked.append(m) or SCOTT_RANK(m))
-    checks = vf.scott_structure_checks(seed, exhaustive_n, 6)
+    checks = vf.scott_structure_checks(seed, exhaustive_n)
     return {c.name: c.witness for c in checks}, ranked
 
 
@@ -568,7 +553,7 @@ def test_iso_finite_copy_reads_match_pair_tables(monkeypatch, seed):
             built.append(self)
 
     monkeypatch.setattr(sc, "ScottTable", Recorded)
-    assert by_name(vf.scott_structure_checks(seed, 4, 6))["scott_iso_finite"].passed
+    assert by_name(vf.scott_structure_checks(seed, 4))["scott_iso_finite"].passed
     reps = [m for n in range(1, 5) for m in vf.canonical_edge_representatives(n)]
     (table,) = [t for t in built if len(t.family) == len(reps) + 60]
     assert list(table.family[:len(reps)]) == reps
@@ -594,7 +579,7 @@ def test_rank_ladder_levels_match_pair_tables(monkeypatch):
             return super().equiv(abar, bbar, alpha, flip)
 
     monkeypatch.setattr(orc, "ScottOracle", Recorded)
-    assert by_name(vf.scott_structure_checks(0, 1, 6))["scott_rank_ladder"].passed
+    assert by_name(vf.scott_structure_checks(0, 1))["scott_rank_ladder"].passed
     pair_levels = []
     for m in range(1, 7):
         pair = sc.ScottTable((chain(m), chain(m + 1)))
@@ -614,7 +599,7 @@ def test_scott_rank_invariance_reads_its_draws_in_order(monkeypatch):
         return SCOTT_RANK(m) + (calls[0] == 41)
 
     monkeypatch.setattr(sc, "scott_rank", counted)
-    checks = by_name(vf.scott_structure_checks(7, 3, 6))
+    checks = by_name(vf.scott_structure_checks(7, 3))
     assert checks["scott_rank_permutation_invariance"].witness == (
         "rank not invariant: [('edge', (0, 0)), ('edge', (0, 3)), ('edge', (1, 0)), "
         "('edge', (3, 0)), ('edge', (3, 2))] perm (0, 2, 1, 3)")
@@ -636,7 +621,7 @@ def isolate_last_item(keys):
 
 def test_corrupted_refinement_fails_the_scott_checks(monkeypatch, fresh_scott_cache):
     def records():
-        checks = vf.scott_oracle_checks(3, 60, 4) + vf.scott_structure_checks(3, 3, 6)
+        checks = vf.scott_oracle_checks(3, 60) + vf.scott_structure_checks(3, 3)
         return {c.name: c.record() for c in checks}
 
     clean = records()
@@ -659,8 +644,8 @@ def test_mulclose_checks_generators_against_cap():
 
 
 def test_iso_suite_passes(small_tables):
-    checks = (vf.run_iso(small_tables) + vf.scott_oracle_checks(3, 60, 4)
-              + vf.scott_structure_checks(3, 3, 6))
+    checks = (vf.run_iso(small_tables) + vf.scott_oracle_checks(3, 60)
+              + vf.scott_structure_checks(3, 3))
     assert all(c.passed for c in checks), [c.record() for c in checks if not c.passed]
 
 
